@@ -33,6 +33,23 @@ func TestRunRuntimeSmoke(t *testing.T) {
 	}
 }
 
+// TestRunExperimentDispatch drives every other -exp branch at a tiny
+// configuration: each must render and report completion.
+func TestRunExperimentDispatch(t *testing.T) {
+	for _, exp := range []string{"table2", "table3", "table4", "table5", "curve", "mcnemar", "ablations"} {
+		t.Run(exp, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			args := []string{"-exp", exp, "-quick", "-dim", "256", "-folds", "2", "-trials", "1", "-curve-repeats", "1"}
+			if err := run(args, &out, &errOut); err != nil {
+				t.Fatal(err)
+			}
+			if want := "(" + exp + " completed in"; !strings.Contains(out.String(), want) {
+				t.Fatalf("output missing %q:\n%s", want, out.String())
+			}
+		})
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-exp", "table99"}, &out, &errOut); err == nil {

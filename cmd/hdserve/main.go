@@ -13,7 +13,7 @@
 //	        [-otlp-endpoint ""] [-trace-sample 0.01]
 //	        [-slo-target 0.999] [-slo-latency-ms 250]
 //	        [-prof-interval 30s] [-prof-ring 16] [-prof-cpu-ms 250]
-//	        [-prof-baseline ""] [-watchdog=true]
+//	        [-watchdog=true]
 //	        [-audit-dir ""] [-audit-max-bytes 8388608] [-audit-fsync none]
 //	        [-audit-queue 4096] [-audit-ring 64]
 //	        [-log-format text|json] [-log-level info] [-pprof]
@@ -56,10 +56,9 @@
 // -prof-interval cadence — CPU (a -prof-cpu-ms window), heap, goroutine,
 // and rate-gated mutex/block profiles land in a bounded in-memory ring of
 // -prof-ring gzipped pprof blobs, each tagged with its trigger and the
-// runtime state at capture time. /debug/prof serves the ring index, the
-// top-N CPU table with a delta against the baseline (-prof-baseline or
-// the first capture since boot), and the runtime watchdog states;
-// /debug/prof/{id} downloads a blob `go tool pprof` reads directly.
+// runtime state at capture time. /debug/prof serves the ring index and
+// the runtime watchdog states; /debug/prof/{id} downloads a blob for
+// `go tool pprof`.
 // Watchdogs (goroutine high-water/leak, heap-growth slope, GC-pause p99)
 // fire edge-triggered warnings and capture out-of-cycle evidence
 // profiles; -watchdog=false turns them off. hdfe_prof_* and
@@ -169,7 +168,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		profInterval  = fs.Duration("prof-interval", prof.DefaultInterval, "continuous-profiling capture cadence (0 disables scheduled captures)")
 		profRing      = fs.Int("prof-ring", prof.DefaultRingSize, "profile capture ring capacity")
 		profCPUMs     = fs.Int("prof-cpu-ms", int(prof.DefaultCPUDuration/time.Millisecond), "CPU profile sampling window per cycle, in milliseconds")
-		profBaseline  = fs.String("prof-baseline", "", "committed pprof CPU profile to delta live captures against (default: first capture since boot)")
 		watchdog      = fs.Bool("watchdog", true, "enable the goroutine/heap/GC-pause runtime watchdogs")
 		auditDir      = fs.String("audit-dir", "", "directory for the hash-chained decision audit log (empty disables auditing)")
 		auditMaxBytes = fs.Int64("audit-max-bytes", 8<<20, "audit segment size before rotation")
@@ -291,7 +289,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		SLOLatency:       time.Duration(*sloLatencyMs) * time.Millisecond,
 		Logger:           logger,
 		EnablePprof:      *pprofFlag,
-		Prof:             profConfig(*profInterval, *profRing, *profCPUMs, *profBaseline, *watchdog),
+		Prof:             profConfig(*profInterval, *profRing, *profCPUMs, *watchdog),
 		Audit:            auditLog,
 	})
 	if *shadowPath != "" {
@@ -346,12 +344,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 // On the flag surface 0 means "off" (the natural CLI reading); in
 // prof.Config 0 means "default" and negative means off, so the zero
 // values are translated here.
-func profConfig(interval time.Duration, ring, cpuMs int, baseline string, watchdog bool) prof.Config {
+func profConfig(interval time.Duration, ring, cpuMs int, watchdog bool) prof.Config {
 	cfg := prof.Config{
-		Interval:     interval,
-		CPUDuration:  time.Duration(cpuMs) * time.Millisecond,
-		RingSize:     ring,
-		BaselinePath: baseline,
+		Interval:    interval,
+		CPUDuration: time.Duration(cpuMs) * time.Millisecond,
+		RingSize:    ring,
 	}
 	if interval <= 0 {
 		cfg.Interval = -1

@@ -220,23 +220,3 @@ func TestAccumulatorRemovePanics(t *testing.T) {
 		}()
 	}
 }
-
-// Majority bundling of binary vectors must equal sign bundling of their
-// bipolar images (with the same ties-to-one rule). This ties the paper's
-// binary formulation to the ternary/integer alternative it mentions.
-func TestMajorityEqualsBipolarSign(t *testing.T) {
-	r := rng.New(5)
-	for _, n := range []int{1, 2, 3, 4, 5, 8} {
-		vs := make([]Vector, n)
-		bacc := NewBipolarAccumulator(300)
-		for i := range vs {
-			vs[i] = Rand(r, 300)
-			bacc.Add(ToBipolar(vs[i]))
-		}
-		viaMajority := Bundle(vs, TieToOne)
-		viaSign := FromBipolar(bacc.Sign())
-		if !viaMajority.Equal(viaSign) {
-			t.Fatalf("n=%d: majority bundle != bipolar sign bundle", n)
-		}
-	}
-}

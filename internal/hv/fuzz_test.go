@@ -13,6 +13,11 @@ func FuzzMajorityInto(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0xaa}, uint8(3), false)
 	f.Add([]byte{0x01}, uint8(63), true)
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef, 0x42, 0x42, 0x42, 0x42, 0x99}, uint8(65), false)
+	// Even counts at dimension 8 (one byte per vector), so the plain test
+	// run checks exact ties against the TieToOne rule.
+	f.Add([]byte{0xf0, 0x3c}, uint8(7), false)
+	f.Add([]byte{0x0f, 0x33, 0x55, 0xff}, uint8(7), false)
+	f.Add([]byte{0x01, 0x03, 0x07, 0x0f, 0x1f, 0x3f, 0x7f, 0xff}, uint8(7), false)
 	f.Fuzz(func(t *testing.T, data []byte, dimSeed uint8, tieToZero bool) {
 		dim := 1 + int(dimSeed)%130 // 1..130: crosses one and two word boundaries
 		bytesPerVec := (dim + 7) / 8

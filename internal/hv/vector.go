@@ -4,11 +4,6 @@
 // need — random generation, balanced bit flipping, Hamming distance, majority
 // bundling — plus parallel batch kernels for distance matrices and
 // nearest-neighbour search.
-//
-// The package also provides bipolar (±1) vectors (see ternary.go), which the
-// paper mentions as an alternative representation; a property test verifies
-// that majority bundling of binary vectors equals sign bundling of their
-// bipolar images.
 package hv
 
 import (

@@ -5,11 +5,9 @@
 // rates); this package observes the process. A Profiler periodically
 // captures CPU, heap, goroutine, and rate-gated mutex/block profiles into
 // a bounded in-memory ring of gzipped pprof blobs, each tagged with what
-// triggered it and the runtime stats at the moment of capture. A
-// lightweight pprof parser (pprofparse.go) folds captures into top-N
-// flat/cumulative function tables and deltas them against a baseline
-// profile, so "encode got 2x hotter since the baseline" is a queryable
-// fact instead of a flamegraph archaeology session.
+// triggered it and the runtime stats at the moment of capture. The blobs
+// are exactly what runtime/pprof wrote: analysis is `go tool pprof` on a
+// download from /debug/prof/{id}.
 //
 // Watchdogs (watchdog.go) watch goroutine count, heap-growth slope, and
 // GC-pause p99 over a one-minute sample ring. They are edge-triggered —
@@ -22,11 +20,10 @@
 // histograms, heap in-use and goal, goroutines, cumulative mutex wait)
 // through the shared obs.PromWriter.
 //
-// Everything is in-process and dependency-free by design: profiles are
-// aggregated where they are taken, and only bounded metadata plus the
-// ring's bounded blobs are held. Scoring never waits on this package —
-// captures run on the profiler's own goroutine, and the watchdog tick is
-// a handful of runtime/metrics reads per second.
+// Everything is in-process and dependency-free by design: only bounded
+// metadata plus the ring's bounded blobs are held. Scoring never waits on
+// this package — captures run on the profiler's own goroutine, and the
+// watchdog tick is a handful of runtime/metrics reads per second.
 package prof
 
 import (
@@ -158,20 +155,4 @@ func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.buf)
-}
-
-// Latest returns the newest capture of the given kind, if any.
-func (r *Ring) Latest(kind string) (Capture, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var (
-		best  Capture
-		found bool
-	)
-	for i := range r.buf {
-		if r.buf[i].Meta.Kind == kind && (!found || r.buf[i].Meta.ID > best.Meta.ID) {
-			best, found = r.buf[i], true
-		}
-	}
-	return best, found
 }

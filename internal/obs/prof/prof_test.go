@@ -41,20 +41,6 @@ func TestRingListBeforeWrap(t *testing.T) {
 	}
 }
 
-func TestRingLatestByKind(t *testing.T) {
-	r := NewRing(4)
-	r.Add(Capture{Meta: CaptureMeta{Kind: KindCPU}})
-	r.Add(Capture{Meta: CaptureMeta{Kind: KindHeap}})
-	r.Add(Capture{Meta: CaptureMeta{Kind: KindCPU}})
-	c, ok := r.Latest(KindCPU)
-	if !ok || c.Meta.ID != 3 {
-		t.Fatalf("Latest(cpu) = %+v, %v, want id 3", c.Meta, ok)
-	}
-	if _, ok := r.Latest(KindMutex); ok {
-		t.Fatal("Latest(mutex) should be absent")
-	}
-}
-
 func TestRingMinCapacity(t *testing.T) {
 	r := NewRing(0)
 	r.Add(Capture{Meta: CaptureMeta{Kind: KindCPU}})

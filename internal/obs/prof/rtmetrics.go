@@ -222,14 +222,6 @@ func gcPauseP99Delta(prev, curr *metrics.Float64Histogram) time.Duration {
 	return time.Duration(histogramQuantile(curr.Buckets, counts, 0.99) * float64(time.Second))
 }
 
-// GCPauseP99Between returns the p99 GC pause across the window between
-// two snapshots (prev taken first). Callers must take the snapshots from
-// distinct Collectors, or clone prev: runtime/metrics reuses histogram
-// buffers across Read calls on the same sample set.
-func GCPauseP99Between(prev, curr RuntimeSnapshot) time.Duration {
-	return gcPauseP99Delta(prev.GCPauses, curr.GCPauses)
-}
-
 // cloneHist deep-copies a runtime histogram's counts so a stored previous
 // snapshot is not aliased by the runtime's internal buffers.
 func cloneHist(h *metrics.Float64Histogram) *metrics.Float64Histogram {

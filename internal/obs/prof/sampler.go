@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"os"
 	"runtime"
 	rpprof "runtime/pprof"
 	"sync"
@@ -59,10 +58,6 @@ type Config struct {
 	BlockRateNs   int
 	// SnapshotEvery captures mutex/block every Nth cycle (default 4).
 	SnapshotEvery int
-	// BaselinePath optionally names a committed pprof CPU profile to
-	// delta live captures against. Without it, the first successful CPU
-	// capture since boot becomes the baseline.
-	BaselinePath string
 	// Watchdog tunes the runtime watchdogs (see watchdog.go).
 	Watchdog WatchdogConfig
 	// Logger receives watchdog transitions and capture failures
@@ -148,9 +143,6 @@ type Profiler struct {
 	captures [len(kindNames)]atomic.Uint64
 	failures atomic.Uint64
 
-	baselineMu sync.Mutex
-	baseline   []TopEntry
-
 	// wdMu guards the watchdog states (mutated on the loop goroutine,
 	// read by /debug/prof and /metrics handlers).
 	wdMu sync.Mutex
@@ -196,8 +188,8 @@ func (p *Profiler) CapturesTotal(kind string) uint64 {
 // Failures reports failed or chaos-injected capture attempts.
 func (p *Profiler) Failures() uint64 { return p.failures.Load() }
 
-// Start enables the rate-gated mutex/block profiles, loads the baseline
-// (if configured), and launches the scheduler/watchdog goroutine.
+// Start enables the rate-gated mutex/block profiles and launches the
+// scheduler/watchdog goroutine.
 // Start is idempotent-hostile by design: call it once.
 func (p *Profiler) Start() {
 	if !p.started.CompareAndSwap(false, true) {
@@ -207,11 +199,6 @@ func (p *Profiler) Start() {
 		p.prevMutexFraction = runtime.SetMutexProfileFraction(p.cfg.MutexFraction)
 		runtime.SetBlockProfileRate(p.cfg.BlockRateNs)
 		p.prevBlockRate = true
-	}
-	if p.cfg.BaselinePath != "" {
-		if err := p.loadBaseline(p.cfg.BaselinePath); err != nil {
-			p.cfg.Logger.Warn("profile baseline load failed", "path", p.cfg.BaselinePath, "err", err)
-		}
 	}
 	if p.cfg.Interval <= 0 && p.cfg.Watchdog.Disable {
 		return
@@ -312,8 +299,7 @@ func (p *Profiler) captureMeta(kind, trigger string) CaptureMeta {
 
 // CaptureCPU samples the CPU profile for d (bounded by ctx — a cancelled
 // client or a closing profiler stops the capture early) and stores the
-// gzipped blob in the ring. The first successful capture becomes the
-// delta baseline unless one was loaded from disk.
+// gzipped blob in the ring.
 func (p *Profiler) CaptureCPU(ctx context.Context, d time.Duration, trigger string) (CaptureMeta, error) {
 	c, err := p.CaptureCPUBlob(ctx, d, trigger)
 	return c.Meta, err
@@ -357,7 +343,6 @@ func (p *Profiler) CaptureCPUBlob(ctx context.Context, d time.Duration, trigger 
 	c := Capture{Meta: meta, Blob: buf.Bytes()}
 	c.Meta.ID = p.ring.Add(c)
 	p.captures[kindIndex(KindCPU)].Add(1)
-	p.maybeBaseline(c.Blob)
 	return c, nil
 }
 
@@ -387,63 +372,6 @@ func (p *Profiler) CaptureSnapshot(kind, trigger string) (CaptureMeta, error) {
 	c.Meta.ID = p.ring.Add(c)
 	p.captures[kindIndex(kind)].Add(1)
 	return c.Meta, nil
-}
-
-// maybeBaseline adopts blob as the delta baseline if none exists yet.
-func (p *Profiler) maybeBaseline(blob []byte) {
-	p.baselineMu.Lock()
-	defer p.baselineMu.Unlock()
-	if p.baseline != nil {
-		return
-	}
-	prof, err := Parse(blob)
-	if err != nil {
-		return
-	}
-	p.baseline = prof.Top("cpu", 50)
-}
-
-// loadBaseline reads a committed pprof CPU profile as the delta baseline.
-func (p *Profiler) loadBaseline(path string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	prof, err := Parse(blob)
-	if err != nil {
-		return err
-	}
-	p.baselineMu.Lock()
-	p.baseline = prof.Top("cpu", 50)
-	p.baselineMu.Unlock()
-	return nil
-}
-
-// Baseline returns the current delta baseline top table (nil before the
-// first CPU capture when no baseline file was loaded).
-func (p *Profiler) Baseline() []TopEntry {
-	p.baselineMu.Lock()
-	defer p.baselineMu.Unlock()
-	return p.baseline
-}
-
-// TopCPU parses the newest CPU capture in the ring and returns its
-// capture ID, top-n flat table, and the delta against the baseline.
-func (p *Profiler) TopCPU(n int) (uint64, []TopEntry, []DeltaEntry, error) {
-	c, ok := p.ring.Latest(KindCPU)
-	if !ok {
-		return 0, nil, nil, nil
-	}
-	prof, err := Parse(c.Blob)
-	if err != nil {
-		return c.Meta.ID, nil, nil, err
-	}
-	top := prof.Top("cpu", n)
-	var delta []DeltaEntry
-	if base := p.Baseline(); base != nil {
-		delta = Delta(top, base)
-	}
-	return c.Meta.ID, top, delta, nil
 }
 
 // WriteProm renders the profiler's own hdfe_prof_* families (the

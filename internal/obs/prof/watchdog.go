@@ -218,36 +218,36 @@ func evalGCPause(samples []wdSample, cfg WatchdogConfig) (value float64, firing 
 }
 
 // transition applies edge-triggering: the first tick a condition holds
-// logs one warning and captures evidence (the profile kind that explains
-// the anomaly) out of cycle; the first tick it clears logs recovery.
+// captures evidence (the profile kind that explains the anomaly) out of
+// cycle and logs one warning naming it; the first tick it clears logs
+// recovery. The new state is published last, in one critical section, so
+// a reader never sees a firing watchdog without its evidence or a
+// recovered one before its log line. Only the loop goroutine mutates
+// states, so reading them here needs no lock.
 func (w *watchdogs) transition(name string, value float64, firing bool, captureKind string) {
-	w.p.wdMu.Lock()
 	st := w.states[name]
 	wasFiring := st.Firing
+	var captureID uint64
+	switch {
+	case firing && !wasFiring:
+		if meta, err := w.p.CaptureSnapshot(captureKind, "watchdog:"+name); err == nil {
+			captureID = meta.ID
+		}
+		w.p.cfg.Logger.Warn("runtime watchdog firing",
+			"watchdog", name, "value", value, "threshold", st.Threshold,
+			"capture_id", captureID, "capture_kind", captureKind)
+	case !firing && wasFiring:
+		w.p.cfg.Logger.Info("runtime watchdog recovered",
+			"watchdog", name, "value", value, "threshold", st.Threshold)
+	}
+
+	w.p.wdMu.Lock()
 	st.Value = value
 	st.Firing = firing
 	if firing && !wasFiring {
 		st.Since = time.Now()
 		st.Triggers++
+		st.LastCaptureID = captureID
 	}
-	threshold := st.Threshold
 	w.p.wdMu.Unlock()
-
-	switch {
-	case firing && !wasFiring:
-		// Capture first: the log line then names the evidence.
-		var captureID uint64
-		if meta, err := w.p.CaptureSnapshot(captureKind, "watchdog:"+name); err == nil {
-			captureID = meta.ID
-			w.p.wdMu.Lock()
-			st.LastCaptureID = captureID
-			w.p.wdMu.Unlock()
-		}
-		w.p.cfg.Logger.Warn("runtime watchdog firing",
-			"watchdog", name, "value", value, "threshold", threshold,
-			"capture_id", captureID, "capture_kind", captureKind)
-	case !firing && wasFiring:
-		w.p.cfg.Logger.Info("runtime watchdog recovered",
-			"watchdog", name, "value", value, "threshold", threshold)
-	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -30,11 +31,6 @@ type profIndex struct {
 	} `json:"profiling"`
 	Captures  []prof.CaptureMeta   `json:"captures"`
 	Watchdogs []prof.WatchdogState `json:"watchdogs"`
-	TopCPU    struct {
-		CaptureID uint64            `json:"capture_id"`
-		Top       []prof.TopEntry   `json:"top"`
-		Delta     []prof.DeltaEntry `json:"delta_vs_baseline"`
-	} `json:"top_cpu"`
 }
 
 func getProfIndex(t *testing.T, client *http.Client, base string) profIndex {
@@ -54,21 +50,62 @@ func getProfIndex(t *testing.T, client *http.Client, base string) profIndex {
 	return idx
 }
 
-// hotFrame reports whether a top table names a scoring-pipeline frame.
-func hotFrame(top []prof.TopEntry) bool {
-	for _, e := range top {
-		if strings.Contains(e.Func, "internal/encode") || strings.Contains(e.Func, "internal/hv") {
-			return true
-		}
+// gunzipProfile inflates a downloaded capture, failing the test unless it
+// is the gzipped protobuf runtime/pprof writes.
+func gunzipProfile(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("not a gzipped pprof blob: %v", err)
 	}
-	return false
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("not a gzipped pprof blob: %v", err)
+	}
+	return raw
+}
+
+// hotFrame reports whether a CPU profile names a scoring-pipeline frame.
+// runtime/pprof stores function names verbatim in the profile's string
+// table, so no profile parser is needed.
+func hotFrame(t *testing.T, blob []byte) bool {
+	t.Helper()
+	raw := gunzipProfile(t, blob)
+	return bytes.Contains(raw, []byte("hdfe/internal/encode.")) ||
+		bytes.Contains(raw, []byte("hdfe/internal/hv."))
+}
+
+// downloadCapture fetches /debug/prof/{id}; ok is false when the capture
+// was evicted from the ring between listing and download.
+func downloadCapture(t *testing.T, client *http.Client, base string, id uint64) (blob []byte, ok bool) {
+	t.Helper()
+	resp, err := client.Get(fmt.Sprintf("%s/debug/prof/%d", base, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	blob, err = io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusNotFound:
+		return nil, false
+	default:
+		t.Fatalf("download %d: status %d", id, resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("download Content-Type %q", ct)
+	}
+	return blob, true
 }
 
 // TestLoadProfilerOnBitIdentical is the tentpole acceptance test: 64
 // concurrent batch-scoring clients with the profiler capturing at an
 // aggressive cadence. Every score must be bit-identical (Float64bits) to
-// a direct Deployment.Score call, and /debug/prof must end up serving a
-// downloadable CPU profile whose top table names an encode/hv frame.
+// a direct Deployment.Score call, and /debug/prof must end up listing a
+// downloadable CPU profile that names an encode/hv frame.
 func TestLoadProfilerOnBitIdentical(t *testing.T) {
 	const clients = 64
 	dep := testDeployment(t, 1024)
@@ -150,9 +187,10 @@ func TestLoadProfilerOnBitIdentical(t *testing.T) {
 		}(c)
 	}
 
-	// While the load runs, wait for a CPU capture whose top table names a
-	// scoring-pipeline frame, then download it.
+	// While the load runs, download each new CPU capture the ring lists
+	// until one names a scoring-pipeline frame.
 	deadline := time.Now().Add(60 * time.Second)
+	seen := map[uint64]bool{}
 	var captureID uint64
 	for time.Now().Before(deadline) && captureID == 0 {
 		select {
@@ -162,10 +200,17 @@ func TestLoadProfilerOnBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		default:
 		}
-		idx := getProfIndex(t, client, ts.URL)
-		if idx.TopCPU.CaptureID != 0 && hotFrame(idx.TopCPU.Top) {
-			captureID = idx.TopCPU.CaptureID
-		} else {
+		for _, c := range getProfIndex(t, client, ts.URL).Captures {
+			if c.Kind != prof.KindCPU || seen[c.ID] {
+				continue
+			}
+			seen[c.ID] = true
+			if blob, ok := downloadCapture(t, client, ts.URL, c.ID); ok && hotFrame(t, blob) {
+				captureID = c.ID
+				break
+			}
+		}
+		if captureID == 0 {
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
@@ -181,32 +226,8 @@ func TestLoadProfilerOnBitIdentical(t *testing.T) {
 	if captureID == 0 {
 		t.Fatal("no CPU capture named an internal/encode or internal/hv frame within the deadline")
 	}
-	t.Logf("bit-identity held across %d batch requests (%d records)", requests.Load(), requests.Load()*batchRows)
-
-	// The capture downloads as the gzipped pprof blob, parseable, with the
-	// hot frame inside.
-	resp, err := client.Get(fmt.Sprintf("%s/debug/prof/%d", ts.URL, captureID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("download status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Errorf("download Content-Type %q", ct)
-	}
-	if len(blob) < 2 || blob[0] != 0x1f || blob[1] != 0x8b {
-		t.Fatal("download is not a gzipped pprof blob")
-	}
-	pp, err := prof.Parse(blob)
-	if err != nil {
-		t.Fatalf("downloaded blob unparseable: %v", err)
-	}
-	if !hotFrame(pp.Top("cpu", 50)) {
-		t.Fatal("downloaded profile lost the encode/hv frame")
-	}
+	t.Logf("bit-identity held across %d batch requests (%d records); capture %d names the hot frame",
+		requests.Load(), requests.Load()*batchRows, captureID)
 
 	// The scheduled captures also exported through /metrics.
 	mbody, _ := scrape(t, ts)
@@ -260,14 +281,14 @@ func TestPprofProfileHonorsContext(t *testing.T) {
 	if s.Profiler().Failures() == 0 {
 		t.Error("cancelled profile download not counted as a capture failure")
 	}
-	if _, ok := s.Profiler().Ring().Latest(prof.KindCPU); ok {
+	if s.Profiler().Ring().Len() != 0 {
 		t.Error("cancelled capture must not be ring-kept")
 	}
 }
 
 // TestPprofProfileDownload pins the happy path of the replacement
-// handler: a short profile downloads as a parseable gzipped blob and
-// lands in the ring tagged with the http trigger.
+// handler: a short profile downloads as a gzipped pprof blob and lands
+// in the ring tagged with the http trigger.
 func TestPprofProfileDownload(t *testing.T) {
 	dep := testDeployment(t, 128)
 	s := New(dep, Config{
@@ -287,15 +308,10 @@ func TestPprofProfileDownload(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, blob)
 	}
-	if len(blob) < 2 || blob[0] != 0x1f || blob[1] != 0x8b {
-		t.Fatal("profile download is not gzipped pprof output")
-	}
-	if _, err := prof.Parse(blob); err != nil {
-		t.Fatalf("profile download unparseable: %v", err)
-	}
-	c, ok := s.Profiler().Ring().Latest(prof.KindCPU)
-	if !ok || c.Meta.Trigger != prof.TriggerHTTP {
-		t.Fatalf("http-triggered capture not in ring: %+v ok=%v", c.Meta, ok)
+	gunzipProfile(t, blob)
+	if list := s.Profiler().Ring().List(); len(list) != 1 ||
+		list[0].Kind != prof.KindCPU || list[0].Trigger != prof.TriggerHTTP {
+		t.Fatalf("http-triggered capture not in ring: %+v", list)
 	}
 
 	// Garbage seconds is a 400, not a hung capture.
@@ -331,11 +347,24 @@ func TestProfDebugEndpoints(t *testing.T) {
 	if cc := resp.Header.Get("Cache-Control"); cc != "no-store" {
 		t.Errorf("Cache-Control %q, want no-store", cc)
 	}
-	var idx profIndex
-	if err := json.NewDecoder(resp.Body).Decode(&idx); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	// The index is configuration, ring and watchdogs only: profile
+	// analysis is `go tool pprof` on a download.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 3 || keys["profiling"] == nil || keys["captures"] == nil || keys["watchdogs"] == nil {
+		t.Fatalf("index keys: want exactly profiling, captures, watchdogs; got %s", raw)
+	}
+	var idx profIndex
+	if err := json.Unmarshal(raw, &idx); err != nil {
+		t.Fatal(err)
+	}
 	if idx.Profiling.IntervalMs != -1 || idx.Profiling.Captures["heap"] != 1 {
 		t.Fatalf("index profiling block = %+v", idx.Profiling)
 	}

@@ -11,29 +11,15 @@ import (
 	"hdfe/internal/obs/prof"
 )
 
-// profTopN is how many functions the /debug/prof top table carries.
-const profTopN = 20
-
 // maxPprofSeconds caps client-requested CPU/trace capture windows so a
 // typo'd ?seconds= cannot pin the profiler for hours.
 const maxPprofSeconds = 120
 
 // handleProfIndex serves the continuous-profiling state as JSON: the
 // effective configuration, the capture ring (newest first, each entry
-// downloadable at /debug/prof/{id}), the watchdog states, and the top-N
-// CPU table with its delta against the baseline profile.
+// downloadable at /debug/prof/{id} for `go tool pprof`), and the watchdog
+// states.
 func (s *Server) handleProfIndex(w http.ResponseWriter, r *http.Request) {
-	type topBlock struct {
-		CaptureID uint64            `json:"capture_id,omitempty"`
-		Top       []prof.TopEntry   `json:"top,omitempty"`
-		Delta     []prof.DeltaEntry `json:"delta_vs_baseline,omitempty"`
-		Err       string            `json:"error,omitempty"`
-	}
-	id, top, delta, err := s.profiler.TopCPU(profTopN)
-	tb := topBlock{CaptureID: id, Top: top, Delta: delta}
-	if err != nil {
-		tb.Err = err.Error()
-	}
 	intervalMs := s.profiler.Interval().Milliseconds()
 	if s.profiler.Interval() < 0 {
 		intervalMs = -1 // scheduled captures off
@@ -53,7 +39,6 @@ func (s *Server) handleProfIndex(w http.ResponseWriter, r *http.Request) {
 		},
 		"captures":  s.profiler.Ring().List(),
 		"watchdogs": s.profiler.WatchdogStates(),
-		"top_cpu":   tb,
 	})
 }
 

@@ -1,9 +1,9 @@
 #!/bin/sh
 # prof_smoke.sh boots hdserve with a fast continuous-profiling cadence,
 # drives batch-scoring load, and asserts the self-observability surface
-# end to end: a scheduled CPU capture lands in the ring with an encode
-# frame in its top table, the capture downloads as a valid gzipped pprof
-# blob, the hdfe_runtime_* and hdfe_prof_* metric families scrape, and
+# end to end: a scheduled CPU capture lands in the ring and downloads as
+# a gzipped pprof blob in which `go tool pprof -top` names an encode/hv
+# frame, the hdfe_runtime_* and hdfe_prof_* metric families scrape, and
 # the watchdogs report state at /debug/prof. Run via `make prof-smoke`.
 set -eu
 
@@ -64,18 +64,27 @@ printf '%s' "$BODY" >"$TMP/batch.json"
 ) &
 LOAD_PID=$!
 
-# Poll /debug/prof until a scheduled CPU capture's top table names a
-# hot-path frame (internal/encode or internal/hv).
+# Poll /debug/prof and download each new CPU capture until `go tool
+# pprof -top` on one names a hot-path frame (internal/encode or
+# internal/hv).
 CAPTURE_ID=""
+SEEN=" "
 for _ in $(seq 1 300); do
     curl -sSf "http://$ADDR/debug/prof" >"$TMP/prof.json" 2>/dev/null || {
         sleep 0.1
         continue
     }
-    if grep -q 'internal/encode\|internal/hv' "$TMP/prof.json"; then
-        CAPTURE_ID=$(sed -n 's/.*"top_cpu":{"capture_id":\([0-9]*\).*/\1/p' "$TMP/prof.json" | head -n1)
-        [ -n "$CAPTURE_ID" ] && break
-    fi
+    for id in $(grep -o '"id":[0-9]*,"kind":"cpu"' "$TMP/prof.json" | sed 's/"id":\([0-9]*\).*/\1/'); do
+        case "$SEEN" in *" $id "*) continue ;; esac
+        SEEN="$SEEN$id "
+        # A 404 means the ring evicted it since the listing.
+        curl -sSf "http://$ADDR/debug/prof/$id" -o "$TMP/capture.pb.gz" 2>/dev/null || continue
+        if go tool pprof -top "$TMP/capture.pb.gz" 2>/dev/null | grep -q 'internal/encode\|internal/hv'; then
+            CAPTURE_ID=$id
+            break
+        fi
+    done
+    [ -n "$CAPTURE_ID" ] && break
     sleep 0.1
 done
 kill "$LOAD_PID" 2>/dev/null || true
@@ -96,8 +105,7 @@ for field in '"interval_ms":500' '"watchdogs"' '"goroutines"' '"heap_slope"' '"g
     fi
 done
 
-# The capture downloads as the gzipped pprof blob runtime/pprof wrote.
-curl -sSf "http://$ADDR/debug/prof/$CAPTURE_ID" -o "$TMP/capture.pb.gz"
+# The capture downloaded as the gzipped pprof blob runtime/pprof wrote.
 MAGIC=$(od -An -tx1 -N2 "$TMP/capture.pb.gz" | tr -d ' ')
 if [ "$MAGIC" != "1f8b" ]; then
     echo "prof-smoke: download is not gzip (magic $MAGIC)" >&2
