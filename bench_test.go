@@ -126,23 +126,30 @@ func fitBench(b *testing.B, factory func() ml.Classifier, hyper bool) {
 	}
 }
 
+// lgbm and xgb build the boosters with tables.Zoo's full-size settings.
+func lgbm() ml.Classifier {
+	return boost.New(boost.Params{
+		Style: boost.LeafWise, Rounds: 100, LearningRate: 0.1,
+		MaxLeaves: 31, Lambda: 1, MinChildWeight: 1e-3, Subsample: 1, Seed: 1,
+	})
+}
+
+func xgb() ml.Classifier {
+	return boost.New(boost.Params{
+		Style: boost.LevelWise, Rounds: 100, LearningRate: 0.3,
+		MaxDepth: 6, Lambda: 1, MinChildWeight: 1, Subsample: 1, Seed: 1,
+	})
+}
+
 // LGBM-style booster: the paper's clearest ">10x slower on hypervectors"
 // case.
-func BenchmarkFitLGBMFeatures(b *testing.B) {
-	fitBench(b, func() ml.Classifier { return boost.NewLGBM(1) }, false)
-}
+func BenchmarkFitLGBMFeatures(b *testing.B) { fitBench(b, lgbm, false) }
 
-func BenchmarkFitLGBMHypervectors(b *testing.B) {
-	fitBench(b, func() ml.Classifier { return boost.NewLGBM(1) }, true)
-}
+func BenchmarkFitLGBMHypervectors(b *testing.B) { fitBench(b, lgbm, true) }
 
-func BenchmarkFitXGBFeatures(b *testing.B) {
-	fitBench(b, func() ml.Classifier { return boost.NewXGB(1) }, false)
-}
+func BenchmarkFitXGBFeatures(b *testing.B) { fitBench(b, xgb, false) }
 
-func BenchmarkFitXGBHypervectors(b *testing.B) {
-	fitBench(b, func() ml.Classifier { return boost.NewXGB(1) }, true)
-}
+func BenchmarkFitXGBHypervectors(b *testing.B) { fitBench(b, xgb, true) }
 
 // SVC's Gram matrix runs on packed popcount dot products for binary
 // inputs, so its hypervector slowdown stays small — one of the paper's

@@ -153,7 +153,7 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	}
 	correct := 0
 	for i, row := range shifted {
-		if dep.Predict(row) == d.Y[i] {
+		if (dep.Score(row) >= 0.5) == (d.Y[i] == 1) {
 			correct++
 		}
 	}

@@ -86,9 +86,6 @@ func (e *Extractor) FitDataset(d *dataset.Dataset) error {
 	return e.Fit(SpecsFor(d.Features), d.X)
 }
 
-// Fitted reports whether Fit has succeeded.
-func (e *Extractor) Fitted() bool { return e.cb != nil }
-
 // Dim returns the hypervector dimensionality after fitting.
 func (e *Extractor) Dim() int {
 	e.mustFit()
@@ -117,12 +114,6 @@ func (e *Extractor) TransformFloats(X [][]float64) [][]float64 {
 	return e.cb.EncodeAllFloats(X)
 }
 
-// TransformFloatsInto is TransformFloats with caller-recycled row storage.
-func (e *Extractor) TransformFloatsInto(X [][]float64, dst [][]float64) [][]float64 {
-	e.mustFit()
-	return e.cb.EncodeAllFloatsInto(X, dst)
-}
-
 // TransformRecord encodes a single record.
 func (e *Extractor) TransformRecord(row []float64) hv.Vector {
 	e.mustFit()
@@ -143,11 +134,6 @@ func (e *Extractor) Codebook() *encode.Codebook {
 	return e.cb
 }
 
-// Options returns the configuration the extractor was built with. For a
-// deployment reloaded from disk this is the fitted configuration the
-// codebook carries (Seed is training-time only and not restored).
-func (e *Extractor) Options() Options { return e.opts }
-
 func (e *Extractor) mustFit() {
 	if e.cb == nil {
 		panic("core: extractor used before Fit")
@@ -166,7 +152,6 @@ type Pipeline struct {
 }
 
 var _ ml.Classifier = (*Pipeline)(nil)
-var _ ml.Scorer = (*Pipeline)(nil)
 
 // NewPipeline builds a hybrid pipeline: specs describe the raw columns,
 // inner is the downstream model.
@@ -197,19 +182,6 @@ func (p *Pipeline) Predict(X [][]float64) []int {
 		panic("core: pipeline predict before fit")
 	}
 	return p.inner.Predict(p.ext.TransformFloats(X))
-}
-
-// Scores delegates to the inner model if it can score; it panics
-// otherwise.
-func (p *Pipeline) Scores(X [][]float64) []float64 {
-	if p.ext == nil {
-		panic("core: pipeline scores before fit")
-	}
-	s, ok := p.inner.(ml.Scorer)
-	if !ok {
-		panic(fmt.Sprintf("core: inner model %T cannot score", p.inner))
-	}
-	return s.Scores(p.ext.TransformFloats(X))
 }
 
 // HammingLOO runs the paper's pure-HDC experiment on a dataset: fit the

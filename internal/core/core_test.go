@@ -48,14 +48,11 @@ func TestSpecsFor(t *testing.T) {
 func TestExtractorFitTransform(t *testing.T) {
 	d := toyDataset()
 	e := NewExtractor(Options{Dim: 2000, Seed: 1})
-	if e.Fitted() {
-		t.Fatal("fresh extractor claims fitted")
-	}
 	if err := e.FitDataset(d); err != nil {
 		t.Fatal(err)
 	}
-	if !e.Fitted() || e.Dim() != 2000 {
-		t.Fatalf("Fitted=%v Dim=%d", e.Fitted(), e.Dim())
+	if e.Dim() != 2000 {
+		t.Fatalf("Dim=%d", e.Dim())
 	}
 	vs := e.Transform(d.X)
 	if len(vs) != d.Len() || vs[0].Dim() != 2000 {
@@ -143,10 +140,6 @@ func TestPipelineClassifies(t *testing.T) {
 	}
 	if acc := float64(correct) / float64(len(pred)); acc < 0.95 {
 		t.Fatalf("pipeline accuracy %v", acc)
-	}
-	scores := p.Scores(d.X)
-	if len(scores) != d.Len() {
-		t.Fatal("scores length")
 	}
 }
 

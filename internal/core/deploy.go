@@ -115,14 +115,6 @@ func (d *Deployment) ScoreBatchInto(rows [][]float64, dst []float64) []float64 {
 	return dst
 }
 
-// Predict thresholds Score at 0.5.
-func (d *Deployment) Predict(row []float64) int {
-	if d.Score(row) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
 // WriteTo serializes the deployment (codebook + prototypes + optional
 // drift reference) in the v2 layout.
 func (d *Deployment) WriteTo(w io.Writer) (int64, error) {

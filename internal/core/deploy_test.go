@@ -23,7 +23,7 @@ func TestDeploymentScoreSeparates(t *testing.T) {
 	}
 	correct := 0
 	for i, row := range d.X {
-		if dep.Predict(row) == d.Y[i] {
+		if (dep.Score(row) >= 0.5) == (d.Y[i] == 1) {
 			correct++
 		}
 	}

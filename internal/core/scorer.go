@@ -31,8 +31,6 @@ type Scorer interface {
 	// schema (ranges, kinds, names) the serving layer checks requests
 	// against.
 	Codebook() *encode.Codebook
-	// Options is the fitted encoder configuration.
-	Options() Options
 	// DriftRef is the training-time drift reference, or nil when the
 	// model carries none (input-drift monitoring is then disabled).
 	DriftRef() *drift.Reference
@@ -52,9 +50,6 @@ func (d *Deployment) Specs() []encode.Spec { return d.Extractor.Codebook().Specs
 
 // Codebook returns the fitted codebook.
 func (d *Deployment) Codebook() *encode.Codebook { return d.Extractor.Codebook() }
-
-// Options returns the fitted encoder configuration.
-func (d *Deployment) Options() Options { return d.Extractor.Options() }
 
 // DriftRef returns the training-time drift reference (nil for pre-v2
 // artifacts).

@@ -150,18 +150,3 @@ func TestSummarizeEmptyClass(t *testing.T) {
 		t.Fatalf("neg mean %v", s.NegMean)
 	}
 }
-
-func TestColumnMeanStd(t *testing.T) {
-	d := MustNew("m",
-		[]Feature{{Name: "x", Kind: Continuous}},
-		[][]float64{{2}, {4}, {math.NaN()}, {6}},
-		[]int{0, 0, 1, 1},
-	)
-	if m := ColumnMean(d, 0); m != 4 {
-		t.Fatalf("mean %v", m)
-	}
-	want := math.Sqrt((4.0 + 0 + 4.0) / 3.0)
-	if s := ColumnStd(d, 0); math.Abs(s-want) > 1e-12 {
-		t.Fatalf("std %v, want %v", s, want)
-	}
-}

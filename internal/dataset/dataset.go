@@ -154,12 +154,3 @@ func (d *Dataset) MissingCount() int {
 	}
 	return n
 }
-
-// FeatureColumn returns a copy of column j.
-func (d *Dataset) FeatureColumn(j int) []float64 {
-	col := make([]float64, len(d.X))
-	for i, row := range d.X {
-		col[i] = row[j]
-	}
-	return col
-}

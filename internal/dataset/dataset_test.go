@@ -89,21 +89,6 @@ func TestMissingDetection(t *testing.T) {
 	}
 }
 
-func TestFeatureColumn(t *testing.T) {
-	d := smallDataset(t)
-	col := d.FeatureColumn(0)
-	want := []float64{1, 2, 3, 4, 5}
-	for i := range want {
-		if col[i] != want[i] {
-			t.Fatalf("col[%d] = %v", i, col[i])
-		}
-	}
-	col[0] = 99
-	if d.X[0][0] == 99 {
-		t.Fatal("FeatureColumn aliases the matrix")
-	}
-}
-
 func TestDropMissing(t *testing.T) {
 	d := smallDataset(t).Clone()
 	d.X[1][0] = math.NaN()
@@ -195,24 +180,6 @@ func TestMedianPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	Median(nil)
-}
-
-func TestMarkMissingZeros(t *testing.T) {
-	d := MustNew("pima-like",
-		[]Feature{{Name: "glucose", Kind: Continuous}, {Name: "pregnancies", Kind: Continuous}},
-		[][]float64{{0, 0}, {120, 2}},
-		[]int{0, 1},
-	)
-	r := MarkMissingZeros(d, "glucose", "nonexistent")
-	if !math.IsNaN(r.X[0][0]) {
-		t.Fatal("zero glucose not marked missing")
-	}
-	if r.X[0][1] != 0 {
-		t.Fatal("pregnancies=0 wrongly marked (legitimate zero)")
-	}
-	if d.X[0][0] != 0 {
-		t.Fatal("MarkMissingZeros mutated input")
-	}
 }
 
 func TestKindString(t *testing.T) {

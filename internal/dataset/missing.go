@@ -84,28 +84,3 @@ func Median(vs []float64) float64 {
 	}
 	return (s[n/2-1] + s[n/2]) / 2
 }
-
-// MarkMissingZeros replaces zeros with NaN in the named columns. The
-// original Pima CSV encodes missing physiological measurements as 0
-// (a glucose or BMI of zero is not a measurement); this converts that
-// convention to explicit NaNs so DropMissing / ImputeClassMedian apply.
-// Unknown column names are ignored.
-func MarkMissingZeros(d *Dataset, columns ...string) *Dataset {
-	out := d.Clone()
-	idx := map[string]int{}
-	for j, f := range out.Features {
-		idx[f.Name] = j
-	}
-	for _, name := range columns {
-		j, ok := idx[name]
-		if !ok {
-			continue
-		}
-		for _, row := range out.X {
-			if row[j] == 0 {
-				row[j] = math.NaN()
-			}
-		}
-	}
-	return out
-}

@@ -109,25 +109,3 @@ func TestImputeClassMedianNoMissingIsIdentity(t *testing.T) {
 		}
 	}
 }
-
-func TestMarkMissingZerosAllZeroColumn(t *testing.T) {
-	// An all-zero marked column becomes all-missing — the input that then
-	// exercises ImputeClassMedian's 0 fallback end to end.
-	d := MustNew("allzero",
-		[]Feature{{Name: "Insulin"}, {Name: "Age"}},
-		[][]float64{{0, 21}, {0, 35}},
-		[]int{0, 1},
-	)
-	marked := MarkMissingZeros(d, "Insulin")
-	for i := range marked.X {
-		if !math.IsNaN(marked.X[i][0]) {
-			t.Fatalf("row %d Insulin not marked missing", i)
-		}
-	}
-	imputed := ImputeClassMedian(marked)
-	for i := range imputed.X {
-		if imputed.X[i][0] != 0 {
-			t.Fatalf("row %d imputed to %v, want 0 fallback", i, imputed.X[i][0])
-		}
-	}
-}

@@ -47,22 +47,6 @@ func StratifiedKFold(d *Dataset, k int, r *rng.Source) []Fold {
 	return folds
 }
 
-// LeaveOneOut returns n folds, fold i testing on row i and training on all
-// others (the paper's Hamming-model validation).
-func LeaveOneOut(n int) []Fold {
-	folds := make([]Fold, n)
-	for i := range folds {
-		train := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				train = append(train, j)
-			}
-		}
-		folds[i] = Fold{Train: train, Test: []int{i}}
-	}
-	return folds
-}
-
 // StratifiedSplit splits the rows into two groups with the given fraction
 // in the first group, preserving class balance (each class is split
 // separately, rounding the first group's share to the nearest integer).

@@ -85,26 +85,6 @@ func TestStratifiedKFoldPanics(t *testing.T) {
 	}
 }
 
-func TestLeaveOneOut(t *testing.T) {
-	folds := LeaveOneOut(5)
-	if len(folds) != 5 {
-		t.Fatalf("%d folds", len(folds))
-	}
-	for i, f := range folds {
-		if len(f.Test) != 1 || f.Test[0] != i {
-			t.Fatalf("fold %d tests %v", i, f.Test)
-		}
-		if len(f.Train) != 4 {
-			t.Fatalf("fold %d trains on %d", i, len(f.Train))
-		}
-		for _, j := range f.Train {
-			if j == i {
-				t.Fatalf("fold %d trains on its own test row", i)
-			}
-		}
-	}
-}
-
 func TestStratifiedSplitFractions(t *testing.T) {
 	d := balancedDataset(t, 200, 100)
 	train, test := StratifiedSplit(d, 0.9, rng.New(3))

@@ -51,39 +51,3 @@ func classStats(d *Dataset, j, class int) (mean, min, max float64) {
 	}
 	return sum / float64(n), min, max
 }
-
-// ColumnMean returns the mean of column j over non-missing cells, or NaN if
-// the column is entirely missing.
-func ColumnMean(d *Dataset, j int) float64 {
-	var sum float64
-	n := 0
-	for _, row := range d.X {
-		if !math.IsNaN(row[j]) {
-			sum += row[j]
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
-
-// ColumnStd returns the population standard deviation of column j over
-// non-missing cells.
-func ColumnStd(d *Dataset, j int) float64 {
-	mean := ColumnMean(d, j)
-	if math.IsNaN(mean) {
-		return math.NaN()
-	}
-	var ss float64
-	n := 0
-	for _, row := range d.X {
-		if !math.IsNaN(row[j]) {
-			diff := row[j] - mean
-			ss += diff * diff
-			n++
-		}
-	}
-	return math.Sqrt(ss / float64(n))
-}

@@ -32,10 +32,6 @@ func NewMonitor(ref *Reference) *Monitor {
 	return m
 }
 
-// Reference returns the training-time reference the monitor compares
-// against.
-func (m *Monitor) Reference() *Reference { return m.ref }
-
 // ObserveRow folds one validated request row into the live histograms.
 // NaN cells (missing values passing through under the encode contract)
 // count as missing, not as a position. Rows shorter than the schema are

@@ -46,8 +46,6 @@ type FeatureEncoder interface {
 	// the encoder's dimensionality (implementations panic otherwise).
 	// This is the hot-path form: Encode is a thin allocating wrapper.
 	EncodeInto(t float64, dst hv.Vector)
-	// Dim returns the dimensionality of produced hypervectors.
-	Dim() int
 }
 
 // LevelEncoder is the paper's linear encoding for continuous features.
@@ -88,9 +86,6 @@ func NewLevelEncoder(r *rng.Source, dim int, min, max float64) *LevelEncoder {
 	r.Shuffle(len(zeros), func(i, j int) { zeros[i], zeros[j] = zeros[j], zeros[i] })
 	return &LevelEncoder{dim: dim, min: min, max: max, seed: seed, flipOnes: ones, flipZeros: zeros}
 }
-
-// Dim returns the hypervector dimensionality.
-func (e *LevelEncoder) Dim() int { return e.dim }
 
 // Range returns the fitted [min, max] value range.
 func (e *LevelEncoder) Range() (min, max float64) { return e.min, e.max }
@@ -142,9 +137,6 @@ func (e *LevelEncoder) EncodeInto(t float64, dst hv.Vector) {
 	}
 }
 
-// Seed returns (a copy of) the encoder's seed hypervector.
-func (e *LevelEncoder) Seed() hv.Vector { return e.seed.Clone() }
-
 // BinaryEncoder is the paper's encoding for yes/no features: a random seed
 // hypervector represents the "low" value and an orthogonal hypervector
 // (D/2 balanced flips of the seed) represents the "high" value. Values are
@@ -168,12 +160,6 @@ func NewBinaryEncoder(r *rng.Source, dim int, mid float64) *BinaryEncoder {
 	return &BinaryEncoder{dim: dim, midpoint: mid, low: low, high: hv.Orthogonal(low, r)}
 }
 
-// Dim returns the hypervector dimensionality.
-func (e *BinaryEncoder) Dim() int { return e.dim }
-
-// Midpoint returns the low/high decision threshold.
-func (e *BinaryEncoder) Midpoint() float64 { return e.midpoint }
-
 // Encode returns the high hypervector if t > midpoint, else the low one.
 // Per the package contract, NaN (missing) encodes low: a comparison with
 // NaN is never true, and the explicit guard documents that this is by
@@ -193,10 +179,6 @@ func (e *BinaryEncoder) EncodeInto(t float64, dst hv.Vector) {
 	e.high.CopyInto(dst)
 }
 
-// Low and High return copies of the two codeword hypervectors.
-func (e *BinaryEncoder) Low() hv.Vector  { return e.low.Clone() }
-func (e *BinaryEncoder) High() hv.Vector { return e.high.Clone() }
-
 // ConstantEncoder always returns the same hypervector; it is what a
 // degenerate feature (a single observed value) fits to, and is also handy
 // in tests.
@@ -204,9 +186,6 @@ type ConstantEncoder struct{ v hv.Vector }
 
 // NewConstantEncoder returns an encoder pinned to v.
 func NewConstantEncoder(v hv.Vector) *ConstantEncoder { return &ConstantEncoder{v: v} }
-
-// Dim returns the hypervector dimensionality.
-func (e *ConstantEncoder) Dim() int { return e.v.Dim() }
 
 // Encode returns the pinned hypervector for any input (including NaN).
 func (e *ConstantEncoder) Encode(float64) hv.Vector { return e.v.Clone() }

@@ -16,7 +16,7 @@ func TestLevelEncoderEndpoints(t *testing.T) {
 	e := NewLevelEncoder(r, testDim, 0, 100)
 	lo := e.Encode(0)
 	hi := e.Encode(100)
-	if !lo.Equal(e.Seed()) {
+	if !lo.Equal(e.seed) {
 		t.Fatal("Encode(min) != seed")
 	}
 	if d := hv.Hamming(lo, hi); d != testDim/2 {
@@ -145,7 +145,7 @@ func TestPropertyLevelMonotoneDistanceFromSeed(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		seed := e.Seed()
+		seed := e.seed
 		da := hv.Hamming(seed, e.Encode(a))
 		db := hv.Hamming(seed, e.Encode(b))
 		return da <= db
@@ -158,7 +158,7 @@ func TestPropertyLevelMonotoneDistanceFromSeed(t *testing.T) {
 func TestBinaryEncoderOrthogonalPair(t *testing.T) {
 	r := rng.New(12)
 	e := NewBinaryEncoder(r, testDim, 0.5)
-	if d := hv.Hamming(e.Low(), e.High()); d != testDim/2 {
+	if d := hv.Hamming(e.low, e.high); d != testDim/2 {
 		t.Fatalf("low/high distance = %d, want %d", d, testDim/2)
 	}
 }
@@ -167,27 +167,24 @@ func TestBinaryEncoderMidpoint(t *testing.T) {
 	r := rng.New(13)
 	// Sylhet sex coding: 1 = male, 2 = female; midpoint 1.5.
 	e := NewBinaryEncoder(r, 1000, 1.5)
-	if !e.Encode(1).Equal(e.Low()) {
+	if !e.Encode(1).Equal(e.low) {
 		t.Fatal("Encode(1) != low")
 	}
-	if !e.Encode(2).Equal(e.High()) {
+	if !e.Encode(2).Equal(e.high) {
 		t.Fatal("Encode(2) != high")
 	}
 	// Exactly at midpoint maps low.
-	if !e.Encode(1.5).Equal(e.Low()) {
+	if !e.Encode(1.5).Equal(e.low) {
 		t.Fatal("Encode(midpoint) != low")
 	}
-	if e.Midpoint() != 1.5 {
-		t.Fatalf("Midpoint = %v", e.Midpoint())
+	if e.midpoint != 1.5 {
+		t.Fatalf("midpoint = %v", e.midpoint)
 	}
 }
 
 func TestConstantEncoder(t *testing.T) {
 	v := hv.RandBalanced(rng.New(14), 100)
 	e := NewConstantEncoder(v)
-	if e.Dim() != 100 {
-		t.Fatalf("Dim = %d", e.Dim())
-	}
 	if !e.Encode(1).Equal(v) || !e.Encode(-99).Equal(v) {
 		t.Fatal("constant encoder varies")
 	}

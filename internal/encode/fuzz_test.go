@@ -67,15 +67,15 @@ func FuzzLevelEncoderFlips(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		v := math.Float64frombits(bits)
 		x := enc.Flips(v)
-		if x < 0 || x > enc.Dim()/2 {
-			t.Fatalf("Flips(%v) = %d outside [0, %d]", v, x, enc.Dim()/2)
+		if x < 0 || x > enc.dim/2 {
+			t.Fatalf("Flips(%v) = %d outside [0, %d]", v, x, enc.dim/2)
 		}
-		got := hv.New(enc.Dim())
+		got := hv.New(enc.dim)
 		enc.EncodeInto(v, got)
 		if !got.Equal(enc.Encode(v)) {
 			t.Fatalf("EncodeInto(%v) diverged from Encode", v)
 		}
-		if math.IsNaN(v) && !got.Equal(enc.Seed()) {
+		if math.IsNaN(v) && !got.Equal(enc.seed) {
 			t.Fatalf("NaN did not encode as the baseline seed")
 		}
 	})

@@ -47,19 +47,19 @@ func TestNaNContract(t *testing.T) {
 	if got := level.Flips(nan); got != 0 {
 		t.Fatalf("LevelEncoder.Flips(NaN) = %d, want 0", got)
 	}
-	if !level.Encode(nan).Equal(level.Seed()) {
+	if !level.Encode(nan).Equal(level.seed) {
 		t.Fatal("LevelEncoder.Encode(NaN) != seed")
 	}
 
 	binary := NewBinaryEncoder(r.Split(), dim, 0.5)
-	if !binary.Encode(nan).Equal(binary.Low()) {
+	if !binary.Encode(nan).Equal(binary.low) {
 		t.Fatal("BinaryEncoder.Encode(NaN) != low")
 	}
 	// Threshold rule: midpoint itself maps low, strictly above maps high.
-	if !binary.Encode(0.5).Equal(binary.Low()) {
+	if !binary.Encode(0.5).Equal(binary.low) {
 		t.Fatal("BinaryEncoder.Encode(midpoint) != low")
 	}
-	if !binary.Encode(0.5000001).Equal(binary.High()) {
+	if !binary.Encode(0.5000001).Equal(binary.high) {
 		t.Fatal("BinaryEncoder.Encode(>midpoint) != high")
 	}
 

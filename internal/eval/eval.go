@@ -1,8 +1,7 @@
 // Package eval runs the paper's validation protocols over any ml.Classifier:
-// stratified k-fold cross-validation (Table III), holdout testing with full
-// metric reports (Tables IV and V), repeated train/val/test trials
-// (Table II's sequential network protocol) and generic leave-one-out.
-// Folds are trained and evaluated in parallel.
+// stratified k-fold cross-validation (Table III) and holdout testing with
+// full metric reports (Tables IV and V). Folds are trained and evaluated in
+// parallel.
 package eval
 
 import (
@@ -112,69 +111,4 @@ func CVScore(results []FoldResult) float64 {
 		s += r.Test.Accuracy()
 	}
 	return s / float64(len(results))
-}
-
-// PooledTest sums the held-out confusion matrices of all folds, which is
-// how leave-one-out results aggregate.
-func PooledTest(results []FoldResult) metrics.Confusion {
-	var c metrics.Confusion
-	for _, r := range results {
-		c = c.Add(r.Test)
-	}
-	return c
-}
-
-// Repeated runs trials independent train/test evaluations, each with fresh
-// splits produced by split (called serially with the trial index) and a
-// fresh classifier, and returns the per-trial test confusions. It is the
-// paper's "repeated the experiment 10 times and reported the average
-// testing accuracy" protocol.
-func Repeated(f ml.Factory, X [][]float64, y []int, trials int,
-	split func(trial int) (train, test []int)) ([]metrics.Confusion, error) {
-
-	type job struct {
-		clf         ml.Classifier
-		train, test []int
-	}
-	jobs := make([]job, trials)
-	for t := 0; t < trials; t++ {
-		train, test := split(t)
-		jobs[t] = job{clf: f(), train: train, test: test}
-	}
-	out := make([]metrics.Confusion, trials)
-	errs := make([]error, trials)
-	// Same per-worker buffer recycling (and safety argument) as
-	// CrossValidate.
-	parallel.ForChunked(trials, func(lo, hi int) {
-		var trX, teX [][]float64
-		var trY, teY []int
-		for t := lo; t < hi; t++ {
-			j := jobs[t]
-			trX, trY = SelectInto(X, y, j.train, trX, trY)
-			teX, teY = SelectInto(X, y, j.test, teX, teY)
-			if err := j.clf.Fit(trX, trY); err != nil {
-				errs[t] = fmt.Errorf("eval: trial %d fit: %w", t, err)
-				continue
-			}
-			out[t] = metrics.NewConfusion(teY, j.clf.Predict(teX))
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// MeanAccuracy averages the accuracies of the given confusions.
-func MeanAccuracy(cs []metrics.Confusion) float64 {
-	if len(cs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, c := range cs {
-		s += c.Accuracy()
-	}
-	return s / float64(len(cs))
 }

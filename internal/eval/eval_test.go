@@ -48,6 +48,21 @@ func (t *thresholdClassifier) Predict(X [][]float64) []int {
 	return out
 }
 
+// leaveOneOutFolds returns n folds, fold i testing on row i and training
+// on all others.
+func leaveOneOutFolds(n int) []dataset.Fold {
+	folds := make([]dataset.Fold, n)
+	for i := range folds {
+		for j := 0; j < n; j++ {
+			if j != i {
+				folds[i].Train = append(folds[i].Train, j)
+			}
+		}
+		folds[i].Test = []int{i}
+	}
+	return folds
+}
+
 // separableData: feature 0 fully determines the class.
 func separableData(n int) ([][]float64, []int) {
 	X := make([][]float64, n)
@@ -126,7 +141,7 @@ func TestCrossValidate(t *testing.T) {
 
 func TestCrossValidateErrorSurfaces(t *testing.T) {
 	X, y := separableData(20)
-	folds := dataset.LeaveOneOut(20)
+	folds := leaveOneOutFolds(20)
 	f := func() ml.Classifier { return &thresholdClassifier{failOn: true} }
 	if _, err := CrossValidate(f, X, y, folds); err == nil {
 		t.Fatal("fold error not surfaced")
@@ -150,26 +165,21 @@ func TestFactoryCalledOncePerFold(t *testing.T) {
 	}
 }
 
-func TestPooledTest(t *testing.T) {
-	rs := []FoldResult{
-		{Test: metrics.Confusion{TP: 1, TN: 2}},
-		{Test: metrics.Confusion{FP: 3, FN: 4}},
-	}
-	p := PooledTest(rs)
-	if p.TP != 1 || p.TN != 2 || p.FP != 3 || p.FN != 4 {
-		t.Fatalf("pooled %v", p)
-	}
-}
-
 func TestLeaveOneOutViaCrossValidate(t *testing.T) {
 	X, y := separableData(12)
-	folds := dataset.LeaveOneOut(len(X))
+	folds := leaveOneOutFolds(len(X))
 	f := func() ml.Classifier { return &thresholdClassifier{} }
 	results, err := CrossValidate(f, X, y, folds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled := PooledTest(results)
+	var pooled metrics.Confusion
+	for _, r := range results {
+		pooled.TP += r.Test.TP
+		pooled.TN += r.Test.TN
+		pooled.FP += r.Test.FP
+		pooled.FN += r.Test.FN
+	}
 	if pooled.Total() != 12 {
 		t.Fatalf("pooled total %d", pooled.Total())
 	}
@@ -178,33 +188,7 @@ func TestLeaveOneOutViaCrossValidate(t *testing.T) {
 	}
 }
 
-func TestRepeated(t *testing.T) {
-	X, y := separableData(60)
-	d := dataset.MustNew("rep", []dataset.Feature{{Name: "x"}}, X, y)
-	seeds := rng.New(3)
-	f := func() ml.Classifier { return &thresholdClassifier{} }
-	splits := make([]*rng.Source, 10)
-	for i := range splits {
-		splits[i] = seeds.Split()
-	}
-	cs, err := Repeated(f, X, y, 10, func(trial int) ([]int, []int) {
-		return dataset.StratifiedSplit(d, 0.8, splits[trial])
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cs) != 10 {
-		t.Fatalf("%d trials", len(cs))
-	}
-	if acc := MeanAccuracy(cs); acc != 1 {
-		t.Fatalf("mean accuracy %v", acc)
-	}
-}
-
-func TestMeanAccuracyEmpty(t *testing.T) {
-	if MeanAccuracy(nil) != 0 {
-		t.Fatal("empty mean accuracy")
-	}
+func TestCVScoreEmpty(t *testing.T) {
 	if CVScore(nil) != 0 {
 		t.Fatal("empty CVScore")
 	}

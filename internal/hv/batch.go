@@ -1,65 +1,14 @@
 package hv
 
 import (
-	"fmt"
 	"math/bits"
 
 	"hdfe/internal/parallel"
 )
 
-// HammingMatrix computes the full pairwise Hamming distance matrix of vs in
-// parallel: out[i][j] = Hamming(vs[i], vs[j]). The matrix is symmetric with
-// a zero diagonal; rows are computed concurrently across GOMAXPROCS workers
-// and each row only computes j > i, mirroring into the lower triangle.
-//
-// This is the kernel behind the paper's leave-one-out Hamming classifier:
-// for n records it needs n(n-1)/2 distance evaluations, each a word-packed
-// XOR+popcount sweep.
-func HammingMatrix(vs []Vector) [][]int {
-	n := len(vs)
-	out := make([][]int, n)
-	flat := make([]int, n*n)
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n]
-	}
-	if n == 0 {
-		return out
-	}
-	d := vs[0].dim
-	for i, v := range vs {
-		if v.dim != d {
-			panic(fmt.Sprintf("hv: HammingMatrix dim mismatch at %d: %d != %d", i, v.dim, d))
-		}
-	}
-	// Row i costs (n-i-1) distance evaluations, so contiguous chunking
-	// would be imbalanced; interleave rows across workers instead.
-	w := parallel.Workers(n)
-	parallel.For(w, func(worker int) {
-		for i := worker; i < n; i += w {
-			wi := vs[i].words
-			row := out[i]
-			for j := i + 1; j < n; j++ {
-				wj := vs[j].words
-				dist := 0
-				for k, x := range wi {
-					dist += bits.OnesCount64(x ^ wj[k])
-				}
-				row[j] = dist
-			}
-		}
-	})
-	// Mirror the strict upper triangle.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			out[j][i] = out[i][j]
-		}
-	}
-	return out
-}
-
 // Distances computes Hamming(query, pool[i]) for all i in parallel and
-// writes them into dst (allocated if nil/short). Used for single-query
-// nearest-neighbour prediction on trained Hamming models.
+// writes them into dst (allocated if nil/short). Nearest and NearestK use
+// it for single-query search.
 func Distances(query Vector, pool []Vector, dst []int) []int {
 	if cap(dst) < len(pool) {
 		dst = make([]int, len(pool))
@@ -74,8 +23,8 @@ func Distances(query Vector, pool []Vector, dst []int) []int {
 // DistancesSerial is the single-goroutine form of Distances: it fills dst
 // (allocated if nil/short) on the calling goroutine only. Use it with a
 // per-worker dst inside loops that are already parallel — leave-one-out
-// and batch prediction recycle one dst slice per worker this way instead
-// of allocating (or nesting parallelism) per query.
+// recycles one dst slice per worker this way instead of allocating (or
+// nesting parallelism) per query.
 func DistancesSerial(query Vector, pool []Vector, dst []int) []int {
 	if cap(dst) < len(pool) {
 		dst = make([]int, len(pool))
@@ -101,8 +50,8 @@ func distancesRange(query Vector, pool []Vector, dst []int, lo, hi int) {
 // Nearest returns the index of the pool vector closest to query under
 // Hamming distance, skipping index exclude (pass -1 to consider all), and
 // the distance itself. Ties resolve to the lowest index, which makes
-// leave-one-out runs deterministic. It panics if the pool is empty or the
-// only candidate is excluded.
+// recall deterministic. It panics if the pool is empty or the only
+// candidate is excluded.
 func Nearest(query Vector, pool []Vector, exclude int) (idx, dist int) {
 	ds := Distances(query, pool, nil)
 	idx = -1

@@ -16,52 +16,6 @@ func makePool(t testing.TB, n, d int, seed uint64) []Vector {
 	return vs
 }
 
-func TestHammingMatrixMatchesPairwise(t *testing.T) {
-	vs := makePool(t, 23, 257, 1)
-	m := HammingMatrix(vs)
-	for i := range vs {
-		for j := range vs {
-			if m[i][j] != Hamming(vs[i], vs[j]) {
-				t.Fatalf("m[%d][%d] = %d, want %d", i, j, m[i][j], Hamming(vs[i], vs[j]))
-			}
-		}
-	}
-}
-
-func TestHammingMatrixSymmetricZeroDiagonal(t *testing.T) {
-	vs := makePool(t, 17, 100, 2)
-	m := HammingMatrix(vs)
-	for i := range vs {
-		if m[i][i] != 0 {
-			t.Fatalf("diagonal %d nonzero", i)
-		}
-		for j := range vs {
-			if m[i][j] != m[j][i] {
-				t.Fatalf("asymmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestHammingMatrixEmptyAndSingle(t *testing.T) {
-	if m := HammingMatrix(nil); len(m) != 0 {
-		t.Fatal("non-empty matrix for empty input")
-	}
-	m := HammingMatrix(makePool(t, 1, 64, 3))
-	if len(m) != 1 || m[0][0] != 0 {
-		t.Fatalf("single matrix = %v", m)
-	}
-}
-
-func TestHammingMatrixPanicsOnMixedDims(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for mixed dims")
-		}
-	}()
-	HammingMatrix([]Vector{New(10), New(20)})
-}
-
 func TestDistances(t *testing.T) {
 	vs := makePool(t, 31, 129, 4)
 	q := vs[5]
@@ -178,16 +132,6 @@ func BenchmarkHammingD10k(b *testing.B) {
 		sink = Hamming(x, y)
 	}
 	_ = sink
-}
-
-func BenchmarkHammingMatrix392(b *testing.B) {
-	// Pima R size: the paper's leave-one-out workload.
-	vs := makePool(b, 392, 10000, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HammingMatrix(vs)
-	}
 }
 
 func BenchmarkBundle8Features(b *testing.B) {

@@ -50,9 +50,6 @@ func NewAccumulator(d int) *Accumulator {
 	return &Accumulator{counts: make([]int32, d), dim: d}
 }
 
-// Dim returns the accumulator's dimensionality.
-func (a *Accumulator) Dim() int { return a.dim }
-
 // Count returns the number of vectors added so far (including weights).
 func (a *Accumulator) Count() int { return a.total }
 
@@ -77,31 +74,6 @@ func (a *Accumulator) AddWeighted(v Vector, w int) {
 		}
 	}
 	a.total += w
-}
-
-// Remove subtracts a previously added vector (weight 1). The accumulator
-// cannot verify that v was actually added; it panics only if the total
-// count would go negative. Decomposability of majority bundling under
-// removal is what makes prototype models cheaply updatable online.
-func (a *Accumulator) Remove(v Vector) {
-	if v.dim != a.dim {
-		panic(fmt.Sprintf("hv: accumulator dim %d, vector dim %d", a.dim, v.dim))
-	}
-	if a.total == 0 {
-		panic("hv: Remove from empty accumulator")
-	}
-	for wi, word := range v.words {
-		base := wi * wordBits
-		for word != 0 {
-			idx := base + bits.TrailingZeros64(word)
-			if a.counts[idx] == 0 {
-				panic(fmt.Sprintf("hv: Remove of never-added bit %d", idx))
-			}
-			a.counts[idx]--
-			word &= word - 1
-		}
-	}
-	a.total--
 }
 
 // Majority returns the bundle: bit i is 1 iff more than half of the added
@@ -132,28 +104,6 @@ func (a *Accumulator) MajorityInto(tie TieBreak, dst Vector) {
 		case twice > half2:
 			dst.setBit(i)
 		case twice == half2 && tie == TieToOne:
-			dst.setBit(i)
-		}
-	}
-}
-
-// Threshold returns a vector whose bit i is 1 iff at least k of the added
-// weight had bit i set. Majority with an odd total is Threshold(total/2+1).
-func (a *Accumulator) Threshold(k int) Vector {
-	out := New(a.dim)
-	a.ThresholdInto(k, out)
-	return out
-}
-
-// ThresholdInto writes the k-threshold bundle into dst without allocating;
-// dst is fully overwritten. It panics on dimension mismatch.
-func (a *Accumulator) ThresholdInto(k int, dst Vector) {
-	if dst.dim != a.dim {
-		panic(fmt.Sprintf("hv: accumulator dim %d, dst dim %d", a.dim, dst.dim))
-	}
-	dst.Clear()
-	for i, c := range a.counts {
-		if int(c) >= k {
 			dst.setBit(i)
 		}
 	}

@@ -126,22 +126,6 @@ func TestAccumulatorWeightedEquivalentToRepeatedAdd(t *testing.T) {
 	}
 }
 
-func TestAccumulatorThreshold(t *testing.T) {
-	a := FromBits([]uint8{1, 1, 0})
-	b := FromBits([]uint8{1, 0, 0})
-	c := FromBits([]uint8{1, 0, 1})
-	acc := NewAccumulator(3)
-	for _, v := range []Vector{a, b, c} {
-		acc.Add(v)
-	}
-	if got := acc.Threshold(3); !got.Equal(FromBits([]uint8{1, 0, 0})) {
-		t.Fatalf("Threshold(3) = %v", got)
-	}
-	if got := acc.Threshold(1); !got.Equal(FromBits([]uint8{1, 1, 1})) {
-		t.Fatalf("Threshold(1) = %v", got)
-	}
-}
-
 func TestAccumulatorReset(t *testing.T) {
 	acc := NewAccumulator(4)
 	acc.Add(FromBits([]uint8{1, 1, 1, 1}))
@@ -161,53 +145,6 @@ func TestAccumulatorPanics(t *testing.T) {
 		func() { NewAccumulator(4).Majority(TieToOne) },
 		func() { NewAccumulator(4).Add(New(5)) },
 		func() { NewAccumulator(4).AddWeighted(New(4), 0) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestAccumulatorRemove(t *testing.T) {
-	r := rng.New(6)
-	a, b, c := Rand(r, 200), Rand(r, 200), Rand(r, 200)
-	acc := NewAccumulator(200)
-	acc.Add(a)
-	acc.Add(b)
-	acc.Add(c)
-	acc.Remove(b)
-	want := NewAccumulator(200)
-	want.Add(a)
-	want.Add(c)
-	if !acc.Majority(TieToOne).Equal(want.Majority(TieToOne)) {
-		t.Fatal("Remove did not undo Add")
-	}
-	if acc.Count() != 2 {
-		t.Fatalf("Count after remove = %d", acc.Count())
-	}
-}
-
-func TestAccumulatorRemovePanics(t *testing.T) {
-	cases := []func(){
-		func() { NewAccumulator(8).Remove(New(8)) }, // empty
-		func() { // never-added bits
-			acc := NewAccumulator(8)
-			acc.Add(New(8))
-			v := New(8)
-			v.SetBit(0, true)
-			acc.Remove(v)
-		},
-		func() { // dim mismatch
-			acc := NewAccumulator(8)
-			acc.Add(New(8))
-			acc.Remove(New(9))
-		},
 	}
 	for i, f := range cases {
 		func() {

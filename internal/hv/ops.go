@@ -28,16 +28,6 @@ func NormalizedHamming(a, b Vector) float64 {
 // ~0.5 for unrelated ones, 0 for complements.
 func Similarity(a, b Vector) float64 { return 1 - NormalizedHamming(a, b) }
 
-// Xor returns the elementwise XOR of a and b (the HDC binding operator).
-func Xor(a, b Vector) Vector {
-	checkSameDim(a, b)
-	out := New(a.dim)
-	for i := range out.words {
-		out.words[i] = a.words[i] ^ b.words[i]
-	}
-	return out
-}
-
 // XorInPlace sets a ^= b.
 func XorInPlace(a, b Vector) {
 	checkSameDim(a, b)
@@ -46,56 +36,10 @@ func XorInPlace(a, b Vector) {
 	}
 }
 
-// XorInto sets dst = a ^ b without allocating. dst may alias a or b.
-func XorInto(dst, a, b Vector) {
-	checkSameDim(a, b)
-	checkSameDim(dst, a)
-	for i := range dst.words {
-		dst.words[i] = a.words[i] ^ b.words[i]
-	}
-}
-
-// And returns the elementwise AND of a and b.
-func And(a, b Vector) Vector {
-	checkSameDim(a, b)
-	out := New(a.dim)
-	for i := range out.words {
-		out.words[i] = a.words[i] & b.words[i]
-	}
-	return out
-}
-
-// Or returns the elementwise OR of a and b.
-func Or(a, b Vector) Vector {
-	checkSameDim(a, b)
-	out := New(a.dim)
-	for i := range out.words {
-		out.words[i] = a.words[i] | b.words[i]
-	}
-	return out
-}
-
-// Not returns the elementwise complement of v.
-func Not(v Vector) Vector {
-	out := New(v.dim)
-	for i := range out.words {
-		out.words[i] = ^v.words[i]
-	}
-	out.maskTail()
-	return out
-}
-
-// Permute returns v circularly rotated by k positions (bit i of the result
-// is bit (i-k) mod D of v). Permutation is the HDC sequence/position
-// operator; it is distance preserving.
-func Permute(v Vector, k int) Vector {
-	out := New(v.dim)
-	PermuteInto(out, v, k)
-	return out
-}
-
 // PermuteInto writes v circularly rotated by k positions into dst without
-// allocating. dst must not alias v; it panics on dimension mismatch.
+// allocating: bit i of dst is bit (i-k) mod D of v. Permutation is the HDC
+// sequence/position operator; it is distance preserving. dst must not
+// alias v; it panics on dimension mismatch.
 func PermuteInto(dst, v Vector, k int) {
 	checkSameDim(dst, v)
 	if &dst.words[0] == &v.words[0] {

@@ -1,9 +1,9 @@
 // Package hv implements binary hypervectors for hyperdimensional computing
 // (HDC): fixed-dimensionality bit vectors (the paper uses D = 10,000) packed
 // into uint64 words, with the operations the paper's encoder and classifier
-// need — random generation, balanced bit flipping, Hamming distance, majority
-// bundling — plus parallel batch kernels for distance matrices and
-// nearest-neighbour search.
+// need — random generation, balanced bit flipping, Hamming distance and
+// majority bundling — plus nearest-neighbour search and an item (cleanup)
+// memory for recalling noisy codewords.
 package hv
 
 import (
@@ -55,20 +55,6 @@ func RandBalanced(r *rng.Source, d int) Vector {
 	// simple and d is small (10k) relative to everything around it.
 	perm := r.Perm(d)
 	for _, p := range perm[:d/2] {
-		v.setBit(p)
-	}
-	return v
-}
-
-// RandSparse returns a hypervector with exactly ones bits set, sampled
-// uniformly without replacement. It panics if ones is outside [0, d].
-func RandSparse(r *rng.Source, d, ones int) Vector {
-	if ones < 0 || ones > d {
-		panic(fmt.Sprintf("hv: RandSparse ones=%d out of range [0,%d]", ones, d))
-	}
-	v := New(d)
-	perm := r.Perm(d)
-	for _, p := range perm[:ones] {
 		v.setBit(p)
 	}
 	return v

@@ -115,22 +115,6 @@ func TestRandBalancedVaries(t *testing.T) {
 	}
 }
 
-func TestRandSparse(t *testing.T) {
-	r := rng.New(5)
-	for _, ones := range []int{0, 1, 50, 100} {
-		v := RandSparse(r, 100, ones)
-		if v.OnesCount() != ones {
-			t.Fatalf("RandSparse(100, %d) has %d ones", ones, v.OnesCount())
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RandSparse out-of-range did not panic")
-		}
-	}()
-	RandSparse(r, 10, 11)
-}
-
 func TestFromBitsRoundTrip(t *testing.T) {
 	bits := []uint8{1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1}
 	v := FromBits(bits)

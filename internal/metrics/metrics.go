@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Confusion is a binary confusion matrix. The positive class is 1.
@@ -39,12 +38,6 @@ func NewConfusion(yTrue, yPred []int) Confusion {
 		}
 	}
 	return c
-}
-
-// Add returns the elementwise sum of two confusion matrices (for pooling
-// across folds).
-func (c Confusion) Add(o Confusion) Confusion {
-	return Confusion{TP: c.TP + o.TP, TN: c.TN + o.TN, FP: c.FP + o.FP, FN: c.FN + o.FN}
 }
 
 // Total returns the number of counted examples.
@@ -119,49 +112,3 @@ func (c Confusion) String() string {
 
 // Accuracy is a convenience wrapper: fraction of matching labels.
 func Accuracy(yTrue, yPred []int) float64 { return NewConfusion(yTrue, yPred).Accuracy() }
-
-// AUC computes the area under the ROC curve from positive-class scores
-// using the rank statistic (ties share rank). It returns NaN if either
-// class is absent. It is not one of the paper's reported metrics but is
-// standard for threshold-free model comparison, and the extended harness
-// reports it.
-func AUC(yTrue []int, scores []float64) float64 {
-	if len(yTrue) != len(scores) {
-		panic(fmt.Sprintf("metrics: %d labels but %d scores", len(yTrue), len(scores)))
-	}
-	type pair struct {
-		score float64
-		label int
-	}
-	ps := make([]pair, len(yTrue))
-	nPos, nNeg := 0, 0
-	for i := range yTrue {
-		ps[i] = pair{scores[i], yTrue[i]}
-		if yTrue[i] == 1 {
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	if nPos == 0 || nNeg == 0 {
-		return math.NaN()
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].score < ps[j].score })
-	// Assign average ranks over tie groups and sum positive ranks.
-	var posRankSum float64
-	i := 0
-	for i < len(ps) {
-		j := i
-		for j < len(ps) && ps[j].score == ps[i].score {
-			j++
-		}
-		avgRank := float64(i+j+1) / 2 // ranks are 1-based: (i+1 + j) / 2
-		for k := i; k < j; k++ {
-			if ps[k].label == 1 {
-				posRankSum += avgRank
-			}
-		}
-		i = j
-	}
-	return (posRankSum - float64(nPos)*(float64(nPos)+1)/2) / (float64(nPos) * float64(nNeg))
-}

@@ -85,15 +85,6 @@ func TestPerfectAndWorst(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	a := Confusion{TP: 1, TN: 2, FP: 3, FN: 4}
-	b := Confusion{TP: 10, TN: 20, FP: 30, FN: 40}
-	s := a.Add(b)
-	if s.TP != 11 || s.TN != 22 || s.FP != 33 || s.FN != 44 {
-		t.Fatalf("Add = %v", s)
-	}
-}
-
 func TestSummarizeMatchesIndividual(t *testing.T) {
 	c := Confusion{TP: 7, TN: 5, FP: 2, FN: 3}
 	r := c.Summarize()
@@ -107,50 +98,6 @@ func TestAccuracyHelper(t *testing.T) {
 	if got := Accuracy([]int{1, 1, 0, 0}, []int{1, 0, 0, 0}); got != 0.75 {
 		t.Fatalf("Accuracy = %v", got)
 	}
-}
-
-func TestAUCPerfectSeparation(t *testing.T) {
-	y := []int{0, 0, 1, 1}
-	s := []float64{0.1, 0.2, 0.8, 0.9}
-	if got := AUC(y, s); got != 1 {
-		t.Fatalf("AUC = %v, want 1", got)
-	}
-	// Inverted scores: AUC 0.
-	sInv := []float64{0.9, 0.8, 0.2, 0.1}
-	if got := AUC(y, sInv); got != 0 {
-		t.Fatalf("inverted AUC = %v, want 0", got)
-	}
-}
-
-func TestAUCRandomIsHalf(t *testing.T) {
-	// Constant scores: all tied, AUC must be exactly 0.5.
-	y := []int{0, 1, 0, 1, 1}
-	s := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
-	if got := AUC(y, s); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("tied AUC = %v, want 0.5", got)
-	}
-}
-
-func TestAUCKnownValue(t *testing.T) {
-	// Hand-computed: pairs (pos > neg): scores pos {0.4, 0.8}, neg {0.3, 0.6}.
-	// Comparisons: 0.4>0.3 yes, 0.4>0.6 no, 0.8>0.3 yes, 0.8>0.6 yes -> 3/4.
-	y := []int{1, 0, 1, 0}
-	s := []float64{0.4, 0.3, 0.8, 0.6}
-	if got := AUC(y, s); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("AUC = %v, want 0.75", got)
-	}
-}
-
-func TestAUCDegenerate(t *testing.T) {
-	if !math.IsNaN(AUC([]int{1, 1}, []float64{0.1, 0.2})) {
-		t.Fatal("single-class AUC should be NaN")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on length mismatch")
-		}
-	}()
-	AUC([]int{1}, []float64{0.1, 0.2})
 }
 
 func TestConfusionString(t *testing.T) {

@@ -1,11 +1,11 @@
 // Package boost implements gradient-boosted decision trees with logistic
 // loss in the three styles the paper compares against:
 //
-//   - NewXGB: level-wise trees with second-order gain and L2 leaf
+//   - LevelWise: level-wise trees with second-order gain and L2 leaf
 //     regularization (XGBoost's core algorithm; Chen & Guestrin 2016).
-//   - NewLGBM: histogram-based, leaf-wise (best-first) growth capped by leaf
-//     count (LightGBM's core algorithm; Ke et al. 2017).
-//   - NewCatBoost: oblivious (symmetric) trees, where every node at a level
+//   - LeafWise: histogram-based, leaf-wise (best-first) growth capped by
+//     leaf count (LightGBM's core algorithm; Ke et al. 2017).
+//   - Oblivious: oblivious (symmetric) trees, where every node at a level
 //     shares one split (CatBoost's tree shape; Dorogush et al. 2018). The
 //     datasets here have no categorical features and ordered boosting is
 //     out of scope, so the oblivious shape is the distinguishing element.
@@ -76,33 +76,6 @@ type Params struct {
 	Seed uint64
 }
 
-// NewXGB returns a booster with XGBoost-like defaults: 100 rounds,
-// eta 0.3, depth 6, lambda 1.
-func NewXGB(seed uint64) *Classifier {
-	return New(Params{
-		Style: LevelWise, Rounds: 100, LearningRate: 0.3, MaxDepth: 6,
-		Lambda: 1, MinChildWeight: 1, Subsample: 1, Seed: seed,
-	})
-}
-
-// NewLGBM returns a booster with LightGBM-like defaults: 100 rounds,
-// lr 0.1, 31 leaves.
-func NewLGBM(seed uint64) *Classifier {
-	return New(Params{
-		Style: LeafWise, Rounds: 100, LearningRate: 0.1, MaxLeaves: 31,
-		Lambda: 1, MinChildWeight: 1e-3, Subsample: 1, Seed: seed,
-	})
-}
-
-// NewCatBoost returns a booster with CatBoost-like defaults scaled for
-// these dataset sizes: 200 rounds, lr 0.1, oblivious depth 6.
-func NewCatBoost(seed uint64) *Classifier {
-	return New(Params{
-		Style: Oblivious, Rounds: 200, LearningRate: 0.1, MaxDepth: 6,
-		Lambda: 3, MinChildWeight: 1, Subsample: 1, Seed: seed,
-	})
-}
-
 // gbNode is a node of a fitted boosting tree; leaves have feature -1 and
 // carry the shrunken leaf value.
 type gbNode struct {
@@ -142,10 +115,9 @@ type Classifier struct {
 }
 
 var _ ml.Classifier = (*Classifier)(nil)
-var _ ml.Scorer = (*Classifier)(nil)
 
-// New returns an untrained booster with explicit parameters; the NewXGB /
-// NewLGBM / NewCatBoost constructors supply the paper-matching defaults.
+// New returns an untrained booster with explicit parameters; tables.Zoo
+// holds the paper-matching settings for each style.
 func New(p Params) *Classifier {
 	if p.Rounds <= 0 {
 		p.Rounds = 100

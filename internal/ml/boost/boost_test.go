@@ -44,11 +44,34 @@ func xorData() ([][]float64, []int) {
 	return X, y
 }
 
+// xgb, lgbm and catboost build the three styles with the settings
+// tables.Zoo uses for the paper's comparison.
+func xgb(seed uint64) *Classifier {
+	return New(Params{
+		Style: LevelWise, Rounds: 100, LearningRate: 0.3, MaxDepth: 6,
+		Lambda: 1, MinChildWeight: 1, Subsample: 1, Seed: seed,
+	})
+}
+
+func lgbm(seed uint64) *Classifier {
+	return New(Params{
+		Style: LeafWise, Rounds: 100, LearningRate: 0.1, MaxLeaves: 31,
+		Lambda: 1, MinChildWeight: 1e-3, Subsample: 1, Seed: seed,
+	})
+}
+
+func catboost(seed uint64) *Classifier {
+	return New(Params{
+		Style: Oblivious, Rounds: 200, LearningRate: 0.1, MaxDepth: 6,
+		Lambda: 3, MinChildWeight: 1, Subsample: 1, Seed: seed,
+	})
+}
+
 func constructors() map[string]func(uint64) *Classifier {
 	return map[string]func(uint64) *Classifier{
-		"xgb":      NewXGB,
-		"lgbm":     NewLGBM,
-		"catboost": NewCatBoost,
+		"xgb":      xgb,
+		"lgbm":     lgbm,
+		"catboost": catboost,
 	}
 }
 
@@ -80,7 +103,7 @@ func TestAllStylesLearnXOR(t *testing.T) {
 
 func TestScoresAreProbabilities(t *testing.T) {
 	X, y := blobs(3, 200, 3)
-	c := NewXGB(3)
+	c := xgb(3)
 	if err := c.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +245,7 @@ func TestSubsampling(t *testing.T) {
 func TestSingleClassTrainingSet(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}}
 	y := []int{1, 1, 1}
-	c := NewXGB(1)
+	c := xgb(1)
 	if err := c.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +262,7 @@ func TestPredictBeforeFitPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewXGB(1).Predict([][]float64{{1}})
+	xgb(1).Predict([][]float64{{1}})
 }
 
 func TestNumTreesAndString(t *testing.T) {

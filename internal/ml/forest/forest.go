@@ -18,7 +18,8 @@ import (
 )
 
 // Params configures the forest. Zero values mean sklearn-like defaults:
-// 100 trees, unlimited depth, sqrt(width) features per split, bootstrap on.
+// 100 trees, unlimited depth, sqrt(width) features per split. Every tree
+// grows on a bootstrap sample.
 type Params struct {
 	// NumTrees is the ensemble size (sklearn n_estimators, default 100).
 	NumTrees int
@@ -28,8 +29,6 @@ type Params struct {
 	MinSamplesLeaf int
 	// MaxFeatures per split; 0 = round(sqrt(width)).
 	MaxFeatures int
-	// DisableBootstrap grows every tree on the full sample (ablation).
-	DisableBootstrap bool
 	// Seed drives bootstrapping and per-tree feature subsampling.
 	Seed uint64
 }
@@ -39,11 +38,9 @@ type Classifier struct {
 	params Params
 	trees  []*tree.Classifier
 	width  int
-	oob    float64
 }
 
 var _ ml.Classifier = (*Classifier)(nil)
-var _ ml.Scorer = (*Classifier)(nil)
 
 // New returns an untrained forest.
 func New(p Params) *Classifier {
@@ -54,8 +51,7 @@ func New(p Params) *Classifier {
 }
 
 // Fit grows the ensemble. Trees are seeded deterministically from
-// params.Seed and trained in parallel on a shared quantized matrix. The
-// out-of-bag accuracy estimate is computed when bootstrapping is enabled.
+// params.Seed and trained in parallel on a shared quantized matrix.
 func (f *Classifier) Fit(X [][]float64, y []int) error {
 	if err := ml.ValidateFit(X, y); err != nil {
 		return err
@@ -78,16 +74,10 @@ func (f *Classifier) Fit(X [][]float64, y []int) error {
 	seeds := make([]uint64, f.params.NumTrees)
 	for t := range samples {
 		seeds[t] = root.Uint64()
+		src := rng.New(root.Uint64())
 		rows := make([]int, n)
-		if f.params.DisableBootstrap {
-			for i := range rows {
-				rows[i] = i
-			}
-		} else {
-			src := rng.New(root.Uint64())
-			for i := range rows {
-				rows[i] = src.Intn(n)
-			}
+		for i := range rows {
+			rows[i] = src.Intn(n)
 		}
 		samples[t] = rows
 	}
@@ -103,64 +93,7 @@ func (f *Classifier) Fit(X [][]float64, y []int) error {
 		tr.FitBinned(binned, y, samples[t])
 		f.trees[t] = tr
 	})
-
-	if !f.params.DisableBootstrap {
-		f.oob = f.computeOOB(X, y, samples)
-	} else {
-		f.oob = math.NaN()
-	}
 	return nil
-}
-
-// computeOOB scores each row with the trees whose bootstrap missed it.
-func (f *Classifier) computeOOB(X [][]float64, y []int, samples [][]int) float64 {
-	n := len(X)
-	inBag := make([][]bool, len(f.trees))
-	for t, rows := range samples {
-		mask := make([]bool, n)
-		for _, i := range rows {
-			mask[i] = true
-		}
-		inBag[t] = mask
-	}
-	correct, counted := 0, 0
-	votes := make([]float64, n)
-	voteCount := make([]int, n)
-	parallel.For(n, func(i int) {
-		for t, tr := range f.trees {
-			if inBag[t][i] {
-				continue
-			}
-			votes[i] += tr.ScoreRow(X[i])
-			voteCount[i]++
-		}
-	})
-	for i := range votes {
-		if voteCount[i] == 0 {
-			continue
-		}
-		pred := 0
-		if votes[i]/float64(voteCount[i]) >= 0.5 {
-			pred = 1
-		}
-		if pred == y[i] {
-			correct++
-		}
-		counted++
-	}
-	if counted == 0 {
-		return math.NaN()
-	}
-	return float64(correct) / float64(counted)
-}
-
-// OOBScore returns the out-of-bag accuracy estimate from the last Fit
-// (NaN when bootstrapping was disabled).
-func (f *Classifier) OOBScore() float64 {
-	if f.trees == nil {
-		panic("forest: OOBScore before fit")
-	}
-	return f.oob
 }
 
 // Predict soft-votes the ensemble and thresholds at 0.5.

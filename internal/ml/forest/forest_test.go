@@ -1,7 +1,6 @@
 package forest
 
 import (
-	"math"
 	"testing"
 
 	"hdfe/internal/metrics"
@@ -36,17 +35,19 @@ func TestForestSeparates(t *testing.T) {
 	if acc := metrics.Accuracy(y, f.Predict(X)); acc < 0.95 {
 		t.Fatalf("train accuracy %v", acc)
 	}
-	// OOB is an honest estimate: on this overlap it should be well below
-	// the (over-fit) train accuracy but far above chance.
-	oob := f.OOBScore()
-	if oob < 0.8 || oob > 1.0 {
-		t.Fatalf("OOB %v out of plausible range", oob)
+	// Held-out accuracy is the honest estimate: on this overlap it should
+	// be below the (over-fit) train accuracy but far above chance.
+	teX, teY := noisyBlobs(101, 300)
+	if acc := metrics.Accuracy(teY, f.Predict(teX)); acc < 0.8 {
+		t.Fatalf("held-out accuracy %v", acc)
 	}
 }
 
-func TestForestBeatsSingleTreeOOB(t *testing.T) {
-	// More trees must not hurt OOB materially; 1 tree vs 100 trees.
+func TestForestBeatsSingleTreeHeldOut(t *testing.T) {
+	// More trees must not hurt held-out accuracy materially; 1 tree vs
+	// 100 trees.
 	X, y := noisyBlobs(2, 400)
+	teX, teY := noisyBlobs(102, 400)
 	small := New(Params{NumTrees: 1, Seed: 3})
 	big := New(Params{NumTrees: 100, Seed: 3})
 	if err := small.Fit(X, y); err != nil {
@@ -55,8 +56,10 @@ func TestForestBeatsSingleTreeOOB(t *testing.T) {
 	if err := big.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if big.OOBScore() < small.OOBScore()-0.02 {
-		t.Fatalf("100-tree OOB %v worse than 1-tree OOB %v", big.OOBScore(), small.OOBScore())
+	bigAcc := metrics.Accuracy(teY, big.Predict(teX))
+	smallAcc := metrics.Accuracy(teY, small.Predict(teX))
+	if bigAcc < smallAcc-0.02 {
+		t.Fatalf("100-tree held-out accuracy %v worse than 1-tree %v", bigAcc, smallAcc)
 	}
 }
 
@@ -103,20 +106,6 @@ func TestForestDefaults(t *testing.T) {
 	}
 }
 
-func TestForestNoBootstrapAblation(t *testing.T) {
-	X, y := noisyBlobs(6, 100)
-	f := New(Params{NumTrees: 10, DisableBootstrap: true, Seed: 2})
-	if err := f.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(f.OOBScore()) {
-		t.Fatal("OOB should be NaN without bootstrap")
-	}
-	if acc := metrics.Accuracy(y, f.Predict(X)); acc < 0.95 {
-		t.Fatalf("no-bootstrap train accuracy %v", acc)
-	}
-}
-
 func TestForestScoresInUnitInterval(t *testing.T) {
 	X, y := noisyBlobs(7, 100)
 	f := New(Params{NumTrees: 30, Seed: 4})
@@ -133,7 +122,7 @@ func TestForestScoresInUnitInterval(t *testing.T) {
 func TestForestPanicsBeforeFit(t *testing.T) {
 	cases := []func(){
 		func() { New(Params{}).Predict([][]float64{{1}}) },
-		func() { New(Params{}).OOBScore() },
+		func() { New(Params{}).Scores([][]float64{{1}}) },
 	}
 	for i, fn := range cases {
 		func() {

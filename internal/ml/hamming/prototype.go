@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"hdfe/internal/hv"
-	"hdfe/internal/ml"
-	"hdfe/internal/parallel"
 )
 
 // Prototype is the classic HDC centroid classifier (Kleyko et al. 2018,
@@ -19,7 +17,6 @@ import (
 type Prototype struct {
 	protos [2]hv.Vector
 	have   [2]bool
-	tie    hv.TieBreak
 }
 
 // FitPrototype bundles the labelled hypervectors into per-class
@@ -36,7 +33,7 @@ func FitPrototype(vs []hv.Vector, y []int, tie hv.TieBreak) *Prototype {
 		hv.NewAccumulator(vs[0].Dim()),
 		hv.NewAccumulator(vs[0].Dim()),
 	}
-	p := &Prototype{tie: tie}
+	p := &Prototype{}
 	for i, v := range vs {
 		label := y[i]
 		if label != 0 && label != 1 {
@@ -53,18 +50,6 @@ func FitPrototype(vs []hv.Vector, y []int, tie hv.TieBreak) *Prototype {
 	return p
 }
 
-// ClassPrototype returns the bundled prototype of class c (0 or 1) and
-// whether that class was present in training.
-func (p *Prototype) ClassPrototype(c int) (hv.Vector, bool) {
-	if c != 0 && c != 1 {
-		panic(fmt.Sprintf("hamming: class %d", c))
-	}
-	if !p.have[c] {
-		return hv.Vector{}, false
-	}
-	return p.protos[c].Clone(), true
-}
-
 // Predict labels v by its nearest class prototype (ties to 1).
 func (p *Prototype) Predict(v hv.Vector) int {
 	switch {
@@ -79,86 +64,4 @@ func (p *Prototype) Predict(v hv.Vector) int {
 		return 1
 	}
 	return 0
-}
-
-// PredictAll labels each query in parallel.
-func (p *Prototype) PredictAll(vs []hv.Vector) []int {
-	out := make([]int, len(vs))
-	parallel.For(len(vs), func(i int) {
-		out[i] = p.Predict(vs[i])
-	})
-	return out
-}
-
-// Score returns a positive-class score in [0, 1]: the relative closeness
-// to the positive prototype.
-func (p *Prototype) Score(v hv.Vector) float64 {
-	switch {
-	case !p.have[0]:
-		return 1
-	case !p.have[1]:
-		return 0
-	}
-	d0 := float64(hv.Hamming(v, p.protos[0]))
-	d1 := float64(hv.Hamming(v, p.protos[1]))
-	if d0+d1 == 0 {
-		return 0.5
-	}
-	return d0 / (d0 + d1)
-}
-
-// PrototypeAdapter exposes the prototype classifier as an ml.Classifier
-// over 0/1 float rows, mirroring FloatAdapter.
-type PrototypeAdapter struct {
-	tie   hv.TieBreak
-	model *Prototype
-	width int
-}
-
-var _ ml.Classifier = (*PrototypeAdapter)(nil)
-var _ ml.Scorer = (*PrototypeAdapter)(nil)
-
-// NewPrototypeAdapter returns an adapter with the given tie-break rule.
-func NewPrototypeAdapter(tie hv.TieBreak) *PrototypeAdapter {
-	return &PrototypeAdapter{tie: tie}
-}
-
-// Fit packs rows into hypervectors and bundles class prototypes.
-func (a *PrototypeAdapter) Fit(X [][]float64, y []int) error {
-	if err := ml.ValidateFit(X, y); err != nil {
-		return err
-	}
-	vs := make([]hv.Vector, len(X))
-	for i, row := range X {
-		vs[i] = packRow(row)
-	}
-	a.model = FitPrototype(vs, y, a.tie)
-	a.width = len(X[0])
-	return nil
-}
-
-// Predict labels each row by its nearest class prototype.
-func (a *PrototypeAdapter) Predict(X [][]float64) []int {
-	if a.model == nil {
-		panic("hamming: prototype predict before fit")
-	}
-	ml.CheckPredict(X, a.width)
-	vs := make([]hv.Vector, len(X))
-	for i, row := range X {
-		vs[i] = packRow(row)
-	}
-	return a.model.PredictAll(vs)
-}
-
-// Scores returns relative-closeness scores per row.
-func (a *PrototypeAdapter) Scores(X [][]float64) []float64 {
-	if a.model == nil {
-		panic("hamming: prototype scores before fit")
-	}
-	ml.CheckPredict(X, a.width)
-	out := make([]float64, len(X))
-	parallel.For(len(X), func(i int) {
-		out[i] = a.model.Score(packRow(X[i]))
-	})
-	return out
 }

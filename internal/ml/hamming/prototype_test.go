@@ -10,9 +10,8 @@ import (
 func TestPrototypeSeparatesClusters(t *testing.T) {
 	vs, y := clusteredVectors(1, 30, 2000, 200)
 	p := FitPrototype(vs, y, hv.TieToOne)
-	pred := p.PredictAll(vs)
-	for i := range y {
-		if pred[i] != y[i] {
+	for i, v := range vs {
+		if p.Predict(v) != y[i] {
 			t.Fatalf("row %d misclassified", i)
 		}
 	}
@@ -28,8 +27,7 @@ func TestPrototypeIsBundleOfClass(t *testing.T) {
 		}
 	}
 	want := hv.Bundle(class1, hv.TieToOne)
-	got, ok := p.ClassPrototype(1)
-	if !ok || !got.Equal(want) {
+	if !p.have[1] || !p.protos[1].Equal(want) {
 		t.Fatal("class prototype != majority bundle of class members")
 	}
 }
@@ -52,7 +50,7 @@ func TestPrototypeDenoises(t *testing.T) {
 	vs = append(vs, hv.Rand(r, d))
 	y = append(y, 0)
 	p := FitPrototype(vs, y, hv.TieToOne)
-	proto, _ := p.ClassPrototype(1)
+	proto := p.protos[1]
 	if hv.Hamming(proto, clean) >= hv.Hamming(vs[0], clean) {
 		t.Fatalf("prototype at %d from clean, example at %d — bundling failed to denoise",
 			hv.Hamming(proto, clean), hv.Hamming(vs[0], clean))
@@ -70,22 +68,8 @@ func TestPrototypeSingleClass(t *testing.T) {
 	if neg.Predict(hv.Rand(r, 100)) != 0 {
 		t.Fatal("negative-only model must predict 0")
 	}
-	if _, ok := pos.ClassPrototype(0); ok {
+	if pos.have[0] {
 		t.Fatal("missing class reported present")
-	}
-}
-
-func TestPrototypeScoreDirection(t *testing.T) {
-	vs, y := clusteredVectors(5, 20, 1500, 100)
-	p := FitPrototype(vs, y, hv.TieToOne)
-	for i, v := range vs {
-		s := p.Score(v)
-		if y[i] == 1 && s <= 0.5 {
-			t.Fatalf("positive row %d scored %v", i, s)
-		}
-		if y[i] == 0 && s >= 0.5 {
-			t.Fatalf("negative row %d scored %v", i, s)
-		}
 	}
 }
 
@@ -95,8 +79,6 @@ func TestPrototypePanics(t *testing.T) {
 		func() { FitPrototype(nil, nil, hv.TieToOne) },
 		func() { FitPrototype([]hv.Vector{v}, []int{0, 1}, hv.TieToOne) },
 		func() { FitPrototype([]hv.Vector{v}, []int{3}, hv.TieToOne) },
-		func() { FitPrototype([]hv.Vector{v}, []int{0}, hv.TieToOne).ClassPrototype(2) },
-		func() { NewPrototypeAdapter(hv.TieToOne).Predict([][]float64{{1}}) },
 	}
 	for i, f := range cases {
 		func() {
@@ -107,26 +89,5 @@ func TestPrototypePanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestPrototypeAdapter(t *testing.T) {
-	vs, y := clusteredVectors(6, 25, 600, 30)
-	X := make([][]float64, len(vs))
-	for i, v := range vs {
-		X[i] = v.Floats(nil)
-	}
-	a := NewPrototypeAdapter(hv.TieToOne)
-	if err := a.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	pred := a.Predict(X)
-	for i := range y {
-		if pred[i] != y[i] {
-			t.Fatalf("adapter misclassified row %d", i)
-		}
-	}
-	if len(a.Scores(X)) != len(X) {
-		t.Fatal("scores length")
 	}
 }

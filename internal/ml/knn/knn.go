@@ -23,7 +23,6 @@ type Classifier struct {
 }
 
 var _ ml.Classifier = (*Classifier)(nil)
-var _ ml.Scorer = (*Classifier)(nil)
 
 // New returns a k-NN classifier with the given neighbourhood size. The
 // paper's comparators use sklearn's default k = 5. It panics if k < 1.

@@ -34,7 +34,6 @@ type LogisticRegression struct {
 }
 
 var _ ml.Classifier = (*LogisticRegression)(nil)
-var _ ml.Scorer = (*LogisticRegression)(nil)
 
 // NewLogisticRegression returns a model with sklearn-like defaults
 // (C = 1.0, 1000 iterations, tol 1e-4).

@@ -43,7 +43,6 @@ type SGD struct {
 }
 
 var _ ml.Classifier = (*SGD)(nil)
-var _ ml.Scorer = (*SGD)(nil)
 
 // NewSGD returns an SGD classifier with sklearn-like defaults.
 func NewSGD(seed uint64) *SGD {

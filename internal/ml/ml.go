@@ -23,15 +23,6 @@ type Classifier interface {
 	Predict(X [][]float64) []int
 }
 
-// Scorer is implemented by classifiers that can emit a continuous
-// positive-class score (probability or margin) per row, enabling AUC and
-// threshold analysis.
-type Scorer interface {
-	// Scores returns one positive-class score per row of X; higher means
-	// more positive.
-	Scores(X [][]float64) []float64
-}
-
 // Factory creates a fresh, untrained classifier. Evaluation harnesses call
 // it once per fold/repetition, serially and in deterministic order, so
 // factories may derive per-model seeds from internal counters.
@@ -114,55 +105,4 @@ func Sigmoid(x float64) float64 {
 	}
 	e := math.Exp(x)
 	return e / (1 + e)
-}
-
-// StandardScaler standardizes columns to zero mean and unit variance. The
-// paper's comparisons run models on raw features (sklearn defaults, "little
-// preprocessing"), so no model applies this implicitly; it exists for
-// ablations and library users.
-type StandardScaler struct {
-	mean, std []float64
-}
-
-// FitScaler computes column statistics over X.
-func FitScaler(X [][]float64) *StandardScaler {
-	if len(X) == 0 {
-		panic("ml: FitScaler with no rows")
-	}
-	w := len(X[0])
-	s := &StandardScaler{mean: make([]float64, w), std: make([]float64, w)}
-	for _, row := range X {
-		for j, v := range row {
-			s.mean[j] += v
-		}
-	}
-	for j := range s.mean {
-		s.mean[j] /= float64(len(X))
-	}
-	for _, row := range X {
-		for j, v := range row {
-			d := v - s.mean[j]
-			s.std[j] += d * d
-		}
-	}
-	for j := range s.std {
-		s.std[j] = math.Sqrt(s.std[j] / float64(len(X)))
-		if s.std[j] == 0 {
-			s.std[j] = 1 // constant column: leave centered values at 0
-		}
-	}
-	return s
-}
-
-// Transform returns a standardized copy of X.
-func (s *StandardScaler) Transform(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	for i, row := range X {
-		r := make([]float64, len(row))
-		for j, v := range row {
-			r[j] = (v - s.mean[j]) / s.std[j]
-		}
-		out[i] = r
-	}
-	return out
 }

@@ -84,39 +84,3 @@ func TestSigmoid(t *testing.T) {
 		}
 	}
 }
-
-func TestStandardScaler(t *testing.T) {
-	X := [][]float64{{1, 100}, {3, 200}, {5, 300}}
-	s := FitScaler(X)
-	out := s.Transform(X)
-	// Column means ~0, variances ~1.
-	for j := 0; j < 2; j++ {
-		var mean, ss float64
-		for i := range out {
-			mean += out[i][j]
-		}
-		mean /= 3
-		for i := range out {
-			d := out[i][j] - mean
-			ss += d * d
-		}
-		if math.Abs(mean) > 1e-12 {
-			t.Fatalf("col %d mean %v", j, mean)
-		}
-		if math.Abs(ss/3-1) > 1e-12 {
-			t.Fatalf("col %d variance %v", j, ss/3)
-		}
-	}
-	// Original X untouched.
-	if X[0][0] != 1 {
-		t.Fatal("Transform mutated input")
-	}
-}
-
-func TestStandardScalerConstantColumn(t *testing.T) {
-	X := [][]float64{{7, 1}, {7, 2}}
-	out := FitScaler(X).Transform(X)
-	if out[0][0] != 0 || out[1][0] != 0 {
-		t.Fatal("constant column should transform to 0")
-	}
-}

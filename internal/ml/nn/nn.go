@@ -27,12 +27,13 @@ type Config struct {
 	Patience     int
 	LearningRate float64
 	BatchSize    int
-	// MinDelta is the smallest loss decrease that counts as an
-	// improvement for early stopping (default 1e-4); without it a
-	// converged network improving by float dust never stops.
-	MinDelta float64
-	Seed     uint64
+	Seed         uint64
 }
+
+// minDelta is the smallest loss decrease that counts as an improvement for
+// early stopping; without it a converged network improving by float dust
+// never stops.
+const minDelta = 1e-4
 
 func (c Config) normalized() Config {
 	if len(c.Hidden) == 0 {
@@ -49,9 +50,6 @@ func (c Config) normalized() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.MinDelta <= 0 {
-		c.MinDelta = 1e-4
 	}
 	return c
 }
@@ -89,7 +87,6 @@ type Classifier struct {
 }
 
 var _ ml.Classifier = (*Classifier)(nil)
-var _ ml.Scorer = (*Classifier)(nil)
 
 // New returns an untrained network.
 func New(cfg Config) *Classifier { return &Classifier{cfg: cfg.normalized()} }
@@ -148,7 +145,7 @@ func (c *Classifier) FitValidated(X [][]float64, y []int, Xval [][]float64, yval
 		if len(Xval) > 0 {
 			monitor = c.Loss(Xval, yval)
 		}
-		if monitor < bestLoss-c.cfg.MinDelta {
+		if monitor < bestLoss-minDelta {
 			bestLoss = monitor
 			noImprove = 0
 		} else {

@@ -56,7 +56,6 @@ type Classifier struct {
 }
 
 var _ ml.Classifier = (*Classifier)(nil)
-var _ ml.Scorer = (*Classifier)(nil)
 
 // New returns an untrained SVC with sklearn-like defaults filled in.
 func New(p Params) *Classifier {

@@ -8,14 +8,16 @@ import (
 	"hdfe/internal/rng"
 )
 
+// minSamplesSplit is the minimum node size eligible for splitting
+// (sklearn's default).
+const minSamplesSplit = 2
+
 // Params configures a CART classifier. Zero values mean sklearn-like
-// defaults: unlimited depth, MinSamplesSplit 2, MinSamplesLeaf 1, all
-// features considered at every node.
+// defaults: unlimited depth, MinSamplesLeaf 1, all features considered at
+// every node.
 type Params struct {
 	// MaxDepth limits tree depth; 0 means unlimited.
 	MaxDepth int
-	// MinSamplesSplit is the minimum node size eligible for splitting.
-	MinSamplesSplit int
 	// MinSamplesLeaf is the minimum number of samples in each child.
 	MinSamplesLeaf int
 	// MaxFeatures is the number of features sampled (without replacement)
@@ -27,9 +29,6 @@ type Params struct {
 }
 
 func (p Params) normalized() Params {
-	if p.MinSamplesSplit < 2 {
-		p.MinSamplesSplit = 2
-	}
 	if p.MinSamplesLeaf < 1 {
 		p.MinSamplesLeaf = 1
 	}
@@ -60,7 +59,6 @@ type Classifier struct {
 }
 
 var _ ml.Classifier = (*Classifier)(nil)
-var _ ml.Scorer = (*Classifier)(nil)
 
 // New returns an untrained tree with the given parameters.
 func New(p Params) *Classifier { return &Classifier{params: p.normalized()} }
@@ -106,7 +104,7 @@ func (t *Classifier) grow(b *Binned, y []int, rows []int, depth int, r *rng.Sour
 	idx := len(t.nodes)
 	t.nodes = append(t.nodes, node{feature: -1, posFraction: float64(pos) / float64(n)})
 
-	if pos == 0 || pos == n || n < t.params.MinSamplesSplit ||
+	if pos == 0 || pos == n || n < minSamplesSplit ||
 		(t.params.MaxDepth > 0 && depth >= t.params.MaxDepth) {
 		return idx
 	}

@@ -182,8 +182,6 @@ type Config struct {
 	Seed uint64
 	// Chaos is the fault-injection seam, consulted before every POST.
 	Chaos *chaos.Injector
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -212,9 +210,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return c
 }
@@ -413,7 +408,7 @@ func (e *Exporter) tryPost(body []byte) bool {
 		return false
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := e.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false
 	}

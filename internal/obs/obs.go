@@ -45,9 +45,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// StageNames lists every stage label in pipeline order.
-func StageNames() [NumStages]string { return stageNames }
-
 // NumLatencyBuckets is the number of bounded histogram buckets; one
 // overflow bucket follows. The ladder matches internal/serve's request
 // latency histogram: 50µs doubling up to ~1.6s.

@@ -24,12 +24,11 @@ const (
 	DefaultCPUDuration = 250 * time.Millisecond
 	DefaultRingSize    = 16
 	// DefaultMutexFraction samples 1/64 of mutex contention events;
-	// DefaultBlockRateNs samples roughly one blocking event per
-	// millisecond blocked. Both are the "rate-gated" part of mutex/block
-	// profiling: cheap enough to leave on, detailed enough to name a
-	// contended lock.
+	// BlockRateNs samples roughly one blocking event per millisecond
+	// blocked. Both are the "rate-gated" part of mutex/block profiling:
+	// cheap enough to leave on, detailed enough to name a contended lock.
 	DefaultMutexFraction = 64
-	DefaultBlockRateNs   = 1e6
+	BlockRateNs          = 1e6
 	// DefaultSnapshotEvery captures mutex/block profiles every Nth
 	// scheduled cycle, so the ring keeps mostly CPU/heap evidence.
 	DefaultSnapshotEvery = 4
@@ -51,11 +50,10 @@ type Config struct {
 	// jittered ±20% so a fleet of replicas started together does not
 	// profile in lockstep.
 	Seed uint64
-	// MutexFraction and BlockRateNs gate mutex/block profiling
-	// (defaults 64 and 1e6ns). Negative MutexFraction leaves the
-	// process-global rates untouched and skips mutex/block captures.
+	// MutexFraction gates mutex/block profiling (default 64; block
+	// events are sampled at BlockRateNs). Negative MutexFraction leaves
+	// the process-global rates untouched and skips mutex/block captures.
 	MutexFraction int
-	BlockRateNs   int
 	// SnapshotEvery captures mutex/block every Nth cycle (default 4).
 	SnapshotEvery int
 	// Watchdog tunes the runtime watchdogs (see watchdog.go).
@@ -89,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MutexFraction == 0 {
 		c.MutexFraction = DefaultMutexFraction
-	}
-	if c.BlockRateNs == 0 {
-		c.BlockRateNs = DefaultBlockRateNs
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = DefaultSnapshotEvery
@@ -197,7 +192,7 @@ func (p *Profiler) Start() {
 	}
 	if p.cfg.MutexFraction > 0 {
 		p.prevMutexFraction = runtime.SetMutexProfileFraction(p.cfg.MutexFraction)
-		runtime.SetBlockProfileRate(p.cfg.BlockRateNs)
+		runtime.SetBlockProfileRate(BlockRateNs)
 		p.prevBlockRate = true
 	}
 	if p.cfg.Interval <= 0 && p.cfg.Watchdog.Disable {

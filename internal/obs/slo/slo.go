@@ -127,12 +127,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Target returns the compliance target.
-func (e *Engine) Target() float64 { return e.target }
-
-// LatencyObjective returns the latency objective.
-func (e *Engine) LatencyObjective() time.Duration { return e.latencyMs }
-
 // bad reports an availability violation: server errors and overload
 // sheds. 429 and 503 are deliberate load-shedding, but to the client
 // they are unavailability all the same — the SLO judges what users
@@ -272,10 +266,4 @@ func (e *Engine) Snapshot() Snapshot {
 	s.Windows = append([]WindowStats(nil), e.snap.Windows...)
 	e.mu.Unlock()
 	return s
-}
-
-// States returns the current burn state per objective (re-evaluated).
-func (e *Engine) States() (availability, latency string) {
-	s := e.Snapshot()
-	return s.AvailabilityState, s.LatencyState
 }

@@ -42,10 +42,10 @@ func newTestEngine(target float64, objective time.Duration) (*Engine, *fakeClock
 
 func TestEngineDefaults(t *testing.T) {
 	e := New(Config{})
-	if e.Target() != 0.999 || e.LatencyObjective() != 250*time.Millisecond {
-		t.Fatalf("defaults: target=%v objective=%v", e.Target(), e.LatencyObjective())
-	}
 	s := e.Snapshot()
+	if s.Target != 0.999 || s.LatencyObjectiveMs != 250 {
+		t.Fatalf("defaults: target=%v objective=%vms", s.Target, s.LatencyObjectiveMs)
+	}
 	if s.AvailabilityState != StateOK || s.LatencyState != StateOK {
 		t.Errorf("fresh engine states %s/%s, want ok/ok", s.AvailabilityState, s.LatencyState)
 	}

@@ -129,15 +129,15 @@ func TestSeededTraceIDsDeterministic(t *testing.T) {
 	a := NewTracerSeeded(4, 42)
 	b := NewTracerSeeded(4, 42)
 	for i := 0; i < 5; i++ {
-		ca := a.Start("r").Context()
-		cb := b.Start("r").Context()
+		ca := a.StartWith("r", TraceContext{}).Context()
+		cb := b.StartWith("r", TraceContext{}).Context()
 		if ca.TraceIDString() != cb.TraceIDString() || ca.SpanIDString() != cb.SpanIDString() {
 			t.Fatalf("iteration %d: %s/%s != %s/%s", i,
 				ca.TraceIDString(), ca.SpanIDString(), cb.TraceIDString(), cb.SpanIDString())
 		}
 	}
-	c := NewTracerSeeded(4, 43).Start("r").Context()
-	if c.TraceIDString() == NewTracerSeeded(4, 42).Start("r").Context().TraceIDString() {
+	c := NewTracerSeeded(4, 43).StartWith("r", TraceContext{}).Context()
+	if c.TraceIDString() == NewTracerSeeded(4, 42).StartWith("r", TraceContext{}).Context().TraceIDString() {
 		t.Error("different seeds minted the same trace ID")
 	}
 }

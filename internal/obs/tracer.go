@@ -67,16 +67,10 @@ type Tracer struct {
 	slowLen   int
 }
 
-// NewTracer returns a tracer keeping the size most recent and size
-// slowest traces (size <= 0 defaults to 64). Generated trace IDs are
-// seeded from the wall clock; use NewTracerSeeded for reproducible IDs.
-func NewTracer(size int) *Tracer {
-	return NewTracerSeeded(size, uint64(time.Now().UnixNano()))
-}
-
-// NewTracerSeeded is NewTracer with a fixed seed for the generated
-// W3C trace/span IDs, so tests asserting on exported spans or
-// sampling decisions replay deterministically.
+// NewTracerSeeded returns a tracer keeping the size most recent and size
+// slowest traces (size <= 0 defaults to 64). seed fixes the generated W3C
+// trace/span IDs, so tests asserting on exported spans or sampling
+// decisions replay deterministically.
 func NewTracerSeeded(size int, seed uint64) *Tracer {
 	if size <= 0 {
 		size = 64
@@ -91,7 +85,7 @@ func NewTracerSeeded(size int, seed uint64) *Tracer {
 }
 
 // ActiveTrace is one in-flight request's span recorder. Obtain with
-// Tracer.Start, feed with Step/Add/SetBatch, and always Finish exactly
+// Tracer.StartWith, feed with Step/Add/SetBatch, and always Finish exactly
 // once — Finish recycles the recorder. All methods are nil-safe so
 // untraced code paths cost a single branch.
 type ActiveTrace struct {
@@ -100,18 +94,13 @@ type ActiveTrace struct {
 	mark time.Time
 }
 
-// Start opens a trace for one request on the given route with a freshly
-// generated W3C trace identity and starts the stage clock. The recorder
-// comes from a pool: steady-state tracing allocates nothing.
-func (tr *Tracer) Start(route string) *ActiveTrace {
-	return tr.StartWith(route, TraceContext{})
-}
-
-// StartWith is Start joining an upstream W3C trace context: when parent
-// is valid the new trace adopts its trace ID, flags, and tracestate,
-// and records the upstream span as this request's parent; otherwise a
-// fresh trace identity is generated. Either way the request gets its
-// own new span ID.
+// StartWith opens a trace for one request on the given route and starts
+// the stage clock. When parent is a valid upstream W3C trace context the
+// new trace adopts its trace ID, flags, and tracestate, and records the
+// upstream span as this request's parent; otherwise a fresh trace
+// identity is generated. Either way the request gets its own new span
+// ID. The recorder comes from a pool: steady-state tracing allocates
+// nothing.
 func (tr *Tracer) StartWith(route string, parent TraceContext) *ActiveTrace {
 	a := tr.pool.Get().(*ActiveTrace)
 	now := time.Now()

@@ -8,14 +8,10 @@ import (
 
 func TestStageNames(t *testing.T) {
 	want := []string{"validate", "batch_wait", "encode", "score", "respond"}
-	names := StageNames()
-	if len(names) != NumStages {
-		t.Fatalf("NumStages %d, names %d", NumStages, len(names))
+	if len(want) != NumStages {
+		t.Fatalf("NumStages %d, want %d", NumStages, len(want))
 	}
 	for i, w := range want {
-		if names[i] != w {
-			t.Errorf("stage %d = %q, want %q", i, names[i], w)
-		}
 		if Stage(i).String() != w {
 			t.Errorf("Stage(%d).String() = %q, want %q", i, Stage(i).String(), w)
 		}
@@ -26,9 +22,9 @@ func TestStageNames(t *testing.T) {
 }
 
 func TestTracerRecordsStagesAndRings(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracerSeeded(4, 1)
 	for i := 0; i < 10; i++ {
-		a := tr.Start("score")
+		a := tr.StartWith("score", TraceContext{})
 		a.Add(StageValidate, time.Duration(i+1)*time.Millisecond)
 		a.Add(StageEncode, 100*time.Microsecond)
 		a.SetBatch(i + 1)
@@ -71,8 +67,8 @@ func TestTracerRecordsStagesAndRings(t *testing.T) {
 }
 
 func TestTracerStepAndMark(t *testing.T) {
-	tr := NewTracer(2)
-	a := tr.Start("score")
+	tr := NewTracerSeeded(2, 1)
+	a := tr.StartWith("score", TraceContext{})
 	time.Sleep(2 * time.Millisecond)
 	a.Step(StageValidate)
 	time.Sleep(2 * time.Millisecond)
@@ -111,7 +107,7 @@ func TestTracerNilSafe(t *testing.T) {
 }
 
 func TestActiveTraceRoute(t *testing.T) {
-	a := NewTracer(2).Start("score")
+	a := NewTracerSeeded(2, 1).StartWith("score", TraceContext{})
 	if got := a.Route(); got != "score" {
 		t.Errorf("Route() = %q, want %q", got, "score")
 	}
@@ -119,7 +115,7 @@ func TestActiveTraceRoute(t *testing.T) {
 }
 
 func TestTracerSlowestKeepsMaxima(t *testing.T) {
-	tr := NewTracer(2)
+	tr := NewTracerSeeded(2, 1)
 	for _, d := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 2 * time.Millisecond, 8 * time.Millisecond} {
 		tr.record(Trace{Total: d})
 	}
@@ -136,9 +132,9 @@ func TestTracerSlowestKeepsMaxima(t *testing.T) {
 // Start → Step/Add → Finish cycle must not allocate in steady state (the
 // recorder pool absorbs the only allocation on first use).
 func TestSpanRecordingZeroAllocs(t *testing.T) {
-	tr := NewTracer(32)
+	tr := NewTracerSeeded(32, 1)
 	avg := testing.AllocsPerRun(1000, func() {
-		a := tr.Start("score")
+		a := tr.StartWith("score", TraceContext{})
 		a.Step(StageValidate)
 		a.Add(StageBatchWait, 30*time.Microsecond)
 		a.Add(StageEncode, 20*time.Microsecond)
@@ -154,14 +150,14 @@ func TestSpanRecordingZeroAllocs(t *testing.T) {
 }
 
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(16)
+	tr := NewTracerSeeded(16, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				a := tr.Start("score")
+				a := tr.StartWith("score", TraceContext{})
 				a.Add(StageEncode, time.Microsecond)
 				a.Finish(200)
 			}

@@ -1,7 +1,7 @@
 // Package parallel provides small, allocation-light helpers for data-parallel
-// loops. The hypervector kernels and the cross-validation harness fan work
-// out across GOMAXPROCS workers in fixed contiguous chunks, which keeps
-// per-item overhead negligible and memory access patterns sequential.
+// loops. The batch encoders, the models and the cross-validation harness
+// fan work out across GOMAXPROCS workers in fixed contiguous chunks, which
+// keeps per-item overhead negligible and memory access patterns sequential.
 package parallel
 
 import (
@@ -60,47 +60,4 @@ func ForChunked(n int, body func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// MapReduceFloat computes the sum of f(i) over [0, n) with one partial
-// accumulator per worker, avoiding contended atomics. Summation order is
-// deterministic: partials are combined in chunk order.
-func MapReduceFloat(n int, f func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	w := Workers(n)
-	if w == 1 {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	chunk := (n + w - 1) / w
-	nChunks := (n + chunk - 1) / chunk
-	partials := make([]float64, nChunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += f(i)
-			}
-			partials[c] = s
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	var total float64
-	for _, p := range partials {
-		total += p
-	}
-	return total
 }

@@ -51,19 +51,6 @@ func TestForChunkedCoversRangeExactly(t *testing.T) {
 	}
 }
 
-func TestMapReduceFloatMatchesSerial(t *testing.T) {
-	f := func(i int) float64 { return float64(i*i) * 0.5 }
-	for _, n := range []int{0, 1, 3, 100, 4096} {
-		var want float64
-		for i := 0; i < n; i++ {
-			want += f(i)
-		}
-		if got := MapReduceFloat(n, f); got != want {
-			t.Fatalf("n=%d: got %v want %v", n, got, want)
-		}
-	}
-}
-
 func TestWorkersBounds(t *testing.T) {
 	if w := Workers(0); w != 1 {
 		t.Fatalf("Workers(0) = %d, want 1", w)

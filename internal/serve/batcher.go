@@ -11,12 +11,12 @@ import (
 	"hdfe/internal/registry"
 )
 
-// ErrClosed is returned by Submit once the batcher has begun shutting down.
+// ErrClosed is returned by submitTimed once the batcher has begun shutting down.
 var ErrClosed = errors.New("serve: batcher closed")
 
-// ErrQueueFull is returned by Submit when the batcher queue cannot take
+// ErrQueueFull is returned by submitTimed when the batcher queue cannot take
 // another request. With the admission gate sized at or below the queue
-// depth this cannot happen; it is the backstop that keeps Submit
+// depth this cannot happen; it is the backstop that keeps submitTimed
 // non-blocking if the gate is configured larger than the queue.
 var ErrQueueFull = errors.New("serve: batcher queue full")
 
@@ -113,21 +113,15 @@ func (b *Batcher) Draining() bool {
 	return b.closed
 }
 
-// Submit queues one record for scoring and blocks until the batch it lands
-// in has been scored, ctx expires, or the batcher closes. The row is read
-// by the batch loop after Submit returns control to the loop, so callers
-// must not reuse it until Submit returns.
-func (b *Batcher) Submit(ctx context.Context, row []float64) (float64, error) {
-	score, _, _, err := b.submitTimed(ctx, row, obs.TraceContext{})
-	return score, err
-}
-
-// submitTimed is Submit also returning the request's per-stage cost
-// breakdown and the state of the model that scored it (both zero/nil on
-// error). The returned state is for attribution — drift observation,
-// labels, trace tagging — and carries no scoring reference. tc is the
-// submitter's trace identity, threaded through the microbatch so the
-// shadow worker can join its comparison back to this request's trace.
+// submitTimed queues one record for scoring and blocks until the batch it
+// lands in has been scored, ctx expires, or the batcher closes. The row is
+// read by the batch loop, so callers must not reuse it until submitTimed
+// returns. It returns the score, the request's per-stage cost breakdown
+// and the state of the model that scored it (both zero/nil on error). The
+// returned state is for attribution — drift observation, labels, trace
+// tagging — and carries no scoring reference. tc is the submitter's trace
+// identity, threaded through the microbatch so the shadow worker can join
+// its comparison back to this request's trace.
 func (b *Batcher) submitTimed(ctx context.Context, row []float64, tc obs.TraceContext) (float64, BatchTimings, *modelState, error) {
 	req := &request{ctx: ctx, row: row, tc: tc, enq: time.Now(), resp: make(chan float64, 1)}
 	b.mu.RLock()

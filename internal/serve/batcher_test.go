@@ -39,7 +39,7 @@ func TestBatcherScoresMatchDirect(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			row := d.X[i%len(d.X)]
-			got, err := b.Submit(context.Background(), row)
+			got, _, _, err := b.submitTimed(context.Background(), row, obs.TraceContext{})
 			if err != nil {
 				errs <- err
 				return
@@ -69,7 +69,7 @@ func TestBatcherRespectsMaxBatch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := b.Submit(context.Background(), row); err != nil {
+			if _, _, _, err := b.submitTimed(context.Background(), row, obs.TraceContext{}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -94,8 +94,8 @@ func TestBatcherSubmitAfterCloseFails(t *testing.T) {
 	b := testBatcher(t, dep, 8, time.Millisecond, nil)
 	b.Close()
 	b.Close() // idempotent
-	if _, err := b.Submit(context.Background(), synth.PimaM(7).X[0]); err != ErrClosed {
-		t.Fatalf("Submit after Close: %v, want ErrClosed", err)
+	if _, _, _, err := b.submitTimed(context.Background(), synth.PimaM(7).X[0], obs.TraceContext{}); err != ErrClosed {
+		t.Fatalf("submit after Close: %v, want ErrClosed", err)
 	}
 }
 
@@ -105,8 +105,8 @@ func TestBatcherSubmitHonoursContext(t *testing.T) {
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.Submit(ctx, synth.PimaM(7).X[0]); err != context.Canceled {
-		t.Fatalf("Submit with cancelled context: %v, want context.Canceled", err)
+	if _, _, _, err := b.submitTimed(ctx, synth.PimaM(7).X[0], obs.TraceContext{}); err != context.Canceled {
+		t.Fatalf("submit with cancelled context: %v, want context.Canceled", err)
 	}
 }
 
@@ -189,7 +189,7 @@ func TestBatcherCloseDrainsQueued(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := b.Submit(context.Background(), row)
+			got, _, _, err := b.submitTimed(context.Background(), row, obs.TraceContext{})
 			if err != nil {
 				errs <- err
 				return

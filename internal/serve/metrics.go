@@ -44,9 +44,9 @@ func latencyBound(i int) time.Duration {
 }
 
 // Metrics is the server's lock-free counter set. All fields are updated
-// with atomics; Snapshot produces a consistent-enough view for an
-// expvar-style /metrics endpoint (counters may be a hair out of sync with
-// each other, which is fine for observability).
+// with atomics; Snapshot produces a consistent-enough view for /metrics
+// and /metrics.json (counters may be a hair out of sync with each other,
+// which is fine for observability).
 type Metrics struct {
 	start time.Time
 
@@ -124,11 +124,8 @@ func (m *Metrics) ObserveBatch(n int) {
 	m.batchHist[batchBucket(n)].Add(1)
 }
 
-// ObserveLatency records one end-to-end request latency.
-func (m *Metrics) ObserveLatency(d time.Duration) { m.ObserveLatencyTrace(d, "") }
-
-// ObserveLatencyTrace is ObserveLatency also pinning traceID as the
-// bucket's exemplar (skipped when empty).
+// ObserveLatencyTrace records one end-to-end request latency, pinning
+// traceID as the bucket's exemplar (skipped when empty).
 func (m *Metrics) ObserveLatencyTrace(d time.Duration, traceID string) {
 	i := 0
 	for i < numLatencyBuckets && d > latencyBound(i) {

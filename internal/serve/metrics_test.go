@@ -57,10 +57,10 @@ func TestLatencyQuantiles(t *testing.T) {
 	// 90 fast requests, 10 slow: p50 lands in the fast bucket, p99 in the
 	// slow one.
 	for i := 0; i < 90; i++ {
-		m.ObserveLatency(40 * time.Microsecond)
+		m.ObserveLatencyTrace(40*time.Microsecond, "")
 	}
 	for i := 0; i < 10; i++ {
-		m.ObserveLatency(30 * time.Millisecond)
+		m.ObserveLatencyTrace(30*time.Millisecond, "")
 	}
 	p50, p99 := m.quantile(0.50), m.quantile(0.99)
 	if p50 > 100*time.Microsecond {
@@ -75,7 +75,7 @@ func TestLatencyQuantiles(t *testing.T) {
 	}
 	// Overflow bucket: beyond the last bound.
 	m2 := NewMetrics()
-	m2.ObserveLatency(time.Hour)
+	m2.ObserveLatencyTrace(time.Hour, "")
 	if q := m2.quantile(0.5); q < latencyBound(numLatencyBuckets-1) {
 		t.Errorf("overflow quantile %v below the last bound", q)
 	}
@@ -88,9 +88,9 @@ func TestLatencyQuantiles(t *testing.T) {
 func TestQuantileEmptyTailOverflow(t *testing.T) {
 	m := NewMetrics()
 	for i := 0; i < 9; i++ {
-		m.ObserveLatency(40 * time.Microsecond)
+		m.ObserveLatencyTrace(40*time.Microsecond, "")
 	}
-	m.ObserveLatency(time.Hour) // overflow: beyond latencyBound(15)
+	m.ObserveLatencyTrace(time.Hour, "") // overflow: beyond latencyBound(15)
 	if q := m.quantile(0.99); q < latencyBound(numLatencyBuckets-1) {
 		t.Errorf("p99 = %v, below the overflow sample's lower bound %v",
 			q, latencyBound(numLatencyBuckets-1))
@@ -111,19 +111,19 @@ func TestQuantileEmptyTailOverflow(t *testing.T) {
 func TestLatencyBucketBoundaries(t *testing.T) {
 	for i := 0; i < numLatencyBuckets; i++ {
 		m := NewMetrics()
-		m.ObserveLatency(latencyBound(i))
+		m.ObserveLatencyTrace(latencyBound(i), "")
 		if got := m.latencyHist[i].Load(); got != 1 {
 			t.Errorf("d == latencyBound(%d): bucket %d count %d, want 1", i, i, got)
 		}
-		m.ObserveLatency(latencyBound(i) + time.Nanosecond)
+		m.ObserveLatencyTrace(latencyBound(i)+time.Nanosecond, "")
 		if got := m.latencyHist[i+1].Load(); got != 1 {
 			t.Errorf("d == latencyBound(%d)+1ns: bucket %d count %d, want 1", i, i+1, got)
 		}
 	}
 	// Sum/count accounting for the Prometheus _sum line.
 	m := NewMetrics()
-	m.ObserveLatency(100 * time.Microsecond)
-	m.ObserveLatency(300 * time.Microsecond)
+	m.ObserveLatencyTrace(100*time.Microsecond, "")
+	m.ObserveLatencyTrace(300*time.Microsecond, "")
 	if got := time.Duration(m.latencySum.Load()); got != 400*time.Microsecond {
 		t.Errorf("latency sum %v, want 400µs", got)
 	}

@@ -7,8 +7,9 @@
 //     ScoreBatch calls instead of per-request encodes.
 //   - POST /v1/score/batch  scores many records in one call.
 //   - GET  /healthz         liveness + model identity.
-//   - GET  /metrics         expvar-style JSON counters: request counts,
-//     batch-size histogram, latency quantiles.
+//   - GET  /metrics         Prometheus text exposition: request and shed
+//     counters, batch-size, latency and per-stage histograms.
+//   - GET  /metrics.json    the counter snapshot as JSON.
 //
 // Requests are validated against the deployment's fitted codebook before
 // they reach the encoders, with per-feature error messages; the NaN and

@@ -30,6 +30,13 @@ import (
 // abandoned before encode/score work is spent on it.
 const DeadlineHeader = "X-Request-Deadline-Ms"
 
+const (
+	// maxBatchRecords caps records per /v1/score/batch call.
+	maxBatchRecords = 4096
+	// maxBodyBytes caps request body size.
+	maxBodyBytes = 8 << 20
+)
+
 // Config tunes the scoring service. The zero value serves with the
 // defaults noted on each field.
 type Config struct {
@@ -52,10 +59,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// ShutdownTimeout bounds the HTTP drain on shutdown (default 10s).
 	ShutdownTimeout time.Duration
-	// MaxBatchRecords caps records per /v1/score/batch call (default 4096).
-	MaxBatchRecords int
-	// MaxBodyBytes caps request body size (default 8 MiB).
-	MaxBodyBytes int64
 	// MaxInFlight is the admission gate's record budget across both
 	// scoring routes: requests beyond it are fast-rejected with 429 and
 	// a Retry-After hint before any validation or encode work is spent.
@@ -63,7 +66,7 @@ type Config struct {
 	MaxInFlight int
 	// QueueDepth is the batcher queue capacity. Default
 	// max(4*MaxBatch, MaxInFlight), so the admission gate — not the
-	// queue — is what bounds backlog and Submit never blocks on enqueue.
+	// queue — is what bounds backlog and a submit never blocks on enqueue.
 	QueueDepth int
 	// RetryAfter is the hint sent in the Retry-After header of 429/503
 	// shed responses (default 1s; rendered in whole seconds, min 1).
@@ -163,12 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShutdownTimeout <= 0 {
 		c.ShutdownTimeout = 10 * time.Second
-	}
-	if c.MaxBatchRecords <= 0 {
-		c.MaxBatchRecords = 4096
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 1024
@@ -545,7 +542,7 @@ func (s *Server) writeError(w http.ResponseWriter, at *obs.ActiveTrace, status i
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -688,9 +685,9 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 		s.writeError(w, at, http.StatusBadRequest, "empty records", nil, 0)
 		return
 	}
-	if len(req.Records) > s.cfg.MaxBatchRecords {
+	if len(req.Records) > maxBatchRecords {
 		s.writeError(w, at, http.StatusBadRequest,
-			fmt.Sprintf("%d records exceeds the %d-record batch limit", len(req.Records), s.cfg.MaxBatchRecords), nil, 0)
+			fmt.Sprintf("%d records exceeds the %d-record batch limit", len(req.Records), maxBatchRecords), nil, 0)
 		return
 	}
 	if s.batcher.Draining() {

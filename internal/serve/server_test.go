@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hdfe/internal/core"
+	"hdfe/internal/obs"
 	"hdfe/internal/synth"
 )
 
@@ -442,7 +443,7 @@ func TestServeListenerError(t *testing.T) {
 	if err := s.Serve(context.Background(), ln); err == nil {
 		t.Fatal("Serve on a closed listener succeeded")
 	}
-	if _, err := s.batcher.Submit(context.Background(), synth.PimaM(7).X[0]); err != ErrClosed {
+	if _, _, _, err := s.batcher.submitTimed(context.Background(), synth.PimaM(7).X[0], obs.TraceContext{}); err != ErrClosed {
 		t.Fatalf("batcher accepting work after Serve returned: %v", err)
 	}
 }

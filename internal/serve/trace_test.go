@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hdfe/internal/chaos"
+	"hdfe/internal/obs"
 	"hdfe/internal/synth"
 )
 
@@ -513,7 +514,7 @@ func TestDebugSLOEndpoint(t *testing.T) {
 		t.Errorf("%d availability errors after client 400s, want 0", got)
 	}
 	for i := 0; i < 8; i++ {
-		at := s.tracer.Start("score")
+		at := s.tracer.StartWith("score", obs.TraceContext{})
 		at.SetShed(ShedQueueFull.String())
 		tr := at.Finish(429)
 		s.slo.Observe(tr.Status, tr.Total)

@@ -80,9 +80,6 @@ func NewValidator(cb *encode.Codebook, rejectMissing, rejectOutOfRange bool) *Va
 	return v
 }
 
-// NumFeatures returns the fitted arity.
-func (v *Validator) NumFeatures() int { return len(v.feats) }
-
 // FeatureNames returns the schema names in order.
 func (v *Validator) FeatureNames() []string {
 	names := make([]string, len(v.feats))

@@ -145,8 +145,8 @@ func TestValidatorRecyclesDst(t *testing.T) {
 func TestValidatorAgainstDeployment(t *testing.T) {
 	dep := testDeployment(t, 128)
 	v := NewValidator(dep.Extractor.Codebook(), false, false)
-	if v.NumFeatures() != 8 {
-		t.Fatalf("validator arity %d", v.NumFeatures())
+	if n := len(v.FeatureNames()); n != 8 {
+		t.Fatalf("validator arity %d", n)
 	}
 	feats := make([]*float64, 8)
 	for i := range feats {
