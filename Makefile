@@ -1,12 +1,13 @@
 # Tier-1 entry points for hdfe. `make test` is the gate every change must
 # pass; `make test-race` runs the whole module (serving suite included)
 # under the race detector; `make fuzz-smoke` gives each fuzz target a short
-# budget; `make bench` tracks the zero-allocation encode/score path;
-# `make obs-smoke` boots hdserve and asserts the /metrics surface;
-# `make trace-smoke` adds a mock OTLP collector and asserts the W3C
-# traceparent round trip, span export, exemplars, and /debug/slo;
-# `make prof-smoke` drives batch load against a fast profiling cadence
-# and asserts the capture ring, pprof downloads, and runtime families;
+# budget; `make bench` tracks the zero-allocation encode/score path and
+# the hv and level-codeword kernels under it; `make obs-smoke` boots
+# hdserve and asserts the /metrics surface; `make trace-smoke` adds a
+# mock OTLP collector and asserts the W3C traceparent round trip, span
+# export, exemplars, and /debug/slo; `make prof-smoke` drives batch load
+# against a fast profiling cadence and asserts the capture ring, pprof
+# downloads, and runtime families;
 # `make audit-smoke` serves with the decision audit trail on, then
 # verifies and replays the hash chain offline with hdaudit.
 
@@ -40,6 +41,8 @@ fuzz-smoke:
 
 bench:
 	$(GO) test ./internal/core -run '^$$' -bench 'TransformRecord|ScoreBatch' -benchmem
+	$(GO) test ./internal/hv -run '^$$' -bench 'Bundle8Features|HammingD10k' -benchmem
+	$(GO) test ./internal/encode -run '^$$' -bench 'LevelEncodeInto' -benchmem
 
 obs-smoke:
 	sh scripts/obs_smoke.sh

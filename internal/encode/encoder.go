@@ -59,15 +59,30 @@ type FeatureEncoder interface {
 // its zeros — so that max is exactly orthogonal to min (x = D/2) and the
 // Hamming distance between any two encoded values is exactly |x1 - x2|,
 // i.e. proportional to their numeric difference. Proportionality holds
-// because the flip order is fixed at construction: the bits flipped for a
-// lower level are a strict subset of those flipped for a higher one.
+// because the flip order is fixed at construction: value x flips
+// flipOnes[:x/2] and flipZeros[:x-x/2], so the bits flipped for a lower
+// level are a strict subset of those flipped for a higher one.
+//
+// Because the flips form a fixed prefix, the encoder also keeps a
+// checkpoint codeword every checkpointStride flips: the codeword for
+// x = m·checkpointStride, for m = 1…⌊(D/2)/checkpointStride⌋ (the seed is
+// m = 0). EncodeInto copies the nearest checkpoint at or below x and
+// applies fewer than checkpointStride single flips, with the same bits as
+// flipping from the seed. At D = 10,000 the 19 checkpoints take about
+// 24 KB per feature; the flip lists are held as int32 to pay for them.
 type LevelEncoder struct {
-	dim       int
-	min, max  float64
-	seed      hv.Vector
-	flipOnes  []int // seed's one-positions in fixed random flip order
-	flipZeros []int // seed's zero-positions in fixed random flip order
+	dim         int
+	min, max    float64
+	seed        hv.Vector
+	flipOnes    []int32     // seed's one-positions in fixed random flip order
+	flipZeros   []int32     // seed's zero-positions in fixed random flip order
+	checkpoints []hv.Vector // checkpoints[m-1] is the codeword for x = m·checkpointStride
 }
+
+// checkpointStride is the number of flips between stored level codewords.
+// It must be even, so that a checkpoint takes exactly half its flips from
+// each list.
+const checkpointStride = 256
 
 // NewLevelEncoder builds a level encoder for values in [min, max] at
 // dimensionality dim, drawing its seed and flip order from r. It panics if
@@ -80,11 +95,39 @@ func NewLevelEncoder(r *rng.Source, dim int, min, max float64) *LevelEncoder {
 		panic(fmt.Sprintf("encode: max %v < min %v", max, min))
 	}
 	seed := hv.RandBalanced(r, dim)
-	ones := seed.Ones()
-	zeros := seed.Zeros()
+	ones := int32s(seed.Ones())
+	zeros := int32s(seed.Zeros())
 	r.Shuffle(len(ones), func(i, j int) { ones[i], ones[j] = ones[j], ones[i] })
 	r.Shuffle(len(zeros), func(i, j int) { zeros[i], zeros[j] = zeros[j], zeros[i] })
-	return &LevelEncoder{dim: dim, min: min, max: max, seed: seed, flipOnes: ones, flipZeros: zeros}
+	return newLevelEncoder(dim, min, max, seed, ones, zeros)
+}
+
+// newLevelEncoder assembles a level encoder from its seed and flip lists
+// and precomputes its checkpoints. The lists must hold every position
+// that a value up to max flips, all within [0, dim).
+func newLevelEncoder(dim int, min, max float64, seed hv.Vector, ones, zeros []int32) *LevelEncoder {
+	e := &LevelEncoder{dim: dim, min: min, max: max, seed: seed, flipOnes: ones, flipZeros: zeros}
+	cur := seed.Clone()
+	for x := checkpointStride; x <= dim/2; x += checkpointStride {
+		flipAll(cur, ones[(x-checkpointStride)/2:x/2])
+		flipAll(cur, zeros[(x-checkpointStride)/2:x/2])
+		e.checkpoints = append(e.checkpoints, cur.Clone())
+	}
+	return e
+}
+
+func int32s(xs []int) []int32 {
+	out := make([]int32, len(xs))
+	for i, x := range xs {
+		out[i] = int32(x)
+	}
+	return out
+}
+
+func flipAll(v hv.Vector, positions []int32) {
+	for _, p := range positions {
+		v.FlipBit(int(p))
+	}
 }
 
 // Range returns the fitted [min, max] value range.
@@ -122,19 +165,20 @@ func (e *LevelEncoder) Encode(t float64) hv.Vector {
 }
 
 // EncodeInto writes the hypervector for value t into dst without
-// allocating: a word-copy of the seed followed by the value's balanced
-// bit flips, applied directly in dst.
+// allocating: a word-copy of the nearest checkpoint at or below the
+// value's flip count, followed by the remaining (fewer than
+// checkpointStride) flips, applied directly in dst.
 func (e *LevelEncoder) EncodeInto(t float64, dst hv.Vector) {
 	x := e.Flips(t)
-	e.seed.CopyInto(dst)
-	fromOnes := x / 2
-	fromZeros := x - fromOnes
-	for _, p := range e.flipOnes[:fromOnes] {
-		dst.FlipBit(p)
+	m := x / checkpointStride
+	if m == 0 {
+		e.seed.CopyInto(dst)
+	} else {
+		e.checkpoints[m-1].CopyInto(dst)
 	}
-	for _, p := range e.flipZeros[:fromZeros] {
-		dst.FlipBit(p)
-	}
+	done := m * checkpointStride / 2 // flips the checkpoint took from each list
+	flipAll(dst, e.flipOnes[done:x/2])
+	flipAll(dst, e.flipZeros[done:x-x/2])
 }
 
 // BinaryEncoder is the paper's encoding for yes/no features: a random seed

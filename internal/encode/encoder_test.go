@@ -195,3 +195,19 @@ func TestConstantEncoder(t *testing.T) {
 		t.Fatal("Encode result aliases encoder state")
 	}
 }
+
+// BenchmarkLevelEncodeInto materializes one level codeword at D = 10,000,
+// cycling through 64 values spread evenly over the fitted range.
+func BenchmarkLevelEncodeInto(b *testing.B) {
+	e := NewLevelEncoder(rng.New(1), testDim, 0, 1)
+	dst := hv.New(testDim)
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = float64(i) / float64(len(vals)-1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.EncodeInto(vals[i%len(vals)], dst)
+	}
+}

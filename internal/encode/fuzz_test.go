@@ -55,28 +55,67 @@ func FuzzEncodeRecordInto(f *testing.F) {
 	})
 }
 
+// naiveLevel builds the codeword for x flips the direct way, one flip at a
+// time from the seed: flipOnes[:x/2], then flipZeros[:x-x/2].
+func naiveLevel(e *LevelEncoder, x int) hv.Vector {
+	v := e.seed.Clone()
+	for _, p := range e.flipOnes[:x/2] {
+		v.FlipBit(int(p))
+	}
+	for _, p := range e.flipZeros[:x-x/2] {
+		v.FlipBit(int(p))
+	}
+	return v
+}
+
 // FuzzLevelEncoderFlips checks the level encoder's arithmetic on raw bit
-// patterns: Flips must stay in [0, D/2] and EncodeInto must equal Encode
-// for every input, including NaN (the missing-value baseline rule).
+// patterns: Flips must stay in [0, D/2] and EncodeInto, into a dirty
+// destination, must equal naiveLevel for every input, including NaN (the
+// missing-value baseline rule). D = 1030 has two checkpoints and an odd
+// D/2, so the last flip count is past the last checkpoint.
 func FuzzLevelEncoderFlips(f *testing.F) {
-	enc := NewLevelEncoder(rng.New(3), 128, -2, 9)
+	enc := NewLevelEncoder(rng.New(3), 1030, -2, 9)
+	dirty := hv.Rand(rng.New(4), enc.dim)
 	f.Add(math.Float64bits(math.NaN()))
 	f.Add(math.Float64bits(math.Inf(1)))
 	f.Add(math.Float64bits(-2.0))
 	f.Add(math.Float64bits(9.0))
+	f.Add(math.Float64bits(-2 + 11*256.0/515)) // x = 256, the first checkpoint
+	f.Add(math.Float64bits(-2 + 11*511.0/515)) // x = 511, one short of the second
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		v := math.Float64frombits(bits)
 		x := enc.Flips(v)
 		if x < 0 || x > enc.dim/2 {
 			t.Fatalf("Flips(%v) = %d outside [0, %d]", v, x, enc.dim/2)
 		}
-		got := hv.New(enc.dim)
+		got := dirty.Clone()
 		enc.EncodeInto(v, got)
-		if !got.Equal(enc.Encode(v)) {
-			t.Fatalf("EncodeInto(%v) diverged from Encode", v)
+		if !got.Equal(naiveLevel(enc, x)) {
+			t.Fatalf("EncodeInto(%v) diverged from the flip-by-flip reference at x = %d", v, x)
 		}
 		if math.IsNaN(v) && !got.Equal(enc.seed) {
 			t.Fatalf("NaN did not encode as the baseline seed")
 		}
 	})
+}
+
+// TestLevelEncoderCheckpointSweep encodes every flip count 0…D/2 at
+// D = 1030 (min 0, max D/2, so t = x) and compares each codeword with
+// naiveLevel, covering both sides of every checkpoint.
+func TestLevelEncoderCheckpointSweep(t *testing.T) {
+	const dim = 1030
+	e := NewLevelEncoder(rng.New(17), dim, 0, dim/2)
+	if len(e.checkpoints) != 2 {
+		t.Fatalf("%d checkpoints at D = %d, want 2", len(e.checkpoints), dim)
+	}
+	dst := hv.Rand(rng.New(18), dim)
+	for x := 0; x <= dim/2; x++ {
+		if got := e.Flips(float64(x)); got != x {
+			t.Fatalf("Flips(%d) = %d", x, got)
+		}
+		e.EncodeInto(float64(x), dst)
+		if !dst.Equal(naiveLevel(e, x)) {
+			t.Fatalf("x = %d: EncodeInto differs from the flip-by-flip reference", x)
+		}
+	}
 }

@@ -170,10 +170,13 @@ func ReadCodebook(r io.Reader) (*Codebook, error) {
 			if err != nil {
 				return nil, err
 			}
-			cb.encs = append(cb.encs, &LevelEncoder{
-				dim: int(dim), min: lo, max: hi, seed: seed,
-				flipOnes: ones, flipZeros: zeros,
-			})
+			// Value max flips ⌊D/2⌋/2 ones and the rest of ⌊D/2⌋ zeros.
+			half := int(dim) / 2
+			if len(ones) < half/2 || len(zeros) < half-half/2 {
+				return nil, fmt.Errorf("encode: level flip lists of %d and %d positions, want at least %d and %d",
+					len(ones), len(zeros), half/2, half-half/2)
+			}
+			cb.encs = append(cb.encs, newLevelEncoder(int(dim), lo, hi, seed, ones, zeros))
 		case encTagBinary:
 			var mid float64
 			if err := readAll(br, &mid); err != nil {
@@ -245,18 +248,14 @@ func readVector(r io.Reader, dim int) (hv.Vector, error) {
 	return hv.FromWords(words, dim), nil
 }
 
-func writeInts(w io.Writer, xs []int) error {
+func writeInts(w io.Writer, xs []int32) error {
 	if err := binary.Write(w, binary.LittleEndian, int32(len(xs))); err != nil {
 		return err
 	}
-	buf := make([]int32, len(xs))
-	for i, x := range xs {
-		buf[i] = int32(x)
-	}
-	return binary.Write(w, binary.LittleEndian, buf)
+	return binary.Write(w, binary.LittleEndian, xs)
 }
 
-func readInts(r io.Reader, maxLen int) ([]int, error) {
+func readInts(r io.Reader, maxLen int) ([]int32, error) {
 	var n int32
 	if err := readAll(r, &n); err != nil {
 		return nil, err
@@ -264,16 +263,14 @@ func readInts(r io.Reader, maxLen int) ([]int, error) {
 	if n < 0 || int(n) > maxLen {
 		return nil, fmt.Errorf("encode: implausible int slice length %d", n)
 	}
-	buf := make([]int32, n)
-	if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
+	out := make([]int32, n)
+	if err := binary.Read(r, binary.LittleEndian, out); err != nil {
 		return nil, fmt.Errorf("encode: reading ints: %w", err)
 	}
-	out := make([]int, n)
-	for i, x := range buf {
+	for _, x := range out {
 		if int(x) >= maxLen || x < 0 {
 			return nil, fmt.Errorf("encode: flip position %d out of range", x)
 		}
-		out[i] = int(x)
 	}
 	return out, nil
 }

@@ -2,9 +2,11 @@ package encode
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
+	"hdfe/internal/hv"
 	"hdfe/internal/rng"
 )
 
@@ -66,11 +68,50 @@ func TestCodebookWriteToReportsSize(t *testing.T) {
 	}
 }
 
+// levelArtifact hand-builds a 64-bit, one-feature codebook whose level
+// encoder has the given flip lists. The seed's ones are bits 0–31.
+func levelArtifact(ones, zeros []int32) string {
+	var b bytes.Buffer
+	le := binary.LittleEndian
+	b.WriteString(codebookMagic)
+	binary.Write(&b, le, int32(64))
+	b.Write([]byte{byte(hv.TieToOne), byte(Majority)})
+	binary.Write(&b, le, int32(1))
+	binary.Write(&b, le, int32(1))
+	b.WriteString("x")
+	b.Write([]byte{byte(Continuous), encTagLevel})
+	binary.Write(&b, le, [2]float64{0, 1})
+	binary.Write(&b, le, uint64(1<<32-1))
+	for _, xs := range [][]int32{ones, zeros} {
+		binary.Write(&b, le, int32(len(xs)))
+		binary.Write(&b, le, xs)
+	}
+	return b.String()
+}
+
+// positions returns n consecutive bit positions starting at from.
+func positions(from, n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(from + i)
+	}
+	return out
+}
+
 func TestReadCodebookRejectsGarbage(t *testing.T) {
+	// Value max flips D/2 = 32 bits: 16 of the seed's ones, 16 zeros.
+	if cb, err := ReadCodebook(strings.NewReader(levelArtifact(positions(0, 16), positions(32, 16)))); err != nil {
+		t.Fatalf("well-formed level artifact rejected: %v", err)
+	} else if got := cb.EncodeRecord([]float64{1}).OnesCount(); got != 32 {
+		t.Fatalf("max codeword has %d ones, want 32", got)
+	}
 	cases := []string{
 		"",
 		"NOTMAGIC",
 		codebookMagic, // truncated after magic
+		levelArtifact(nil, nil),
+		levelArtifact(positions(0, 15), positions(32, 16)),
+		levelArtifact(positions(0, 16), positions(32, 15)),
 	}
 	for i, c := range cases {
 		if _, err := ReadCodebook(strings.NewReader(c)); err == nil {

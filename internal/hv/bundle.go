@@ -1,9 +1,6 @@
 package hv
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // TieBreak selects how Bundle resolves a per-bit tie (equal numbers of ones
 // and zeros, possible only when bundling an even number of vectors).
@@ -33,11 +30,22 @@ func Bundle(vs []Vector, tie TieBreak) Vector {
 	return acc.Majority(tie)
 }
 
-// Accumulator accumulates per-bit set counts across added vectors so that a
-// majority (or thresholded) bundle can be extracted without re-walking the
-// inputs. It is the right shape for streaming and for weighted bundling.
+// Accumulator counts, per bit position, how many of the added vectors set
+// that bit, so that a majority bundle can be extracted without re-walking
+// the inputs. It is the right shape for streaming (class prototypes over a
+// whole cohort) as well as for one record's feature codewords.
+//
+// The counts are bit-sliced: plane k holds bit k of every position's
+// count, packed 64 positions to a word like a Vector. Add ripples the new
+// vector through the planes as a carry, and MajorityInto compares every
+// count with the threshold a whole word at a time, so neither touches
+// positions one by one. Planes are allocated on demand — ⌈log2(n+1)⌉ for
+// n added vectors — and kept across Reset, so a reused accumulator does
+// not allocate.
 type Accumulator struct {
-	counts []int32
+	planes [][]uint64 // planes[k][w]: bit k of the counts of word w's positions
+	used   int        // planes[:used] hold the counts; the rest are zero
+	work   []uint64   // Add's carries, then MajorityInto's equal-so-far mask
 	total  int
 	dim    int
 }
@@ -47,37 +55,52 @@ func NewAccumulator(d int) *Accumulator {
 	if d <= 0 {
 		panic(fmt.Sprintf("hv: invalid accumulator dimensionality %d", d))
 	}
-	return &Accumulator{counts: make([]int32, d), dim: d}
+	return &Accumulator{work: make([]uint64, (d+wordBits-1)/wordBits), dim: d}
 }
 
-// Count returns the number of vectors added so far (including weights).
+// Count returns the number of vectors added so far.
 func (a *Accumulator) Count() int { return a.total }
 
-// Add accumulates v with weight 1.
-func (a *Accumulator) Add(v Vector) { a.AddWeighted(v, 1) }
-
-// AddWeighted accumulates v with an integer weight >= 1; a weight-w add is
-// equivalent to adding v w times. It panics on dimension mismatch or
-// non-positive weight.
-func (a *Accumulator) AddWeighted(v Vector, w int) {
+// Add accumulates v. It panics on dimension mismatch.
+func (a *Accumulator) Add(v Vector) {
 	if v.dim != a.dim {
 		panic(fmt.Sprintf("hv: accumulator dim %d, vector dim %d", a.dim, v.dim))
 	}
-	if w <= 0 {
-		panic(fmt.Sprintf("hv: non-positive bundle weight %d", w))
+	a.total++
+	if a.total>>a.used != 0 {
+		// The counts may now need one more bit.
+		if a.used == len(a.planes) {
+			a.planes = append(a.planes, make([]uint64, len(v.words)))
+		}
+		a.used++
 	}
-	for wi, word := range v.words {
-		base := wi * wordBits
-		for word != 0 {
-			a.counts[base+bits.TrailingZeros64(word)] += int32(w)
-			word &= word - 1
+	// Half-add v into plane 0, then ripple the carries upwards. No count
+	// reaches 2^used, so nothing carries out of the top plane.
+	carry := a.work
+	p0 := a.planes[0][:len(carry)]
+	for w, x := range v.words {
+		sum := p0[w]
+		p0[w] = sum ^ x
+		carry[w] = sum & x
+	}
+	for _, p := range a.planes[1:a.used] {
+		p = p[:len(carry)]
+		var live uint64
+		for w, c := range carry {
+			sum := p[w]
+			p[w] = sum ^ c
+			c &= sum
+			carry[w] = c
+			live |= c
+		}
+		if live == 0 {
+			break
 		}
 	}
-	a.total += w
 }
 
 // Majority returns the bundle: bit i is 1 iff more than half of the added
-// weight had bit i set, with exact halves resolved by tie. It panics if
+// vectors had bit i set, with exact halves resolved by tie. It panics if
 // nothing has been added.
 func (a *Accumulator) Majority(tie TieBreak) Vector {
 	out := New(a.dim)
@@ -96,23 +119,44 @@ func (a *Accumulator) MajorityInto(tie TieBreak, dst Vector) {
 	if dst.dim != a.dim {
 		panic(fmt.Sprintf("hv: accumulator dim %d, dst dim %d", a.dim, dst.dim))
 	}
-	dst.Clear()
-	half2 := a.total // compare 2*count against total to stay in integers
-	for i, c := range a.counts {
-		twice := int(c) * 2
-		switch {
-		case twice > half2:
-			dst.setBit(i)
-		case twice == half2 && tie == TieToOne:
-			dst.setBit(i)
+	// Bit i is set iff 2·count > total, or 2·count == total under
+	// TieToOne; in integers, iff count >= need. need >= 1, so the
+	// always-zero counts past dim leave the tail clear.
+	need := a.total/2 + 1
+	if tie == TieToOne {
+		need = (a.total + 1) / 2
+	}
+	// Compare every count with need from the most significant plane
+	// down: gt (held in dst) marks counts already known to be larger, eq
+	// those equal so far.
+	gt, eq := dst.words, a.work
+	clear(gt)
+	for w := range eq {
+		eq[w] = ^uint64(0)
+	}
+	for k := a.used - 1; k >= 0; k-- {
+		p := a.planes[k][:len(eq)]
+		if need>>k&1 == 1 {
+			for w, x := range p {
+				eq[w] &= x
+			}
+		} else {
+			for w, x := range p {
+				gt[w] |= eq[w] & x
+				eq[w] &^= x
+			}
 		}
+	}
+	for w, e := range eq {
+		gt[w] |= e
 	}
 }
 
-// Reset clears the accumulator for reuse without reallocating.
+// Reset clears the accumulator for reuse, keeping its planes allocated.
 func (a *Accumulator) Reset() {
-	for i := range a.counts {
-		a.counts[i] = 0
+	for _, p := range a.planes[:a.used] {
+		clear(p)
 	}
+	a.used = 0
 	a.total = 0
 }

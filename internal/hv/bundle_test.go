@@ -95,37 +95,6 @@ func TestAccumulatorMatchesBundle(t *testing.T) {
 	}
 }
 
-func TestAccumulatorWeighted(t *testing.T) {
-	a := FromBits([]uint8{1, 0})
-	b := FromBits([]uint8{0, 1})
-	acc := NewAccumulator(2)
-	acc.AddWeighted(a, 3)
-	acc.Add(b)
-	got := acc.Majority(TieToOne)
-	// a dominates with weight 3 vs 1.
-	if !got.Equal(a) {
-		t.Fatalf("weighted majority = %v, want %v", got, a)
-	}
-}
-
-func TestAccumulatorWeightedEquivalentToRepeatedAdd(t *testing.T) {
-	r := rng.New(4)
-	v1, v2 := Rand(r, 100), Rand(r, 100)
-	w := NewAccumulator(100)
-	w.AddWeighted(v1, 3)
-	w.AddWeighted(v2, 2)
-	rep := NewAccumulator(100)
-	for i := 0; i < 3; i++ {
-		rep.Add(v1)
-	}
-	for i := 0; i < 2; i++ {
-		rep.Add(v2)
-	}
-	if !w.Majority(TieToOne).Equal(rep.Majority(TieToOne)) {
-		t.Fatal("weighted add != repeated add")
-	}
-}
-
 func TestAccumulatorReset(t *testing.T) {
 	acc := NewAccumulator(4)
 	acc.Add(FromBits([]uint8{1, 1, 1, 1}))
@@ -144,7 +113,6 @@ func TestAccumulatorPanics(t *testing.T) {
 		func() { NewAccumulator(0) },
 		func() { NewAccumulator(4).Majority(TieToOne) },
 		func() { NewAccumulator(4).Add(New(5)) },
-		func() { NewAccumulator(4).AddWeighted(New(4), 0) },
 	}
 	for i, f := range cases {
 		func() {
@@ -155,5 +123,70 @@ func TestAccumulatorPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestAccumulatorMatchesNaiveCount checks the bit-sliced counts against a
+// per-bit recount at every bundle size up to 70 and around the plane
+// boundaries 256 and 512, for both tie rules, reusing one accumulator
+// across Resets so stale planes would show.
+func TestAccumulatorMatchesNaiveCount(t *testing.T) {
+	r := rng.New(5)
+	const d = 130
+	pool := make([]Vector, 513)
+	for i := range pool {
+		pool[i] = Rand(r, d)
+	}
+	counts := make([]int, d)
+	acc := NewAccumulator(d)
+	dst := New(d)
+	sizes := []int{255, 256, 257, 511, 512, 513, 3, 1}
+	for n := 1; n <= 70; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		acc.Reset()
+		clear(counts)
+		for _, v := range pool[:n] {
+			acc.Add(v)
+			for b := 0; b < d; b++ {
+				if v.Bit(b) {
+					counts[b]++
+				}
+			}
+		}
+		for _, tie := range []TieBreak{TieToOne, TieToZero} {
+			acc.MajorityInto(tie, dst)
+			for b, c := range counts {
+				want := 2*c > n || (2*c == n && tie == TieToOne)
+				if dst.Bit(b) != want {
+					t.Fatalf("n=%d tie=%v bit %d: got %v, count %d", n, tie, b, dst.Bit(b), c)
+				}
+			}
+		}
+	}
+}
+
+func TestAccumulatorReuseZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations; alloc count is meaningless under -race")
+	}
+	r := rng.New(6)
+	const d = 1000
+	vs := make([]Vector, 300)
+	for i := range vs {
+		vs[i] = Rand(r, d)
+	}
+	acc := NewAccumulator(d)
+	dst := New(d)
+	allocs := testing.AllocsPerRun(10, func() {
+		acc.Reset()
+		for _, v := range vs {
+			acc.Add(v)
+		}
+		acc.MajorityInto(TieToOne, dst)
+	})
+	if allocs != 0 {
+		t.Fatalf("reused accumulator allocates %v per run", allocs)
 	}
 }
