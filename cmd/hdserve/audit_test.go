@@ -34,7 +34,7 @@ func TestRunAuditTrail(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{"-model", model, "-addr", "127.0.0.1:0",
-			"-audit-dir", auditDir, "-audit-fsync", "50ms", "-max-wait", "1ms"}, stdout, &errOut)
+			"-audit-dir", auditDir, "-audit-fsync", "50ms"}, stdout, &errOut)
 	}()
 
 	var addr string
@@ -124,7 +124,7 @@ func TestRunAuditTrail(t *testing.T) {
 	done2 := make(chan error, 1)
 	go func() {
 		done2 <- run(ctx2, []string{"-model", model, "-addr", "127.0.0.1:0",
-			"-audit-dir", auditDir, "-max-wait", "1ms"}, stdout2, &errOut)
+			"-audit-dir", auditDir}, stdout2, &errOut)
 	}()
 	deadline = time.Now().Add(10 * time.Second)
 	for !strings.Contains(stdout2.String(), "audit trail enabled") {

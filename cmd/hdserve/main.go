@@ -1,12 +1,11 @@
-// Command hdserve serves a persisted hdfe deployment as a batched HTTP
-// scoring service (see internal/serve).
+// Command hdserve serves a persisted hdfe deployment as an HTTP scoring
+// service (see internal/serve).
 //
 // Usage:
 //
 //	hdserve -model dep.bin [-shadow cand.bin] [-addr :8080] [-name pima]
-//	        [-max-batch 32] [-max-wait 2ms] [-timeout 5s] [-reject-missing]
-//	        [-max-inflight 1024] [-queue-depth 0] [-retry-after 1s]
-//	        [-chaos-spec ""] [-chaos-seed 1]
+//	        [-timeout 5s] [-max-inflight 1024] [-retry-after 1s]
+//	        [-chaos-spec ""] [-chaos-seed 1] [-reject-missing]
 //	        [-reject-out-of-range] [-psi-warn 0.25] [-clamp-warn 0.01]
 //	        [-score-window 4096] [-feedback-cap 4096]
 //	        [-quality-window 1024] [-quality-tol 0.05]
@@ -23,12 +22,13 @@
 // -demo fits a deployment on the synthetic Pima M dataset in-process and
 // serves it immediately — the quickest way to try the API. -write-demo
 // writes that same deployment to a file and exits, producing a model
-// artifact for -model. On SIGINT/SIGTERM the server drains in-flight
-// requests before exiting.
+// artifact for -model. On SIGINT/SIGTERM the server closes its listener,
+// so new connections are refused, and lets in-flight requests finish
+// before exiting.
 //
 // Model lifecycle: the boot model becomes registry version 1 and serves
 // until replaced. SIGHUP re-reads the -model artifact and hot-swaps it
-// with zero downtime (in-flight batches finish on the old model). POST
+// with zero downtime (in-flight requests finish on the old model). POST
 // /admin/models/load loads a new artifact as the active model or — with
 // "shadow": true — as a shadow that re-scores the same validated
 // batches off the hot path and reports disagreement-rate and
@@ -36,7 +36,7 @@
 // installs such a shadow at boot; GET /v1/models reports the registry.
 //
 // Observability: every request is logged structurally (log/slog, text or
-// JSON) with its trace ID, route, status, latency, and microbatch size.
+// JSON) with its trace ID, route, status, latency, and batch size.
 // /metrics serves Prometheus text format, /metrics.json the legacy JSON
 // snapshot, /debug/traces the recent and slowest per-stage request
 // traces, and -pprof mounts net/http/pprof under /debug/pprof/.
@@ -84,8 +84,8 @@
 // Overload protection: -max-inflight bounds admitted records; excess
 // load is shed with 429 + Retry-After before any encode work is spent
 // (hdfe_shed_total counts rejections by reason). Clients can tighten the
-// per-request budget with an X-Request-Deadline-Ms header; records past
-// their deadline are abandoned in the batcher queue, never scored.
+// per-request budget with an X-Request-Deadline-Ms header; a record past
+// its deadline when encode would start is shed with 504, never scored.
 // -chaos-spec enables the deterministic fault-injection seam
 // (internal/chaos) for soak and failure-drill testing — latency spikes,
 // stage stalls, artifact-load failures, shadow-queue pressure.
@@ -142,12 +142,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		shadowPath    = fs.String("shadow", "", "deployment file to install as the shadow (canary) model")
 		name          = fs.String("name", "", "model name reported by /healthz (default: model file or \"demo\")")
 		addr          = fs.String("addr", ":8080", "listen address")
-		maxBatch      = fs.Int("max-batch", 32, "microbatch size cap")
-		maxWait       = fs.Duration("max-wait", 2*time.Millisecond, "microbatch wait before scoring a partial batch")
 		maxInFlight   = fs.Int("max-inflight", 1024, "admitted-record budget; excess load is shed with 429 (negative disables)")
-		queueDepth    = fs.Int("queue-depth", 0, "batcher queue capacity (0 = max(4*max-batch, max-inflight))")
 		retryAfter    = fs.Duration("retry-after", time.Second, "Retry-After hint on 429/503 shed responses")
-		chaosSpec     = fs.String("chaos-spec", "", "fault-injection spec, e.g. \"batch:p=0.1,delay=5ms;load:err=disk gone\" (empty = chaos disabled)")
+		chaosSpec     = fs.String("chaos-spec", "", "fault-injection spec, e.g. \"score:p=0.1,delay=5ms;load:err=disk gone\" (empty = chaos disabled)")
 		chaosSeed     = fs.Uint64("chaos-seed", 1, "seed for the deterministic chaos injector")
 		timeout       = fs.Duration("timeout", 5*time.Second, "per-request timeout")
 		rejectMissing = fs.Bool("reject-missing", false, "reject null feature values instead of encoding them as missing")
@@ -179,9 +176,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		dim           = fs.Int("dim", 0, "demo hypervector dimensionality (0 = 10000)")
 		seed          = fs.Uint64("seed", 42, "demo synthesis + encoder seed")
 	)
-	// -request-timeout is an alias for -timeout (the docs use both names;
-	// the last one parsed wins).
-	fs.DurationVar(timeout, "request-timeout", *timeout, "per-request timeout (alias for -timeout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -268,10 +262,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		ModelName:        modelName,
 		ModelPath:        *model,
 		ModelSHA256:      sha,
-		MaxBatch:         *maxBatch,
-		MaxWait:          *maxWait,
 		MaxInFlight:      *maxInFlight,
-		QueueDepth:       *queueDepth,
 		RetryAfter:       *retryAfter,
 		Chaos:            injector,
 		RequestTimeout:   *timeout,

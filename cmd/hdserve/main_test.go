@@ -227,7 +227,7 @@ func TestRunModelLifecycle(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{"-model", modelA, "-shadow", modelB, "-name", "boot",
-			"-addr", "127.0.0.1:0", "-max-wait", "1ms"}, stdout, &errOut)
+			"-addr", "127.0.0.1:0"}, stdout, &errOut)
 	}()
 
 	var addr string
@@ -358,13 +358,17 @@ func TestRunFlagErrors(t *testing.T) {
 	var out, errOut bytes.Buffer
 	ctx := context.Background()
 	cases := [][]string{
-		{},                              // no model
-		{"-model", "/nonexistent"},      // unreadable model
-		{"-demo", "-model", "x"},        // conflicting sources
-		{"-bogus"},                      // unknown flag
-		{"-demo", "positional-arg"},     // stray positional
-		{"-demo", "-log-format", "xml"}, // unknown log format
-		{"-demo", "-log-level", "loud"}, // unknown log level
+		{},                                  // no model
+		{"-model", "/nonexistent"},          // unreadable model
+		{"-demo", "-model", "x"},            // conflicting sources
+		{"-bogus"},                          // unknown flag
+		{"-demo", "positional-arg"},         // stray positional
+		{"-demo", "-log-format", "xml"},     // unknown log format
+		{"-demo", "-log-level", "loud"},     // unknown log level
+		{"-demo", "-max-batch", "32"},       // unknown flag
+		{"-demo", "-max-wait", "0"},         // unknown flag
+		{"-demo", "-queue-depth", "64"},     // unknown flag
+		{"-demo", "-request-timeout", "5s"}, // unknown flag (-timeout)
 	}
 	for _, args := range cases {
 		if err := run(ctx, args, &out, &errOut); err == nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // TestRunOverloadFlags drives the overload-protection flags through the
-// real binary entrypoint: -max-inflight 1 plus a -chaos-spec batch stall
+// real binary entrypoint: -max-inflight 1 plus a -chaos-spec score stall
 // forces concurrent clients to split into admitted requests and 429s
 // carrying Retry-After, with the sheds visible in /metrics.
 func TestRunOverloadFlags(t *testing.T) {
@@ -24,8 +24,8 @@ func TestRunOverloadFlags(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{"-demo", "-dim", "128", "-addr", "127.0.0.1:0",
 			"-max-inflight", "1", "-retry-after", "2s",
-			"-chaos-spec", "batch:p=1,delay=250ms", "-chaos-seed", "7",
-			"-request-timeout", "5s"}, stdout, &errOut)
+			"-chaos-spec", "score:p=1,delay=250ms", "-chaos-seed", "7",
+			"-timeout", "5s"}, stdout, &errOut)
 	}()
 
 	var addr string

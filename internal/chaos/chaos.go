@@ -2,8 +2,8 @@
 //
 // An Injector holds a set of Faults, each bound to a named injection
 // Point that serving code consults at the moments worth breaking: request
-// entry, batch scoring, model-artifact loads, and the shadow-scoring
-// worker. A consultation draws from a deterministic rng.Source (seeded at
+// entry, single-record scoring, model-artifact loads, and the
+// shadow-scoring worker. A consultation draws from a deterministic rng.Source (seeded at
 // construction, see internal/rng), so a chaos run replays bit for bit
 // given the same consultation order — which is what lets the regression
 // suite assert exact shed counts instead of flaky probabilistic ones.
@@ -34,9 +34,10 @@ const (
 	// PointHTTP fires at request entry, before validation — models a
 	// slow proxy or accept-queue latency spike.
 	PointHTTP Point = iota
-	// PointBatch fires in the batch loop after a microbatch forms and
-	// before it is scored — models a stalled scoring stage.
-	PointBatch
+	// PointScore fires once per /v1/score request, after validation and
+	// at the start of the encode stage, before the deadline check —
+	// models a stalled scoring stage.
+	PointScore
 	// PointLoad fires inside model-artifact loads (admin load, SIGHUP
 	// reload) — models a failed or slow disk read.
 	PointLoad
@@ -64,7 +65,7 @@ const (
 	numPoints
 )
 
-var pointNames = [numPoints]string{"http", "batch", "load", "shadow", "export", "prof", "audit"}
+var pointNames = [numPoints]string{"http", "score", "load", "shadow", "export", "prof", "audit"}
 
 // String returns the point's spec name.
 func (p Point) String() string {
@@ -81,7 +82,7 @@ func ParsePoint(s string) (Point, error) {
 			return Point(i), nil
 		}
 	}
-	return 0, fmt.Errorf("chaos: unknown injection point %q (want http|batch|load|shadow|export|prof|audit)", s)
+	return 0, fmt.Errorf("chaos: unknown injection point %q (want http|score|load|shadow|export|prof|audit)", s)
 }
 
 // Fault is one configured failure mode at a Point. Each consultation of
@@ -121,11 +122,11 @@ func New(seed uint64, faults ...Fault) *Injector {
 //
 //	point:key=val,key=val;point:key=val...
 //
-// where point is http|batch|load|shadow|export|prof|audit and keys are p (probability,
+// where point is http|score|load|shadow|export|prof|audit and keys are p (probability,
 // default 1), delay and jitter (Go durations, default 0), and err (an
 // error message; the consultation fails with it). Example:
 //
-//	batch:p=0.2,delay=5ms,jitter=20ms;load:err=injected disk failure
+//	score:p=0.2,delay=5ms,jitter=20ms;load:err=injected disk failure
 //
 // An empty spec returns a nil injector — chaos disabled.
 func Parse(spec string, seed uint64) (*Injector, error) {

@@ -8,10 +8,10 @@ import (
 
 func TestNilInjectorIsNoOp(t *testing.T) {
 	var in *Injector
-	if err := in.Inject(PointBatch); err != nil {
+	if err := in.Inject(PointScore); err != nil {
 		t.Fatalf("nil injector injected %v", err)
 	}
-	if in.Fired(PointBatch) != 0 {
+	if in.Fired(PointScore) != 0 {
 		t.Fatal("nil injector counted a firing")
 	}
 	if in.String() != "disabled" {
@@ -32,22 +32,22 @@ func TestParseEmptySpecDisables(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	in, err := Parse("batch:p=0.5,delay=5ms,jitter=10ms; load:err=disk gone ;shadow:delay=1ms", 7)
+	in, err := Parse("score:p=0.5,delay=5ms,jitter=10ms; load:err=disk gone ;shadow:delay=1ms", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(in.faults[PointBatch]) != 1 || len(in.faults[PointLoad]) != 1 || len(in.faults[PointShadow]) != 1 {
+	if len(in.faults[PointScore]) != 1 || len(in.faults[PointLoad]) != 1 || len(in.faults[PointShadow]) != 1 {
 		t.Fatalf("fault placement: %+v", in.faults)
 	}
-	f := in.faults[PointBatch][0]
+	f := in.faults[PointScore][0]
 	if f.P != 0.5 || f.Delay != 5*time.Millisecond || f.Jitter != 10*time.Millisecond {
-		t.Fatalf("batch fault %+v", f)
+		t.Fatalf("score fault %+v", f)
 	}
 	if got := in.faults[PointLoad][0].Err; got != "disk gone" {
 		t.Fatalf("load err %q", got)
 	}
 	s := in.String()
-	for _, want := range []string{"batch:p=0.5", "load:p=1", "err=disk gone", "shadow:p=1,delay=1ms"} {
+	for _, want := range []string{"score:p=0.5", "load:p=1", "err=disk gone", "shadow:p=1,delay=1ms"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() %q missing %q", s, want)
 		}
@@ -57,17 +57,18 @@ func TestParseRoundTrip(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"warp:delay=1ms",      // unknown point
-		"batch",               // no colon
-		"batch:delay",         // no key=val
-		"batch:p=high",        // bad float
-		"batch:delay=fast",    // bad duration
-		"batch:jitter=-1ms",   // negative jitter
-		"batch:speed=11",      // unknown key
+		"batch:delay=1ms",     // retired point name
+		"score",               // no colon
+		"score:delay",         // no key=val
+		"score:p=high",        // bad float
+		"score:delay=fast",    // bad duration
+		"score:jitter=-1ms",   // negative jitter
+		"score:speed=11",      // unknown key
 		"load:err=",           // empty error message
-		"batch:delay=-5ms",    // negative delay
+		"score:delay=-5ms",    // negative delay
 		"http:p=1;;warp:p=1",  // bad clause after empty one
-		"batch:jitter=oops",   // bad jitter duration
-		"batch:p=0.5,delay=5", // bare number is not a duration
+		"score:jitter=oops",   // bad jitter duration
+		"score:p=0.5,delay=5", // bare number is not a duration
 	}
 	for _, spec := range cases {
 		if _, err := Parse(spec, 1); err == nil {
@@ -86,10 +87,10 @@ func TestInjectErrorAndCount(t *testing.T) {
 		t.Fatalf("Fired = %d", got)
 	}
 	// Other points stay silent.
-	if err := in.Inject(PointBatch); err != nil {
+	if err := in.Inject(PointScore); err != nil {
 		t.Fatalf("unconfigured point injected %v", err)
 	}
-	if got := in.Fired(PointBatch); got != 0 {
+	if got := in.Fired(PointScore); got != 0 {
 		t.Fatalf("unconfigured point fired %d", got)
 	}
 }
@@ -110,10 +111,10 @@ func TestProbabilityZeroNeverFires(t *testing.T) {
 // consultation order reproduce the same firing decisions exactly.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []bool {
-		in := New(99, Fault{Point: PointBatch, P: 0.3, Err: "flaky"})
+		in := New(99, Fault{Point: PointScore, P: 0.3, Err: "flaky"})
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = in.Inject(PointBatch) != nil
+			out[i] = in.Inject(PointScore) != nil
 		}
 		return out
 	}

@@ -9,7 +9,7 @@ import (
 // scoring endpoint needs from a fitted model, and nothing it does not.
 // Deployment is the canonical implementation; the registry and serve
 // packages hold Scorers so a hot-swapped model never leaks its concrete
-// type into handler or batcher code.
+// type into handler code.
 //
 // Implementations must be safe for concurrent use: the serving stack
 // scores from many goroutines (and from the shadow worker) against one

@@ -37,19 +37,3 @@ func ExampleOrthogonal() {
 	// Output:
 	// 5000
 }
-
-// ExampleItemMemory shows cleanup-memory recall of a noisy codeword.
-func ExampleItemMemory() {
-	r := rng.New(2)
-	m := hv.NewItemMemory(5000)
-	low := hv.Rand(r, 5000)
-	high := hv.Rand(r, 5000)
-	m.Store("low", low)
-	m.Store("high", high)
-	noisy := high.Clone()
-	hv.FlipRandom(noisy, r, 1000) // 20% noise
-	name, _ := m.Recall(noisy)
-	fmt.Println(name)
-	// Output:
-	// high
-}

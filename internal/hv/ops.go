@@ -66,19 +66,6 @@ func PermuteInto(dst, v Vector, k int) {
 	}
 }
 
-// FlipRandom flips count distinct randomly chosen bits of v in place,
-// regardless of their current value. It panics if count is outside
-// [0, Dim]. The result is at Hamming distance exactly count from the
-// original.
-func FlipRandom(v Vector, r *rng.Source, count int) {
-	if count < 0 || count > v.dim {
-		panic(fmt.Sprintf("hv: FlipRandom count=%d out of range [0,%d]", count, v.dim))
-	}
-	for _, p := range r.Perm(v.dim)[:count] {
-		v.FlipBit(p)
-	}
-}
-
 // FlipBalanced flips count distinct bits of v in place, half of them chosen
 // among currently-set bits and half among currently-clear bits (the extra
 // bit goes to the zeros side when count is odd). This is the paper's

@@ -134,18 +134,6 @@ func TestPermuteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlipRandomExactDistance(t *testing.T) {
-	r := rng.New(8)
-	orig := Rand(r, 500)
-	for _, count := range []int{0, 1, 250, 500} {
-		v := orig.Clone()
-		FlipRandom(v, r, count)
-		if d := Hamming(orig, v); d != count {
-			t.Fatalf("FlipRandom(%d) produced distance %d", count, d)
-		}
-	}
-}
-
 func TestFlipBalancedDistanceAndDensity(t *testing.T) {
 	r := rng.New(9)
 	const d = 1000

@@ -7,6 +7,14 @@ import (
 	"hdfe/internal/rng"
 )
 
+// flipRandom flips count distinct randomly chosen bits of v in place,
+// putting it at Hamming distance exactly count from the original.
+func flipRandom(v hv.Vector, r *rng.Source, count int) {
+	for _, p := range r.Perm(v.Dim())[:count] {
+		v.FlipBit(p)
+	}
+}
+
 // clusteredVectors builds two Hamming-separated clusters: class 0 vectors
 // are small perturbations of one prototype, class 1 of another.
 func clusteredVectors(seed uint64, perClass, dim, noise int) ([]hv.Vector, []int) {
@@ -17,11 +25,11 @@ func clusteredVectors(seed uint64, perClass, dim, noise int) ([]hv.Vector, []int
 	var y []int
 	for i := 0; i < perClass; i++ {
 		a := protoA.Clone()
-		hv.FlipRandom(a, r, noise)
+		flipRandom(a, r, noise)
 		vs = append(vs, a)
 		y = append(y, 0)
 		b := protoB.Clone()
-		hv.FlipRandom(b, r, noise)
+		flipRandom(b, r, noise)
 		vs = append(vs, b)
 		y = append(y, 1)
 	}

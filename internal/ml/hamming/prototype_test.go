@@ -42,7 +42,7 @@ func TestPrototypeDenoises(t *testing.T) {
 	var y []int
 	for i := 0; i < 21; i++ {
 		v := clean.Clone()
-		hv.FlipRandom(v, r, d/4)
+		flipRandom(v, r, d/4)
 		vs = append(vs, v)
 		y = append(y, 1)
 	}

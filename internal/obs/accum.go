@@ -9,8 +9,8 @@ import (
 // core's scoring hot path (it satisfies core.StageObserver structurally,
 // keeping obs free of a core import). All methods are safe for
 // concurrent use — scoring workers report in parallel — and a reset
-// accumulator is reusable, so the microbatcher keeps one per loop and
-// steady-state accounting allocates nothing.
+// accumulator is reusable, so a caller timing many batches can keep one
+// and account for them without allocating.
 type StageAccum struct {
 	encode   atomic.Int64 // nanoseconds
 	distance atomic.Int64 // nanoseconds

@@ -93,10 +93,9 @@ func (o *Outcome) UnmarshalJSON(b []byte) error {
 // Stages carries the per-stage timings of one scored request, in
 // microseconds (matching the latency scale of the serving histograms).
 type Stages struct {
-	ValidateUs  int64 `json:"validate_us"`
-	BatchWaitUs int64 `json:"batch_wait_us"`
-	EncodeUs    int64 `json:"encode_us"`
-	ScoreUs     int64 `json:"score_us"`
+	ValidateUs int64 `json:"validate_us"`
+	EncodeUs   int64 `json:"encode_us"`
+	ScoreUs    int64 `json:"score_us"`
 }
 
 // Contribution is one per-feature explain entry: the feature's raw

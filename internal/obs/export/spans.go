@@ -84,8 +84,8 @@ func FromTrace(t obs.Trace) []Span {
 			Status:  StatusUnset,
 		}
 		if t.Batch > 0 && (obs.Stage(s) == obs.StageEncode || obs.Stage(s) == obs.StageScore) {
-			// Amortized share of the microbatch's work: the batcher divides
-			// batch encode/score time across its coalesced requests.
+			// The span covers the encode/score work of every record the
+			// request scored.
 			sp.Attrs = append(sp.Attrs, Int("hdfe.batch_size", int64(t.Batch)))
 		}
 		cursor = cursor.Add(d)

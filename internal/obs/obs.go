@@ -4,10 +4,9 @@
 // construction — all standard library, all allocation-conscious on the
 // hot path.
 //
-// The scoring pipeline is modelled as five stages:
+// The scoring pipeline is modelled as four stages:
 //
 //	validate    parse + schema-validate the request body
-//	batch_wait  time a record sat in an open microbatch before scoring
 //	encode      hypervector encoding (TransformRecordInto)
 //	score       Hamming-distance scoring against the class prototypes
 //	respond     response serialization
@@ -26,7 +25,6 @@ type Stage uint8
 // The pipeline stages, in request order.
 const (
 	StageValidate Stage = iota
-	StageBatchWait
 	StageEncode
 	StageScore
 	StageRespond
@@ -35,7 +33,7 @@ const (
 // NumStages is the number of pipeline stages.
 const NumStages = int(StageRespond) + 1
 
-var stageNames = [NumStages]string{"validate", "batch_wait", "encode", "score", "respond"}
+var stageNames = [NumStages]string{"validate", "encode", "score", "respond"}
 
 // String returns the stage's snake_case metric label.
 func (s Stage) String() string {

@@ -17,7 +17,7 @@ type Trace struct {
 	Status int
 	Start  time.Time
 	Total  time.Duration
-	Batch  int    // microbatch size the record was scored in (0 if n/a)
+	Batch  int    // records scored in the request (0 if n/a)
 	Model  uint64 // registry version of the model that scored it (0 if n/a)
 	Shed   string // overload/deadline shed reason ("" if the request was served)
 	Stages [NumStages]time.Duration
@@ -171,7 +171,7 @@ func (a *ActiveTrace) Step(s Stage) {
 
 // Mark resets the stage clock without attributing the elapsed time to
 // any stage — used to skip over intervals measured elsewhere (e.g. the
-// batcher reports batch_wait/encode/score via Add).
+// encode/score times a StageAccum reports via Add).
 func (a *ActiveTrace) Mark() {
 	if a == nil {
 		return
@@ -187,7 +187,7 @@ func (a *ActiveTrace) Add(s Stage, d time.Duration) {
 	a.t.Stages[s] += d
 }
 
-// SetBatch records the microbatch size the request was scored in.
+// SetBatch records how many records the request scored.
 func (a *ActiveTrace) SetBatch(n int) {
 	if a == nil {
 		return

@@ -7,7 +7,7 @@ import (
 )
 
 func TestStageNames(t *testing.T) {
-	want := []string{"validate", "batch_wait", "encode", "score", "respond"}
+	want := []string{"validate", "encode", "score", "respond"}
 	if len(want) != NumStages {
 		t.Fatalf("NumStages %d, want %d", NumStages, len(want))
 	}
@@ -40,9 +40,9 @@ func TestTracerRecordsStagesAndRings(t *testing.T) {
 	if stats[StageEncode].Count != 10 || stats[StageEncode].Sum != time.Millisecond {
 		t.Errorf("encode count/sum %d/%v", stats[StageEncode].Count, stats[StageEncode].Sum)
 	}
-	// batch_wait was never observed.
-	if stats[StageBatchWait].Count != 0 {
-		t.Errorf("batch_wait count %d, want 0", stats[StageBatchWait].Count)
+	// score was never observed.
+	if stats[StageScore].Count != 0 {
+		t.Errorf("score count %d, want 0", stats[StageScore].Count)
 	}
 
 	recent, slowest := tr.TraceViews()
@@ -61,7 +61,7 @@ func TestTracerRecordsStagesAndRings(t *testing.T) {
 	if recent[0].Stages["validate"] <= 0 {
 		t.Errorf("recent[0] stages %v missing validate", recent[0].Stages)
 	}
-	if _, ok := recent[0].Stages["batch_wait"]; ok {
+	if _, ok := recent[0].Stages["score"]; ok {
 		t.Errorf("zero stage rendered: %v", recent[0].Stages)
 	}
 }
@@ -136,7 +136,6 @@ func TestSpanRecordingZeroAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(1000, func() {
 		a := tr.StartWith("score", TraceContext{})
 		a.Step(StageValidate)
-		a.Add(StageBatchWait, 30*time.Microsecond)
 		a.Add(StageEncode, 20*time.Microsecond)
 		a.Add(StageScore, 5*time.Microsecond)
 		a.SetBatch(8)

@@ -10,12 +10,13 @@ import (
 	"hdfe/internal/obs/audit"
 )
 
-// admission is the overload gate in front of the batcher: a record-level
-// in-flight budget that fast-rejects excess load before any decode-side
-// work is spent on it. Shedding here is the whole point of the design —
-// a rejected request costs a counter bump and a tiny JSON body, while an
-// admitted one costs the ~174µs/record encode downstream — so the gate
-// sits ahead of validation and encoding on every scoring route.
+// admission is the overload gate in front of both scoring routes: a
+// record-level in-flight budget that fast-rejects excess load before any
+// decode-side work is spent on it. Shedding here is the whole point of
+// the design — a rejected request costs a counter bump and a tiny JSON
+// body, while an admitted one costs decode, validation and a ~12µs/record
+// encode downstream — so the gate sits ahead of all three. It is also
+// what bounds concurrent encode work.
 //
 // The budget counts records, not requests: a /v1/score call holds one
 // unit from admission to response, a /v1/score/batch call holds one per

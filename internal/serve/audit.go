@@ -53,8 +53,10 @@ func explainTopK(contribs []core.FeatureContribution, k int) []audit.Contributio
 // auditScored emits the canonical wide event for one scored record:
 // identity, model attribution, the exact inputs and their digest, the
 // score down to its bits, stage timings, and any explain contributions
-// the caller requested. The nil check keeps a server without an audit
-// log from paying the event construction.
+// the caller requested. batch is the client's batch size on
+// /v1/score/batch and 0 on /v1/score, where the field is omitted. The nil
+// check keeps a server without an audit log from paying the event
+// construction.
 func (s *Server) auditScored(at *obs.ActiveTrace, st *modelState, row []float64, resp scoreResponse, stages audit.Stages, batch int) {
 	if s.audit == nil {
 		return

@@ -40,9 +40,6 @@ func auditServer(t *testing.T, cfg Config, acfg audit.Config) (*Server, *httptes
 	cfg.Audit = log
 	cfg.ModelSHA256 = sha
 	cfg.ModelPath = artifact
-	if cfg.MaxWait == 0 {
-		cfg.MaxWait = time.Millisecond
-	}
 	s := New(dep, cfg)
 	ts := httptest.NewServer(s.Handler())
 	return s, ts, acfg.Dir, artifact
@@ -187,13 +184,13 @@ func firstKey(m map[string]uint64) string {
 	return ""
 }
 
-// TestAuditShedEvents pins that refused requests join the trail: with a
-// draining batcher every /v1/score answer is a shed, and each shed is
+// TestAuditShedEvents pins that refused requests join the trail: while
+// the server drains every /v1/score answer is a shed, and each shed is
 // audited with its reason.
 func TestAuditShedEvents(t *testing.T) {
 	s, ts, auditDir, _ := auditServer(t, Config{}, audit.Config{})
 	d := synth.PimaM(7)
-	s.batcher.Close() // draining: single-record scoring now sheds
+	s.draining.Store(true) // what Close does first; the audit log stays open
 	for i := 0; i < 3; i++ {
 		resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequest{Features: floats(d.X[i]...)})
 		if resp.StatusCode != http.StatusServiceUnavailable {
@@ -399,7 +396,7 @@ func TestAuditChaosRaceE2E(t *testing.T) {
 // server without -audit-dir must pay exactly one nil check per would-be
 // event — no event construction, no input copies, no digests.
 func TestAuditHelpersZeroAllocWhenDisabled(t *testing.T) {
-	s := New(testDeployment(t, 64), Config{MaxWait: time.Millisecond})
+	s := New(testDeployment(t, 64), Config{})
 	defer s.Close()
 	st := s.activeState()
 	row := synth.PimaM(7).X[0]

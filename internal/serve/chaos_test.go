@@ -32,16 +32,14 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 
 // TestChaosStalledStageShedsDeadlines pins the deadline-propagation
 // contract under a stalled scoring stage: with a 100ms injected stall at
-// the batch point and 25ms request budgets, every caller gets 504, every
+// the score point and 25ms request budgets, every caller gets 504, every
 // record is shed at the deadline check before encode/score work, and
 // nothing is ever scored.
 func TestChaosStalledStageShedsDeadlines(t *testing.T) {
 	const clients = 4
 	dep := testDeployment(t, 128)
-	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, P: 1, Delay: 100 * time.Millisecond})
+	inj := chaos.New(1, chaos.Fault{Point: chaos.PointScore, P: 1, Delay: 100 * time.Millisecond})
 	s := New(dep, Config{
-		MaxBatch:       8,
-		MaxWait:        time.Millisecond,
 		RequestTimeout: 25 * time.Millisecond,
 		Chaos:          inj,
 	})
@@ -68,18 +66,17 @@ func TestChaosStalledStageShedsDeadlines(t *testing.T) {
 		}
 	}
 
-	// The 504s return when each client budget expires — before the batch
-	// loop wakes from the stall and sheds the expired records. Wait for
-	// the shed accounting to land.
+	// Each handler counts its shed before answering 504, so the
+	// accounting has landed once every client has its answer.
 	m := s.Metrics()
-	waitFor(t, 2*time.Second,
-		func() bool { return m.ShedCount(ShedDeadline) >= clients },
-		"deadline shed count never reached the number of timed-out requests")
+	if got := m.ShedCount(ShedDeadline); got != clients {
+		t.Errorf("deadline shed count %d, want %d", got, clients)
+	}
 	if scored := m.Snapshot().RecordsScored; scored != 0 {
 		t.Errorf("%d records scored despite every deadline expiring in the stall", scored)
 	}
-	if inj.Fired(chaos.PointBatch) == 0 {
-		t.Error("batch fault never fired")
+	if inj.Fired(chaos.PointScore) == 0 {
+		t.Error("score fault never fired")
 	}
 	if got := m.Snapshot().ShedDeadline; got < clients {
 		t.Errorf("snapshot shed_deadline = %d, want >= %d", got, clients)
@@ -104,7 +101,6 @@ func TestChaosLoadFailureKeepsServing(t *testing.T) {
 	s := New(dep, Config{
 		ModelName: "boot",
 		ModelPath: path,
-		MaxWait:   time.Millisecond,
 		Chaos:     inj,
 	})
 	defer s.Close()
@@ -167,7 +163,7 @@ func TestChaosSlowShadowDropsNotBlocks(t *testing.T) {
 	}
 
 	inj := chaos.New(1, chaos.Fault{Point: chaos.PointShadow, P: 1, Delay: 50 * time.Millisecond})
-	s := New(dep, Config{MaxWait: time.Millisecond, ShadowQueue: 1, Chaos: inj})
+	s := New(dep, Config{ShadowQueue: 1, Chaos: inj})
 	defer s.Close()
 	if _, err := s.AdoptShadow(cand, "slow-canary"); err != nil {
 		t.Fatal(err)
@@ -213,8 +209,8 @@ func TestChaosSlowShadowDropsNotBlocks(t *testing.T) {
 // times out at the header's deadline), and a malformed header is a 400.
 func TestDeadlineHeaderTightensBudget(t *testing.T) {
 	dep := testDeployment(t, 128)
-	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, P: 1, Delay: 80 * time.Millisecond})
-	s := New(dep, Config{MaxWait: time.Millisecond, RequestTimeout: 5 * time.Second, Chaos: inj})
+	inj := chaos.New(1, chaos.Fault{Point: chaos.PointScore, P: 1, Delay: 80 * time.Millisecond})
+	s := New(dep, Config{RequestTimeout: 5 * time.Second, Chaos: inj})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"hdfe/internal/drift"
 	"hdfe/internal/synth"
@@ -20,9 +19,6 @@ func driftServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *bytes.Bu
 	t.Helper()
 	var logBuf bytes.Buffer
 	cfg.Logger = slog.New(slog.NewJSONHandler(&logBuf, nil))
-	if cfg.MaxWait == 0 {
-		cfg.MaxWait = time.Millisecond
-	}
 	s := New(testDeployment(t, 256), cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
@@ -289,7 +285,7 @@ func TestBatchRequestIDsAlign(t *testing.T) {
 func TestDriftDisabledWithoutReference(t *testing.T) {
 	dep := testDeployment(t, 256)
 	dep.Ref = nil
-	s := New(dep, Config{MaxWait: time.Millisecond})
+	s := New(dep, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -68,9 +68,9 @@ func (s *Server) acquireActive() *modelState {
 }
 
 // checkSchema verifies that sc is hot-swappable with the active model:
-// identical feature schemas, position by position. Requests validated
-// against one model may be scored by the other if a swap lands between
-// validation and scoring, so the schemas must agree exactly.
+// identical feature schemas, position by position. Clients send features
+// positionally against the schema they were built for, so a swap must
+// not change it.
 func (s *Server) checkSchema(sc core.Scorer) error {
 	cur := s.activeState().scorer.Specs()
 	next := sc.Specs()
@@ -88,7 +88,7 @@ func (s *Server) checkSchema(sc core.Scorer) error {
 
 // AdoptAndPromote registers an in-process scorer (no backing file) and
 // promotes it to active after the schema check. The replaced model
-// retires gracefully: it finishes its in-flight batches, then drains.
+// retires gracefully: it finishes its in-flight requests, then drains.
 func (s *Server) AdoptAndPromote(sc core.Scorer, name string) (registry.Info, error) {
 	if err := s.checkSchema(sc); err != nil {
 		return registry.Info{}, err

@@ -57,7 +57,7 @@ func getModels(t *testing.T, ts *httptest.Server) modelsResponse {
 
 func TestModelsEndpoint(t *testing.T) {
 	dep := testDeployment(t, 128)
-	s := New(dep, Config{ModelName: "boot", MaxWait: time.Millisecond})
+	s := New(dep, Config{ModelName: "boot"})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -99,7 +99,7 @@ func TestAdminLoadModel(t *testing.T) {
 	depB := altDeployment(t, 128)
 	pathB := saveDeployment(t, depB, "b.bin")
 
-	s := New(depA, Config{ModelName: "boot", MaxWait: time.Millisecond})
+	s := New(depA, Config{ModelName: "boot"})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -206,7 +206,7 @@ func TestScoreDuringSwapBitIdentical(t *testing.T) {
 		t.Fatalf("test vacuous: both models score %v for the probe row", wantA)
 	}
 
-	s := New(depA, Config{ModelName: "a", MaxWait: 100 * time.Microsecond})
+	s := New(depA, Config{ModelName: "a"})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -287,7 +287,7 @@ func TestScoreDuringSwapBitIdentical(t *testing.T) {
 func TestShadowScoringComparesModels(t *testing.T) {
 	depA := testDeployment(t, 128)
 	depB := altDeployment(t, 128)
-	s := New(depA, Config{ModelName: "a", MaxWait: time.Millisecond})
+	s := New(depA, Config{ModelName: "a"})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -381,7 +381,7 @@ func TestShadowScoringComparesModels(t *testing.T) {
 // TestAdoptAndPromoteSchemaGate pins that in-process promotion runs the
 // same schema check as artifact loads.
 func TestAdoptAndPromoteSchemaGate(t *testing.T) {
-	s := New(testDeployment(t, 128), Config{MaxWait: time.Millisecond})
+	s := New(testDeployment(t, 128), Config{})
 	defer s.Close()
 
 	d := synth.PimaM(7)
@@ -408,7 +408,7 @@ func TestReloadModel(t *testing.T) {
 	dep := testDeployment(t, 128)
 	path := saveDeployment(t, dep, "model.bin")
 
-	s := New(dep, Config{ModelName: "demo", MaxWait: time.Millisecond})
+	s := New(dep, Config{ModelName: "demo"})
 	if _, err := s.ReloadModel(); err == nil {
 		t.Error("ReloadModel on an in-process model succeeded")
 	}
@@ -418,7 +418,7 @@ func TestReloadModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := New(loaded, Config{ModelName: "disk", ModelPath: path, ModelSHA256: sha, MaxWait: time.Millisecond})
+	s2 := New(loaded, Config{ModelName: "disk", ModelPath: path, ModelSHA256: sha})
 	defer s2.Close()
 	info, err := s2.ReloadModel()
 	if err != nil {

@@ -9,32 +9,6 @@ import (
 	"hdfe/internal/obs"
 )
 
-// Batch-size histogram buckets: 1, 2, 3-4, 5-8, ..., 65+. Power-of-two
-// bucketing keeps the histogram meaningful for any maxBatch without
-// configuration.
-var batchBucketLabels = [...]string{"1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", "65+"}
-
-func batchBucket(n int) int {
-	switch {
-	case n <= 1:
-		return 0
-	case n == 2:
-		return 1
-	case n <= 4:
-		return 2
-	case n <= 8:
-		return 3
-	case n <= 16:
-		return 4
-	case n <= 32:
-		return 5
-	case n <= 64:
-		return 6
-	default:
-		return 7
-	}
-}
-
 // latencyBuckets are exponential upper bounds in microseconds: 50µs
 // doubling up to ~1.6s, plus an overflow bucket.
 const numLatencyBuckets = 16
@@ -54,12 +28,8 @@ type Metrics struct {
 	batchRequests  atomic.Uint64 // POST /v1/score/batch
 	recordsScored  atomic.Uint64 // records through either endpoint
 	validationErrs atomic.Uint64 // 4xx from request validation
-	timeouts       atomic.Uint64 // requests abandoned on context expiry
+	timeouts       atomic.Uint64 // requests shed past their deadline (504)
 	errors         atomic.Uint64 // other 4xx/5xx
-
-	batches             atomic.Uint64 // microbatcher ScoreBatch calls
-	microbatchedRecords atomic.Uint64 // records scored through the batcher
-	batchHist           [len(batchBucketLabels)]atomic.Uint64
 
 	shed [numShedReasons]atomic.Uint64 // overload-protection rejections by reason
 
@@ -91,9 +61,8 @@ const (
 	// ShedQueueFull: the admission gate's in-flight budget was exhausted
 	// (429 + Retry-After).
 	ShedQueueFull ShedReason = iota
-	// ShedDeadline: a queued record's deadline expired before its batch
-	// was scored, so the batch loop abandoned it before encode/score
-	// work was spent.
+	// ShedDeadline: the request's deadline passed before encode, so it
+	// was answered 504 without being encoded.
 	ShedDeadline
 	// ShedDraining: the request arrived after shutdown began (503).
 	ShedDraining
@@ -116,13 +85,6 @@ func (m *Metrics) Shed(r ShedReason) { m.shed[r].Add(1) }
 
 // ShedCount reads one reason's counter.
 func (m *Metrics) ShedCount(r ShedReason) uint64 { return m.shed[r].Load() }
-
-// ObserveBatch records one microbatcher batch of n records.
-func (m *Metrics) ObserveBatch(n int) {
-	m.batches.Add(1)
-	m.microbatchedRecords.Add(uint64(n))
-	m.batchHist[batchBucket(n)].Add(1)
-}
 
 // ObserveLatencyTrace records one end-to-end request latency, pinning
 // traceID as the bucket's exemplar (skipped when empty).
@@ -184,35 +146,26 @@ func (m *Metrics) quantile(q float64) time.Duration {
 	return latencyBound(numLatencyBuckets-1) * 2
 }
 
-// BatchBucket is one batch-size histogram cell.
-type BatchBucket struct {
-	Size  string `json:"size"`
-	Count uint64 `json:"count"`
-}
-
 // Snapshot is the JSON shape of /metrics.
 type Snapshot struct {
-	UptimeSeconds    float64       `json:"uptime_seconds"`
-	ScoreRequests    uint64        `json:"score_requests"`
-	BatchRequests    uint64        `json:"batch_requests"`
-	RecordsScored    uint64        `json:"records_scored"`
-	ValidationErrors uint64        `json:"validation_errors"`
-	Timeouts         uint64        `json:"timeouts"`
-	Errors           uint64        `json:"errors"`
-	ShedQueueFull    uint64        `json:"shed_queue_full"`
-	ShedDeadline     uint64        `json:"shed_deadline"`
-	ShedDraining     uint64        `json:"shed_draining"`
-	Batches          uint64        `json:"batches"`
-	MeanBatchSize    float64       `json:"mean_batch_size"`
-	BatchSizes       []BatchBucket `json:"batch_size_histogram"`
-	LatencyP50Micros float64       `json:"latency_p50_us"`
-	LatencyP90Micros float64       `json:"latency_p90_us"`
-	LatencyP99Micros float64       `json:"latency_p99_us"`
+	UptimeSeconds    float64 `json:"uptime_seconds"`
+	ScoreRequests    uint64  `json:"score_requests"`
+	BatchRequests    uint64  `json:"batch_requests"`
+	RecordsScored    uint64  `json:"records_scored"`
+	ValidationErrors uint64  `json:"validation_errors"`
+	Timeouts         uint64  `json:"timeouts"`
+	Errors           uint64  `json:"errors"`
+	ShedQueueFull    uint64  `json:"shed_queue_full"`
+	ShedDeadline     uint64  `json:"shed_deadline"`
+	ShedDraining     uint64  `json:"shed_draining"`
+	LatencyP50Micros float64 `json:"latency_p50_us"`
+	LatencyP90Micros float64 `json:"latency_p90_us"`
+	LatencyP99Micros float64 `json:"latency_p99_us"`
 }
 
 // Snapshot materializes the current counters.
 func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
+	return Snapshot{
 		UptimeSeconds:    time.Since(m.start).Seconds(),
 		ScoreRequests:    m.scoreRequests.Load(),
 		BatchRequests:    m.batchRequests.Load(),
@@ -223,25 +176,15 @@ func (m *Metrics) Snapshot() Snapshot {
 		ShedQueueFull:    m.shed[ShedQueueFull].Load(),
 		ShedDeadline:     m.shed[ShedDeadline].Load(),
 		ShedDraining:     m.shed[ShedDraining].Load(),
-		Batches:          m.batches.Load(),
 		LatencyP50Micros: float64(m.quantile(0.50)) / float64(time.Microsecond),
 		LatencyP90Micros: float64(m.quantile(0.90)) / float64(time.Microsecond),
 		LatencyP99Micros: float64(m.quantile(0.99)) / float64(time.Microsecond),
 	}
-	for i := range m.batchHist {
-		s.BatchSizes = append(s.BatchSizes, BatchBucket{Size: batchBucketLabels[i], Count: m.batchHist[i].Load()})
-	}
-	if s.Batches > 0 {
-		// Mean over microbatched records only; the batch endpoint bypasses
-		// the batcher and is excluded so the mean reflects coalescing.
-		s.MeanBatchSize = float64(m.microbatchedRecords.Load()) / float64(s.Batches)
-	}
-	return s
 }
 
 // String renders a terse one-line summary, handy in logs.
 func (s Snapshot) String() string {
-	return fmt.Sprintf("score=%d batch=%d records=%d batches=%d mean_batch=%.2f p50=%.0fus p99=%.0fus",
-		s.ScoreRequests, s.BatchRequests, s.RecordsScored, s.Batches,
-		s.MeanBatchSize, s.LatencyP50Micros, s.LatencyP99Micros)
+	return fmt.Sprintf("score=%d batch=%d records=%d p50=%.0fus p99=%.0fus",
+		s.ScoreRequests, s.BatchRequests, s.RecordsScored,
+		s.LatencyP50Micros, s.LatencyP99Micros)
 }

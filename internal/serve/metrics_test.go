@@ -5,47 +5,26 @@ import (
 	"time"
 )
 
-func TestBatchBuckets(t *testing.T) {
-	cases := []struct {
-		n    int
-		want string
-	}{
-		{1, "1"}, {2, "2"}, {3, "3-4"}, {4, "3-4"}, {5, "5-8"}, {8, "5-8"},
-		{9, "9-16"}, {16, "9-16"}, {17, "17-32"}, {32, "17-32"},
-		{33, "33-64"}, {64, "33-64"}, {65, "65+"}, {1000, "65+"},
-	}
-	for _, tc := range cases {
-		if got := batchBucketLabels[batchBucket(tc.n)]; got != tc.want {
-			t.Errorf("batchBucket(%d) = %s, want %s", tc.n, got, tc.want)
-		}
-	}
-}
-
 func TestMetricsSnapshot(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveBatch(1)
-	m.ObserveBatch(7)
-	m.ObserveBatch(7)
 	m.scoreRequests.Add(3)
+	m.batchRequests.Add(2)
 	m.recordsScored.Add(15)
+	m.timeouts.Add(1)
+	m.Shed(ShedQueueFull)
+	m.Shed(ShedQueueFull)
+	m.Shed(ShedDeadline)
+	m.ObserveLatencyTrace(40*time.Microsecond, "")
 	s := m.Snapshot()
-	if s.Batches != 3 {
-		t.Errorf("batches %d", s.Batches)
+	if s.ScoreRequests != 3 || s.BatchRequests != 2 || s.RecordsScored != 15 || s.Timeouts != 1 {
+		t.Errorf("request counters %+v", s)
 	}
-	if want := 15.0 / 3.0; s.MeanBatchSize != want {
-		t.Errorf("mean batch size %v, want %v", s.MeanBatchSize, want)
+	if s.ShedQueueFull != 2 || s.ShedDeadline != 1 || s.ShedDraining != 0 {
+		t.Errorf("shed queue_full=%d deadline=%d draining=%d, want 2/1/0",
+			s.ShedQueueFull, s.ShedDeadline, s.ShedDraining)
 	}
-	var ones, mids uint64
-	for _, b := range s.BatchSizes {
-		switch b.Size {
-		case "1":
-			ones = b.Count
-		case "5-8":
-			mids = b.Count
-		}
-	}
-	if ones != 1 || mids != 2 {
-		t.Errorf("histogram ones=%d mids=%d, want 1/2", ones, mids)
+	if s.LatencyP50Micros != 50 {
+		t.Errorf("p50 %vµs, want the 50µs bucket edge", s.LatencyP50Micros)
 	}
 }
 

@@ -110,7 +110,6 @@ func TestLoadProfilerOnBitIdentical(t *testing.T) {
 	const clients = 64
 	dep := testDeployment(t, 1024)
 	s := New(dep, Config{
-		MaxBatch: 64, MaxWait: 500 * time.Microsecond,
 		MaxInFlight: -1,
 		Prof: prof.Config{
 			Interval:    150 * time.Millisecond,
@@ -421,9 +420,8 @@ func TestProfChaosInjection(t *testing.T) {
 	}
 	dep := testDeployment(t, 128)
 	s := New(dep, Config{
-		MaxWait: time.Millisecond,
-		Chaos:   inj,
-		Prof:    prof.Config{Interval: -1, Watchdog: prof.WatchdogConfig{Disable: true}},
+		Chaos: inj,
+		Prof:  prof.Config{Interval: -1, Watchdog: prof.WatchdogConfig{Disable: true}},
 	})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())

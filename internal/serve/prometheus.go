@@ -10,14 +10,9 @@ import (
 	"hdfe/internal/obs/slo"
 )
 
-// batchSizeBounds are the cumulative upper bounds matching the
-// power-of-two batchHist cells ("1","2","3-4",...,"33-64"); the trailing
-// "65+" cell becomes the +Inf bucket.
-var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64}
-
 // handleMetricsProm serves the Prometheus text-format exposition: every
 // counter the JSON snapshot carries, the per-stage pipeline histograms,
-// batcher gauges, Go runtime stats, and build info.
+// the admission gauge, Go runtime stats, and build info.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	p := obs.NewPromWriter(w)
@@ -45,10 +40,6 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	p.Value("hdserve_timeouts_total", float64(m.timeouts.Load()))
 	p.Header("hdserve_errors_total", "counter", "Other 4xx/5xx responses.")
 	p.Value("hdserve_errors_total", float64(m.errors.Load()))
-	p.Header("hdserve_batches_total", "counter", "Microbatcher ScoreBatch calls.")
-	p.Value("hdserve_batches_total", float64(m.batches.Load()))
-	p.Header("hdserve_microbatched_records_total", "counter", "Records scored through the microbatcher.")
-	p.Value("hdserve_microbatched_records_total", float64(m.microbatchedRecords.Load()))
 
 	p.Header("hdfe_shed_total", "counter", "Requests refused by overload protection, by reason.")
 	for r := ShedReason(0); r < numShedReasons; r++ {
@@ -56,23 +47,6 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	}
 	p.Header("hdserve_inflight_records", "gauge", "Records currently admitted past the overload gate.")
 	p.Value("hdserve_inflight_records", float64(s.adm.Inflight()))
-
-	p.Header("hdserve_batcher_queue_depth", "gauge", "Requests waiting for the batch loop.")
-	p.Value("hdserve_batcher_queue_depth", float64(s.batcher.QueueDepth()))
-	p.Header("hdserve_batcher_accepting", "gauge", "1 while the batcher accepts requests, 0 once draining.")
-	accepting := 1.0
-	if s.batcher.Draining() {
-		accepting = 0
-	}
-	p.Value("hdserve_batcher_accepting", accepting)
-
-	p.Header("hdserve_batch_size", "histogram", "Microbatch sizes (records per ScoreBatch call).")
-	sizeCounts := make([]uint64, len(m.batchHist))
-	for i := range m.batchHist {
-		sizeCounts[i] = m.batchHist[i].Load()
-	}
-	p.Histogram("hdserve_batch_size", batchSizeBounds, sizeCounts,
-		float64(m.microbatchedRecords.Load()))
 
 	p.Header("hdserve_request_duration_seconds", "histogram", "End-to-end request latency.")
 	latBounds := make([]float64, numLatencyBuckets)
@@ -86,7 +60,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 		float64(m.latencySum.Load())/1e9, m.latencyExemplars())
 
 	p.Header("hdserve_stage_duration_seconds", "histogram",
-		"Per-request pipeline stage time (validate, batch_wait, encode, score, respond).")
+		"Per-request pipeline stage time (validate, encode, score, respond).")
 	stageBounds := make([]float64, obs.NumLatencyBuckets)
 	for i := range stageBounds {
 		stageBounds[i] = obs.LatencyBound(i).Seconds()

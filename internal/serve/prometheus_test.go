@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"hdfe/internal/obs"
 	"hdfe/internal/synth"
@@ -71,14 +70,9 @@ var promFamilies = []string{
 	"hdfe_trace_export_failures_total counter",
 	"hdfe_trace_exported_total counter",
 	"hdfe_trace_sampled_total counter",
-	"hdserve_batch_size histogram",
-	"hdserve_batcher_accepting gauge",
-	"hdserve_batcher_queue_depth gauge",
-	"hdserve_batches_total counter",
 	"hdserve_build_info gauge",
 	"hdserve_errors_total counter",
 	"hdserve_inflight_records gauge",
-	"hdserve_microbatched_records_total counter",
 	"hdserve_model_swaps_total counter",
 	"hdserve_records_scored_total counter",
 	"hdserve_request_duration_seconds histogram",
@@ -110,7 +104,7 @@ func scrape(t *testing.T, ts *httptest.Server) (string, *http.Response) {
 
 func TestPrometheusExposition(t *testing.T) {
 	dep := testDeployment(t, 256)
-	s := New(dep, Config{ModelName: "prom-test", MaxWait: time.Millisecond})
+	s := New(dep, Config{ModelName: "prom-test"})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -160,7 +154,6 @@ func TestPrometheusExposition(t *testing.T) {
 		`hdserve_stage_duration_seconds_bucket{stage="encode",le="+Inf"}`,
 		`hdserve_requests_total{route="score"} 1`,
 		`hdserve_requests_total{route="score_batch"} 1`,
-		`hdserve_batch_size_bucket{le="1"}`,
 		`hdserve_request_duration_seconds_bucket{le="+Inf"} 2`,
 		`hdserve_build_info{go_version="`,
 		`model="prom-test"`,
@@ -171,8 +164,8 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 
 	// The traced stages must carry real time: the single-record request
-	// crossed validate, batch_wait, encode, score, and respond.
-	for _, stage := range []string{"validate", "batch_wait", "encode", "score", "respond"} {
+	// crossed validate, encode, score, and respond.
+	for _, stage := range []string{"validate", "encode", "score", "respond"} {
 		marker := `hdserve_stage_duration_seconds_count{stage="` + stage + `"} 0`
 		if strings.Contains(body, marker) {
 			t.Errorf("stage %q has zero observations after a scored request", stage)
@@ -182,7 +175,7 @@ func TestPrometheusExposition(t *testing.T) {
 
 func TestTracesEndpoint(t *testing.T) {
 	dep := testDeployment(t, 256)
-	s := New(dep, Config{MaxWait: time.Millisecond, TraceBuffer: 8})
+	s := New(dep, Config{TraceBuffer: 8})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -217,7 +210,7 @@ func TestTracesEndpoint(t *testing.T) {
 	if first.TotalMicros <= 0 {
 		t.Errorf("trace total %v, want > 0", first.TotalMicros)
 	}
-	for _, stage := range []string{"validate", "batch_wait", "encode", "score", "respond"} {
+	for _, stage := range []string{"validate", "encode", "score", "respond"} {
 		if first.Stages[stage] < 0 {
 			t.Errorf("stage %s = %v, want >= 0", stage, first.Stages[stage])
 		}
@@ -238,7 +231,7 @@ func TestTracesEndpoint(t *testing.T) {
 
 func TestMetricsJSONHeadersAndShape(t *testing.T) {
 	dep := testDeployment(t, 256)
-	s := New(dep, Config{MaxWait: time.Millisecond})
+	s := New(dep, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -289,13 +282,13 @@ func TestHealthzDrainState(t *testing.T) {
 	}
 
 	code, body := get()
-	if code != http.StatusOK || body["status"] != "ok" || body["batcher"] != "accepting" {
+	if code != http.StatusOK || body["status"] != "ok" {
 		t.Fatalf("live healthz: %d %v", code, body)
 	}
 
-	s.Close() // batcher drains: load balancers must now see draining
+	s.Close() // an embedder still routing to Handler must now see draining
 	code, body = get()
-	if code != http.StatusServiceUnavailable || body["status"] != "draining" || body["batcher"] != "draining" {
+	if code != http.StatusServiceUnavailable || body["status"] != "draining" {
 		t.Fatalf("draining healthz: %d %v", code, body)
 	}
 }

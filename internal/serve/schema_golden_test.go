@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"hdfe/internal/core"
 	"hdfe/internal/obs"
@@ -112,7 +111,7 @@ func TestResponseSchemaGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dep, Config{ModelName: "golden", MaxWait: time.Millisecond})
+	s := New(dep, Config{ModelName: "golden"})
 	defer s.Close()
 	if _, err := s.AdoptShadow(cand, "golden-shadow"); err != nil {
 		t.Fatal(err)

@@ -2,19 +2,18 @@
 // the repo's first true serving layer, turning the zero-allocation
 // Deployment.Score/ScoreBatch hot path into a network endpoint.
 //
-//   - POST /v1/score        scores one record; single requests are funnelled
-//     through a microbatcher so concurrent traffic coalesces into
-//     ScoreBatch calls instead of per-request encodes.
+//   - POST /v1/score        scores one record on the handler goroutine.
 //   - POST /v1/score/batch  scores many records in one call.
 //   - GET  /healthz         liveness + model identity.
 //   - GET  /metrics         Prometheus text exposition: request and shed
-//     counters, batch-size, latency and per-stage histograms.
+//     counters, latency and per-stage histograms.
 //   - GET  /metrics.json    the counter snapshot as JSON.
 //
 // Requests are validated against the deployment's fitted codebook before
 // they reach the encoders, with per-feature error messages; the NaN and
 // clamping rules mirror the encode package's pinned contract (see
-// Validator). Shutdown is graceful: the HTTP server drains in-flight
-// handlers and the batcher scores every queued request before exiting, so
-// accepted requests never lose their response.
+// Validator). Shutdown is graceful: Serve closes the listener, so new
+// connections are refused, and waits for in-flight handlers to finish, so
+// accepted requests never lose their response. After Close, both scoring
+// routes answer 503.
 package serve

@@ -11,6 +11,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hdfe/internal/chaos"
@@ -25,9 +26,9 @@ import (
 
 // DeadlineHeader is the request header carrying a client-side scoring
 // budget in integer milliseconds. The effective per-request deadline is
-// the smaller of this and the server's RequestTimeout, propagated through
-// context.Context into the batcher so a record past its budget is
-// abandoned before encode/score work is spent on it.
+// the smaller of this and the server's RequestTimeout, counted from the
+// handler's start and checked just before encode, so a record past its
+// budget is shed without being encoded.
 const DeadlineHeader = "X-Request-Deadline-Ms"
 
 const (
@@ -50,11 +51,6 @@ type Config struct {
 	// ModelSHA256 is the hex digest of the boot model's artifact bytes
 	// (registry.ReadFile computes it).
 	ModelSHA256 string
-	// MaxBatch caps microbatch size (default 32).
-	MaxBatch int
-	// MaxWait is how long an open microbatch waits for more requests
-	// before scoring (default 2ms; 0 keeps batching purely opportunistic).
-	MaxWait time.Duration
 	// RequestTimeout bounds one request end to end (default 5s).
 	RequestTimeout time.Duration
 	// ShutdownTimeout bounds the HTTP drain on shutdown (default 10s).
@@ -64,10 +60,6 @@ type Config struct {
 	// a Retry-After hint before any validation or encode work is spent.
 	// Default 1024; negative disables the gate.
 	MaxInFlight int
-	// QueueDepth is the batcher queue capacity. Default
-	// max(4*MaxBatch, MaxInFlight), so the admission gate — not the
-	// queue — is what bounds backlog and a submit never blocks on enqueue.
-	QueueDepth int
 	// RetryAfter is the hint sent in the Retry-After header of 429/503
 	// shed responses (default 1s; rendered in whole seconds, min 1).
 	RetryAfter time.Duration
@@ -102,7 +94,9 @@ type Config struct {
 	// (default 0.05).
 	QualityTolerance float64
 	// ShadowQueue bounds the lossy queue feeding the shadow scoring
-	// worker, in batches (default 64).
+	// worker, in batches (default 64). Each scoring request is one batch:
+	// a /v1/score request queues one record, a /v1/score/batch request
+	// all of its records.
 	ShadowQueue int
 	// Logger receives structured request logs (default: discard).
 	Logger *slog.Logger
@@ -145,21 +139,14 @@ type Config struct {
 	// Audit is the decision audit trail (see internal/obs/audit): when
 	// set, every score/shed/error/feedback/model-swap decision emits one
 	// hash-chained wide event. The server takes ownership and closes the
-	// log last on Close, after the batcher and shadow worker have
-	// drained. Nil — the default — disables auditing at the cost of one
-	// branch per decision.
+	// log last on Close, after the shadow worker has drained. Nil — the
+	// default — disables auditing at the cost of one branch per decision.
 	Audit *audit.Log
 }
 
 func (c Config) withDefaults() Config {
 	if c.ModelName == "" {
 		c.ModelName = "deployment"
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
@@ -171,12 +158,6 @@ func (c Config) withDefaults() Config {
 		c.MaxInFlight = 1024
 	} else if c.MaxInFlight < 0 {
 		c.MaxInFlight = 0 // explicit opt-out: unlimited
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.MaxBatch
-		if c.MaxInFlight > c.QueueDepth {
-			c.QueueDepth = c.MaxInFlight
-		}
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -216,11 +197,11 @@ func (c Config) withDefaults() Config {
 // further models arrive via POST /admin/models/load, SIGHUP (see
 // cmd/hdserve), or the Load*/Adopt* lifecycle methods. Construct with
 // New, mount via Handler (tests) or run with Serve (production), and
-// always Close to drain the batcher and the shadow worker.
+// always Close to stop scoring and drain the shadow worker.
 type Server struct {
 	cfg      Config
 	reg      *registry.Registry
-	batcher  *Batcher
+	draining atomic.Bool // set first thing in Close: scoring routes answer 503
 	shadow   *shadowScorer
 	adm      *admission
 	metrics  *Metrics
@@ -280,8 +261,8 @@ func New(sc core.Scorer, cfg Config) *Server {
 	// trace at or past it is always exported, whatever the head fraction.
 	s.sampler = export.NewSampler(cfg.TraceSample, cfg.TraceSeed,
 		func() time.Duration { return m.quantile(0.99) })
-	// Adopt and promote the boot model before the batcher starts: the
-	// batch loop assumes the active slot is never empty.
+	// Adopt and promote the boot model before serving: every scoring path
+	// assumes the active slot is never empty.
 	s.reg.Promote(s.adopt(sc, cfg.ModelName, cfg.ModelPath, cfg.ModelSHA256))
 	// The continuous profiler inherits the server's seed, logger, and
 	// chaos seam unless the caller overrode them, and stamps captures with
@@ -304,7 +285,6 @@ func New(sc core.Scorer, cfg Config) *Server {
 	s.profiler.Start()
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.RetryAfter)
 	s.shadow = newShadowScorer(s.reg, cfg.ShadowQueue, cfg.RequestTimeout, cfg.Chaos, s.exporter)
-	s.batcher = newBatcher(s.reg, cfg.MaxBatch, cfg.MaxWait, cfg.QueueDepth, m, s.shadow, cfg.Chaos)
 	s.mux.HandleFunc("/v1/score", s.traced("score", s.handleScore))
 	s.mux.HandleFunc("/v1/score/batch", s.traced("score_batch", s.handleScoreBatch))
 	s.mux.HandleFunc("/v1/feedback", s.handleFeedback)
@@ -345,17 +325,18 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // Tracer exposes the server's pipeline tracer.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// Close drains and stops the microbatcher, then the shadow worker, then
-// the span exporter (in that order: the shadow worker may still emit
+// Close stops accepting scoring requests (both scoring routes answer 503
+// from then on), then drains and stops the shadow worker, then the span
+// exporter (in that order: the shadow worker may still emit
 // disagreement spans while draining), and finally the audit log — last,
 // so every decision the drained handlers emitted still reaches the
 // chain. Call after the HTTP listener has stopped accepting requests
 // (Serve does this in order).
 func (s *Server) Close() {
-	// Profiler first: it interrupts any in-flight capture immediately and
+	s.draining.Store(true)
+	// Profiler next: it interrupts any in-flight capture immediately and
 	// restores the process-global mutex/block profiling rates.
 	s.profiler.Close()
-	s.batcher.Close()
 	s.shadow.close()
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
 	defer cancel()
@@ -364,9 +345,10 @@ func (s *Server) Close() {
 }
 
 // Serve runs the service on ln until ctx is cancelled, then shuts down
-// gracefully: the HTTP server drains in-flight handlers (bounded by
-// ShutdownTimeout), and only then the batcher closes — so every accepted
-// request is scored and answered before Serve returns.
+// gracefully: the HTTP server closes the listener, so new connections are
+// refused, and waits for in-flight handlers (bounded by ShutdownTimeout);
+// only then does Close run — so every accepted request is scored and
+// answered before Serve returns.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{Handler: s.mux}
 	errc := make(chan error, 1)
@@ -561,11 +543,11 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	return true
 }
 
-// handleScore scores one record through the microbatcher. Validation
-// uses the currently active model's schema; scoring uses whatever model
-// is active when the batch forms (the schemas are identical — checkSchema
-// gates every load). All drift/quality attribution goes to the model
-// that actually scored the record.
+// handleScore scores one record on the handler goroutine. The active
+// model is acquired once, so validation, warnings, the score, ?explain,
+// drift observation and the audit event all name the same version, and
+// a concurrent promote retires the old model only after this request
+// releases it.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -593,8 +575,14 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 	if !s.decode(w, r, at, &req) {
 		return
 	}
+	if s.draining.Load() {
+		s.shed(w, at, http.StatusServiceUnavailable, ShedDraining, "server shutting down")
+		return
+	}
+	st := s.acquireActive()
+	defer st.release()
 	tValidate := time.Now()
-	row, warnings, err := s.activeState().val.Validate(req.Features, nil)
+	row, warnings, err := st.val.Validate(req.Features, nil)
 	validateDur := time.Since(tValidate)
 	at.Step(obs.StageValidate)
 	if err != nil {
@@ -606,49 +594,27 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 		}
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
-	score, bt, st, err := s.batcher.submitTimed(ctx, row, at.Context())
-	switch {
-	case errors.Is(err, ErrClosed):
-		s.shed(w, at, http.StatusServiceUnavailable, ShedDraining, "server shutting down")
-		return
-	case errors.Is(err, ErrQueueFull):
-		s.shed(w, at, http.StatusTooManyRequests, ShedQueueFull, "server overloaded")
-		return
-	case errors.Is(err, context.DeadlineExceeded):
-		// The whole budget went to queueing — attribute it to batch_wait
-		// so /debug/traces shows where timed-out requests spent their
-		// time, then answer 504.
-		at.Step(obs.StageBatchWait)
+	// Fault seam: a configured stall lands at the start of the encode
+	// stage and before the deadline check, so a stalled request shows the
+	// stall under encode and is shed without being encoded.
+	_ = s.cfg.Chaos.Inject(chaos.PointScore)
+	at.Step(obs.StageEncode)
+	if time.Since(start) > budget {
 		at.SetShed(ShedDeadline.String())
+		s.metrics.Shed(ShedDeadline)
 		s.metrics.timeouts.Add(1)
 		s.auditOutcome(at, audit.OutcomeShed, ShedDeadline.String())
 		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "scoring timed out", TraceID: traceIDOf(at)})
 		return
-	case err != nil:
-		s.metrics.errors.Add(1)
-		s.auditOutcome(at, audit.OutcomeError, err.Error())
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error(), TraceID: traceIDOf(at)})
-		return
 	}
-	// The batcher measured where the submit interval actually went; fold
-	// its breakdown in and restart the stage clock for the response.
-	at.Add(obs.StageBatchWait, bt.Wait)
-	at.Add(obs.StageEncode, bt.Encode)
-	at.Add(obs.StageScore, bt.Distance)
-	at.SetBatch(bt.Size)
+	scores, encDur, distDur := s.scoreRows(st, [][]float64{row}, at)
+	score := scores[0]
 	at.SetModel(st.version())
-	at.Mark()
-	s.metrics.recordsScored.Add(1)
 	resp := scoreResponse{RequestID: requestID(at.ID()), Score: score, ModelVersion: st.version(), Warnings: warnings}
 	if score >= 0.5 {
 		resp.Prediction = 1
 	}
 	if explainK > 0 {
-		// Explain against the same modelState that scored the record, so
-		// the contributions (and the audit event) attribute to the exact
-		// model version even when a hot-swap landed mid-request.
 		resp.Explain = explainTopK(st.scorer.Explain(row), explainK)
 	}
 	st.drift.observeRow(row)
@@ -657,20 +623,18 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 	writeJSON(w, http.StatusOK, resp)
 	at.Step(obs.StageRespond)
 	s.auditScored(at, st, row, resp, audit.Stages{
-		ValidateUs:  validateDur.Microseconds(),
-		BatchWaitUs: bt.Wait.Microseconds(),
-		EncodeUs:    bt.Encode.Microseconds(),
-		ScoreUs:     bt.Distance.Microseconds(),
-	}, bt.Size)
+		ValidateUs: validateDur.Microseconds(),
+		EncodeUs:   encDur.Microseconds(),
+		ScoreUs:    distDur.Microseconds(),
+	}, 0)
 	s.metrics.ObserveLatencyTrace(time.Since(start), traceIDOf(at))
 }
 
 // handleScoreBatch scores an already-batched request directly through
-// the active scorer — it is the client-side batching fast path and does
-// not pass through the microbatcher. The model is acquired once for the
-// whole request: validation, scoring, and attribution all see the same
-// version, and a concurrent promote retires the old model only after
-// this batch finishes.
+// the active scorer — the client-side batching fast path. The model is
+// acquired once for the whole request: validation, scoring, and
+// attribution all see the same version, and a concurrent promote retires
+// the old model only after this batch finishes.
 func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -690,7 +654,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 			fmt.Sprintf("%d records exceeds the %d-record batch limit", len(req.Records), maxBatchRecords), nil, 0)
 		return
 	}
-	if s.batcher.Draining() {
+	if s.draining.Load() {
 		s.shed(w, at, http.StatusServiceUnavailable, ShedDraining, "server shutting down")
 		return
 	}
@@ -727,20 +691,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 		st.drift.observeRow(row)
 	}
 	at.Step(obs.StageValidate)
-	var acc obs.StageAccum
-	scores := st.scorer.ScoreBatchIntoObserved(rows, nil, &acc)
-	// Every record in a client-side batch shares the request's trace
-	// context, so a shadow disagreement on any of them joins this trace.
-	tcs := make([]obs.TraceContext, len(rows))
-	for i := range tcs {
-		tcs[i] = at.Context()
-	}
-	s.shadow.submit(rows, scores, tcs)
-	encTotal, distTotal, _ := acc.Totals()
-	at.Add(obs.StageEncode, encTotal)
-	at.Add(obs.StageScore, distTotal)
-	at.SetBatch(len(rows))
-	at.Mark()
+	scores, encTotal, distTotal := s.scoreRows(st, rows, at)
 	preds := make([]int, len(scores))
 	ids := make([]string, len(scores))
 	for i, sc := range scores {
@@ -751,7 +702,6 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 		st.drift.scores.Observe(sc)
 		st.drift.quality.Record(ids[i], preds[i])
 	}
-	s.metrics.recordsScored.Add(uint64(len(scores)))
 	writeJSON(w, http.StatusOK, batchScoreResponse{
 		RequestIDs: ids, Scores: scores, Predictions: preds,
 		ModelVersion: st.version(), Warnings: allWarnings,
@@ -774,6 +724,24 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 	s.metrics.ObserveLatencyTrace(time.Since(start), traceIDOf(at))
 }
 
+// scoreRows scores validated rows with st's model, books the encode and
+// score time on the trace, hands a copy to the shadow comparison and
+// counts the records. Both scoring routes score through it.
+func (s *Server) scoreRows(st *modelState, rows [][]float64, at *obs.ActiveTrace) (scores []float64, enc, dist time.Duration) {
+	var acc obs.StageAccum
+	scores = st.scorer.ScoreBatchIntoObserved(rows, nil, &acc)
+	// Every record shares the request's trace context, so a shadow
+	// disagreement on any of them joins this trace.
+	s.shadow.submit(rows, scores, at.Context())
+	enc, dist, _ = acc.Totals()
+	at.Add(obs.StageEncode, enc)
+	at.Add(obs.StageScore, dist)
+	at.SetBatch(len(rows))
+	at.Mark()
+	s.metrics.recordsScored.Add(uint64(len(rows)))
+	return scores, enc, dist
+}
+
 // requestBudget resolves one request's end-to-end scoring budget: the
 // configured RequestTimeout, tightened — never widened — by the client's
 // DeadlineHeader when present.
@@ -792,19 +760,19 @@ func (s *Server) requestBudget(r *http.Request) (time.Duration, error) {
 	return s.cfg.RequestTimeout, nil
 }
 
-// handleHealthz reports liveness, the active model's identity, and the
-// batcher state. While draining it answers 503 so load balancers pull
-// the instance before the listener disappears.
+// handleHealthz reports liveness and the active model's identity. After
+// Close it answers 503 with status "draining"; under Serve the listener
+// is already closed by then, so only an embedder still routing to
+// Handler sees it.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.activeState()
 	info := st.model.Info()
-	status, state, code := "ok", "accepting", http.StatusOK
-	if s.batcher.Draining() {
-		status, state, code = "draining", "draining", http.StatusServiceUnavailable
+	status, code := "ok", http.StatusOK
+	if s.draining.Load() {
+		status, code = "draining", http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, map[string]any{
 		"status":        status,
-		"batcher":       state,
 		"model":         info.Name,
 		"model_version": info.Version,
 		"dim":           info.Dim,
@@ -819,8 +787,8 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 
 // handleTraces serves the tracer's rings: the most recent and the
 // slowest requests, each with a per-stage breakdown in microseconds and
-// its batch attribution (W3C trace ID, microbatch size, model version,
-// shed reason).
+// its attribution (W3C trace ID, batch size, model version, shed
+// reason).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	recent, slowest := s.tracer.TraceViews()
 	writeJSON(w, http.StatusOK, map[string]any{

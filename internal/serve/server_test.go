@@ -10,13 +10,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hdfe/internal/chaos"
 	"hdfe/internal/core"
-	"hdfe/internal/obs"
 	"hdfe/internal/synth"
 )
 
@@ -61,7 +62,7 @@ func floats(vs ...float64) []*float64 {
 
 func TestScoreMatchesDirectScore(t *testing.T) {
 	dep := testDeployment(t, 256)
-	s := New(dep, Config{MaxWait: time.Millisecond})
+	s := New(dep, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -92,7 +93,7 @@ func TestScoreMatchesDirectScore(t *testing.T) {
 
 func TestScoreMissingValueMatchesNaNContract(t *testing.T) {
 	dep := testDeployment(t, 256)
-	s := New(dep, Config{MaxWait: time.Millisecond})
+	s := New(dep, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -226,8 +227,8 @@ func TestHealthz(t *testing.T) {
 // TestLoadConcurrentClients is the acceptance load test: 64 concurrent
 // clients, 500 single-record requests each, against one server instance.
 // Every answer must be bit-identical to a direct Deployment.Score call,
-// and the microbatcher must demonstrably coalesce (batch-size histogram
-// mass above size 1). Run with -race in CI (make test-race).
+// and every request must cross every pipeline stage. Run with -race in
+// CI (make test-race).
 func TestLoadConcurrentClients(t *testing.T) {
 	const (
 		clients     = 64
@@ -235,7 +236,7 @@ func TestLoadConcurrentClients(t *testing.T) {
 		distinctRow = 100
 	)
 	dep := testDeployment(t, 128)
-	s := New(dep, Config{MaxBatch: 64, MaxWait: 500 * time.Microsecond})
+	s := New(dep, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -310,21 +311,6 @@ func TestLoadConcurrentClients(t *testing.T) {
 	if snap.RecordsScored != clients*perClient {
 		t.Errorf("records_scored = %d, want %d", snap.RecordsScored, clients*perClient)
 	}
-	if snap.Batches == 0 {
-		t.Fatal("no batches recorded")
-	}
-	var coalesced uint64
-	for _, b := range snap.BatchSizes {
-		if b.Size != "1" {
-			coalesced += b.Count
-		}
-	}
-	if coalesced == 0 {
-		t.Errorf("batch-size histogram %+v has no batches above size 1: microbatcher never coalesced", snap.BatchSizes)
-	}
-	if snap.MeanBatchSize <= 1.0 {
-		t.Errorf("mean batch size %v, want > 1 under %d concurrent clients", snap.MeanBatchSize, clients)
-	}
 	// The tracer ran for every one of those bit-identical responses: all
 	// 32k requests crossed every pipeline stage, so concurrent scoring
 	// under the tracer is exactly untraced scoring plus accounting.
@@ -342,13 +328,14 @@ func TestLoadConcurrentClients(t *testing.T) {
 
 // TestGracefulShutdownDrains verifies the drain contract: requests
 // accepted before shutdown all receive correct responses, even when they
-// are sitting in an open microbatch when the listener closes.
+// are still short of encode when the listener closes.
 func TestGracefulShutdownDrains(t *testing.T) {
 	const inflight = 96
 	dep := testDeployment(t, 128)
-	// A large MaxBatch and long MaxWait hold requests in an open batch so
-	// shutdown provably overlaps queued work.
-	s := New(dep, Config{MaxBatch: 256, MaxWait: 300 * time.Millisecond, RequestTimeout: 10 * time.Second})
+	// A 300ms stall at the score point holds every handler between
+	// validation and encode, so shutdown provably overlaps unscored work.
+	inj := chaos.New(1, chaos.Fault{Point: chaos.PointScore, P: 1, Delay: 300 * time.Millisecond})
+	s := New(dep, Config{RequestTimeout: 10 * time.Second, Chaos: inj})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +387,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 
 	// Wait until every request has been accepted by a handler (the counter
-	// increments at handler entry), then pull the plug mid-batch.
+	// increments at handler entry), then pull the plug mid-stall.
 	deadline := time.Now().Add(10 * time.Second)
 	for s.metrics.scoreRequests.Load() < inflight {
 		if time.Now().After(deadline) {
@@ -431,7 +418,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestServeListenerError ensures Serve surfaces listener failures and
-// still closes the batcher.
+// still closes the server, so scoring through Handler is refused.
 func TestServeListenerError(t *testing.T) {
 	dep := testDeployment(t, 128)
 	s := New(dep, Config{})
@@ -443,7 +430,14 @@ func TestServeListenerError(t *testing.T) {
 	if err := s.Serve(context.Background(), ln); err == nil {
 		t.Fatal("Serve on a closed listener succeeded")
 	}
-	if _, _, _, err := s.batcher.submitTimed(context.Background(), synth.PimaM(7).X[0], obs.TraceContext{}); err != ErrClosed {
-		t.Fatalf("batcher accepting work after Serve returned: %v", err)
+	for route, body := range map[string]string{
+		"/v1/score":       `{"features":[]}`,
+		"/v1/score/batch": `{"records":[[]]}`,
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, strings.NewReader(body)))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s answered %d after Serve returned, want 503", route, rec.Code)
+		}
 	}
 }

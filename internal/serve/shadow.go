@@ -63,15 +63,15 @@ type shadowDebug struct {
 	shadowSnapshot
 }
 
-// shadowBatch is one scored batch queued for shadow comparison: a deep
-// copy of the validated rows plus the active model's scores for them.
-// enq is the submission time — the worker discards batches older than
-// the per-request budget instead of burning encode time on comparisons
-// nobody is waiting for.
+// shadowBatch is one scored request queued for shadow comparison: a
+// deep copy of its validated rows plus the active model's scores for
+// them. enq is the submission time — the worker discards batches older
+// than the per-request budget instead of burning encode time on
+// comparisons nobody is waiting for.
 type shadowBatch struct {
 	rows   [][]float64
 	active []float64
-	tcs    []obs.TraceContext // per-record trace identity (may be empty)
+	tc     obs.TraceContext // the request's trace identity (may be zero)
 	enq    time.Time
 }
 
@@ -116,20 +116,19 @@ func newShadowScorer(reg *registry.Registry, queueLen int, maxAge time.Duration,
 	return sh
 }
 
-// submit offers one scored batch for shadow comparison. It deep-copies
-// rows, scores, and trace contexts before returning, so callers may
-// recycle their buffers immediately; when no shadow is configured it is
-// a cheap atomic load and an early return. tcs may be nil or shorter
-// than rows — records without a trace identity just skip disagreement
+// submit offers one request's scored rows for shadow comparison. It
+// deep-copies rows and scores before returning, so callers may recycle
+// their buffers immediately; when no shadow is configured it is a cheap
+// atomic load and an early return. A zero tc just skips disagreement
 // spans.
-func (sh *shadowScorer) submit(rows [][]float64, active []float64, tcs []obs.TraceContext) {
+func (sh *shadowScorer) submit(rows [][]float64, active []float64, tc obs.TraceContext) {
 	if sh.reg.Shadow() == nil {
 		return
 	}
 	cp := shadowBatch{
 		rows:   make([][]float64, len(rows)),
 		active: append([]float64(nil), active...),
-		tcs:    append([]obs.TraceContext(nil), tcs...),
+		tc:     tc,
 		enq:    time.Now(),
 	}
 	for i, row := range rows {
@@ -180,9 +179,9 @@ func (sh *shadowScorer) loop() {
 			// finished — before this comparison ran. So disagreements are
 			// exported unconditionally as their own span, joined to the
 			// original trace by the identity threaded through the batch.
-			if (b.active[i] >= 0.5) != (sc >= 0.5) && i < len(b.tcs) && b.tcs[i].Valid() {
+			if (b.active[i] >= 0.5) != (sc >= 0.5) && b.tc.Valid() {
 				sh.exporter.Enqueue(export.DisagreementSpan(
-					b.tcs[i], i, st.version(), b.active[i], sc, now))
+					b.tc, i, st.version(), b.active[i], sc, now))
 			}
 		}
 		m.Release()

@@ -62,7 +62,7 @@ func postScore(t *testing.T, ts *httptest.Server, features []*float64, headers m
 // adopted identity shows up in /debug/traces.
 func TestTraceparentAdoptionEndToEnd(t *testing.T) {
 	dep := testDeployment(t, 128)
-	s := New(dep, Config{MaxWait: time.Millisecond, TraceSeed: 42})
+	s := New(dep, Config{TraceSeed: 42})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -115,7 +115,7 @@ func TestTraceparentAdoptionEndToEnd(t *testing.T) {
 // falls back to a fresh identity and still echoes a valid traceparent.
 func TestTraceparentMalformedNeverFails(t *testing.T) {
 	dep := testDeployment(t, 128)
-	s := New(dep, Config{MaxWait: time.Millisecond, TraceSeed: 42})
+	s := New(dep, Config{TraceSeed: 42})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -162,12 +162,11 @@ func TestTraceparentMalformedNeverFails(t *testing.T) {
 // identity the operator can look up.
 func TestErrorBodiesCarryTraceID(t *testing.T) {
 	dep := testDeployment(t, 128)
-	// One admission slot and a 150ms stall at the batch point: a stalled
+	// One admission slot and a 150ms stall at the score point: a stalled
 	// scoring request deterministically occupies the gate (429 for the
 	// next arrival) and overruns a 20ms client deadline (504).
-	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, P: 1, Delay: 150 * time.Millisecond})
+	inj := chaos.New(1, chaos.Fault{Point: chaos.PointScore, P: 1, Delay: 150 * time.Millisecond})
 	s := New(dep, Config{
-		MaxWait:        time.Millisecond,
 		MaxInFlight:    1,
 		RequestTimeout: 400 * time.Millisecond,
 		Chaos:          inj,
@@ -277,7 +276,6 @@ func TestOTLPExportEndToEnd(t *testing.T) {
 
 	dep := testDeployment(t, 128)
 	s := New(dep, Config{
-		MaxWait:      time.Millisecond,
 		OTLPEndpoint: col.URL,
 		TraceSample:  1,
 		TraceSeed:    42,
@@ -358,7 +356,7 @@ func TestChaosExportStallScoresUnaffected(t *testing.T) {
 	}
 
 	// Baseline: no exporter at all.
-	base := New(dep, Config{MaxWait: time.Millisecond, TraceSeed: 42})
+	base := New(dep, Config{TraceSeed: 42})
 	want := score(base)
 	base.Close()
 
@@ -374,7 +372,6 @@ func TestChaosExportStallScoresUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(dep, Config{
-		MaxWait:         time.Millisecond,
 		TraceSeed:       42,
 		OTLPEndpoint:    col.URL,
 		TraceSample:     1,
@@ -422,7 +419,7 @@ func TestChaosExportStallScoresUnaffected(t *testing.T) {
 // OpenMetrics exemplar referencing a real trace ID.
 func TestExemplarsOnLatencyHistogram(t *testing.T) {
 	dep := testDeployment(t, 128)
-	s := New(dep, Config{MaxWait: time.Millisecond, TraceSeed: 42})
+	s := New(dep, Config{TraceSeed: 42})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -461,7 +458,7 @@ func firstMatching(metrics, sub string) string {
 // objective into fast_burn on the wire-visible state field.
 func TestDebugSLOEndpoint(t *testing.T) {
 	dep := testDeployment(t, 128)
-	s := New(dep, Config{MaxWait: time.Millisecond, TraceSeed: 42})
+	s := New(dep, Config{TraceSeed: 42})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

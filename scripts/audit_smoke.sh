@@ -19,10 +19,11 @@ go build -o "$TMP/hdaudit" ./cmd/hdaudit
 "$TMP/hdserve" -write-demo "$TMP/model.bin" -dim 256 -seed 42 >/dev/null
 
 AUDIT_DIR="$TMP/audit"
-# -max-wait 20ms makes the deadline shed below deterministic: a 1ms
-# client budget always expires inside the 20ms batch window.
+# A 20ms stall at the score point makes the deadline shed below
+# deterministic: a 1ms client budget always expires inside the stall.
 "$TMP/hdserve" -model "$TMP/model.bin" -name audit-smoke -addr 127.0.0.1:0 \
-    -log-format json -audit-dir "$AUDIT_DIR" -audit-fsync 100ms -max-wait 20ms \
+    -log-format json -audit-dir "$AUDIT_DIR" -audit-fsync 100ms \
+    -chaos-spec 'score:delay=20ms' \
     >"$TMP/stdout.log" 2>"$TMP/stderr.log" &
 SERVER_PID=$!
 
@@ -77,8 +78,8 @@ curl -sSf -X POST "http://$ADDR/v1/feedback" \
     -H 'Content-Type: application/json' \
     -d "{\"request_id\":\"$REQ_ID\",\"label\":1}" >/dev/null
 
-# Shed traffic: a 1ms client deadline cannot survive the 20ms batch
-# window, so the request deterministically times out — and the shed
+# Shed traffic: a 1ms client deadline cannot survive the 20ms score
+# stall, so the request deterministically times out — and the shed
 # must be audited too.
 SHED_STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/score" \
     -H 'Content-Type: application/json' -H 'X-Request-Deadline-Ms: 1' \

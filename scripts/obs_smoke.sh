@@ -58,10 +58,8 @@ for name in \
     hdserve_build_info \
     hdserve_requests_total \
     hdserve_records_scored_total \
-    hdserve_batch_size_bucket \
     hdserve_request_duration_seconds_bucket \
     hdserve_stage_duration_seconds_bucket \
-    hdserve_batcher_queue_depth \
     hdfe_drift_psi \
     hdfe_drift_clamp_ratio \
     hdfe_drift_rows_observed_total \
@@ -93,7 +91,7 @@ for name in \
 done
 
 # Every pipeline stage must be represented after one scored request.
-for stage in validate batch_wait encode score respond; do
+for stage in validate encode score respond; do
     if ! grep -q "stage=\"$stage\"" "$TMP/metrics.txt"; then
         echo "obs-smoke: /metrics missing stage=\"$stage\"" >&2
         exit 1
@@ -279,11 +277,11 @@ wait "$SERVER_PID" 2>/dev/null || true
 # --- Overload protection ---------------------------------------------
 
 # A second instance squeezed to a 1-record admission budget with a
-# chaos-injected 300ms stall in the batch stage: concurrent clients must
+# chaos-injected 300ms stall in the score stage: concurrent clients must
 # split into one slow success and fast 429s carrying Retry-After, and
 # the sheds must land in hdfe_shed_total{reason="queue_full"}.
 "$TMP/hdserve" -model "$TMP/model_a.bin" -name shed -addr 127.0.0.1:0 -log-format json \
-    -max-inflight 1 -chaos-spec 'batch:p=1,delay=300ms' -chaos-seed 1 \
+    -max-inflight 1 -chaos-spec 'score:p=1,delay=300ms' -chaos-seed 1 \
     >"$TMP/shed_stdout.log" 2>"$TMP/shed_stderr.log" &
 SERVER_PID=$!
 
