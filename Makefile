@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test ./internal/hv -run '^$$' -fuzz '^FuzzMajorityInto$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzCSVParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/drift -run '^$$' -fuzz '^FuzzFeedbackJoin$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzHistogramSlot$$' -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test ./internal/core -run '^$$' -bench 'TransformRecord|ScoreBatch' -benchmem

@@ -5,16 +5,12 @@
 //
 //	hdserve -model dep.bin [-shadow cand.bin] [-addr :8080] [-name pima]
 //	        [-timeout 5s] [-max-inflight 1024] [-retry-after 1s]
-//	        [-chaos-spec ""] [-chaos-seed 1] [-reject-missing]
-//	        [-reject-out-of-range] [-psi-warn 0.25] [-clamp-warn 0.01]
-//	        [-score-window 4096] [-feedback-cap 4096]
-//	        [-quality-window 1024] [-quality-tol 0.05]
+//	        [-chaos-spec ""] [-chaos-seed 1]
+//	        [-reject-missing] [-reject-out-of-range]
 //	        [-otlp-endpoint ""] [-trace-sample 0.01]
 //	        [-slo-target 0.999] [-slo-latency-ms 250]
-//	        [-prof-interval 30s] [-prof-ring 16] [-prof-cpu-ms 250]
-//	        [-watchdog=true]
-//	        [-audit-dir ""] [-audit-max-bytes 8388608] [-audit-fsync none]
-//	        [-audit-queue 4096] [-audit-ring 64]
+//	        [-prof-interval 30s] [-prof-cpu-ms 250]
+//	        [-audit-dir ""] [-audit-fsync none]
 //	        [-log-format text|json] [-log-level info] [-pprof]
 //	hdserve -demo [-addr :8080] [-dim 10000] [-seed 42]
 //	hdserve -write-demo dep.bin [-dim 10000] [-seed 42]
@@ -35,11 +31,13 @@
 // score-delta metrics for canary comparison before promotion. -shadow
 // installs such a shadow at boot; GET /v1/models reports the registry.
 //
-// Observability: every request is logged structurally (log/slog, text or
-// JSON) with its trace ID, route, status, latency, and batch size.
-// /metrics serves Prometheus text format, /metrics.json the legacy JSON
-// snapshot, /debug/traces the recent and slowest per-stage request
-// traces, and -pprof mounts net/http/pprof under /debug/pprof/.
+// Observability: every scoring request is logged structurally (log/slog,
+// text or JSON) with its trace ID, route, status, latency, and batch
+// size: a 4xx at warn, a 5xx at error, and a 2xx only at -log-level
+// debug, since the audit event and /debug/traces carry the same fields.
+// /metrics serves Prometheus text format, /debug/traces the recent and
+// slowest per-stage request traces, and -pprof mounts net/http/pprof
+// under /debug/pprof/.
 //
 // Distributed tracing: every scoring route parses an inbound W3C
 // traceparent/tracestate, adopts a valid upstream trace ID (falling
@@ -49,26 +47,28 @@
 // queue (telemetry never blocks scoring; overflow is counted in
 // hdfe_trace_dropped_total). Export is tail-sampled: slow, error, shed,
 // and shadow-disagreement traces are always kept, plus a -trace-sample
-// fraction of ordinary traffic. Latency histogram buckets carry
-// OpenMetrics exemplars referencing real trace IDs.
+// fraction of ordinary traffic; "slow" means at or past the live p99 of
+// the request-latency histogram, which reads within 9.05% of the true
+// value. Latency histogram buckets carry OpenMetrics exemplars
+// referencing real trace IDs.
 //
 // Continuous profiling: the server profiles itself on a jittered
 // -prof-interval cadence — CPU (a -prof-cpu-ms window), heap, goroutine,
 // and rate-gated mutex/block profiles land in a bounded in-memory ring of
-// -prof-ring gzipped pprof blobs, each tagged with its trigger and the
-// runtime state at capture time. /debug/prof serves the ring index and
+// 16 gzipped pprof blobs, each tagged with its trigger and the runtime
+// state at capture time. /debug/prof serves the ring index and
 // the runtime watchdog states; /debug/prof/{id} downloads a blob for
 // `go tool pprof`.
 // Watchdogs (goroutine high-water/leak, heap-growth slope, GC-pause p99)
 // fire edge-triggered warnings and capture out-of-cycle evidence
-// profiles; -watchdog=false turns them off. hdfe_prof_* and
-// hdfe_runtime_* metric families land in /metrics.
+// profiles. hdfe_prof_* and hdfe_runtime_* metric families land in
+// /metrics.
 //
 // Decision audit: -audit-dir enables the hash-chained audit trail
 // (internal/obs/audit) — one tamper-evident wide event per
 // score/shed/error/feedback/model-swap decision, written through a
 // bounded lossy queue that never blocks scoring, with size-based
-// segment rotation (-audit-max-bytes), a configurable fsync policy
+// segment rotation at 8 MiB, a configurable fsync policy
 // (-audit-fsync none|always|<duration>), and torn-tail recovery on
 // restart. `?explain=k` on /v1/score adds the top-k per-feature
 // explain contributions to the response and the audit event.
@@ -95,8 +95,9 @@
 // drift (rolling score window), and delayed-label quality (POST
 // ground-truth labels to /v1/feedback using the request_id from scoring
 // responses). /debug/drift reports everything as JSON; hdfe_drift_* and
-// hdfe_quality_* families land in /metrics; threshold crossings warn in
-// the structured log.
+// hdfe_quality_* families land in /metrics; threshold crossings (PSI
+// 0.25, clamp ratio 0.01, accuracy 0.05 below the LOOCV baseline) warn
+// in the structured log.
 package main
 
 import (
@@ -149,12 +150,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		timeout       = fs.Duration("timeout", 5*time.Second, "per-request timeout")
 		rejectMissing = fs.Bool("reject-missing", false, "reject null feature values instead of encoding them as missing")
 		rejectRange   = fs.Bool("reject-out-of-range", false, "reject values outside the fitted range instead of clamp-and-warn")
-		psiWarn       = fs.Float64("psi-warn", 0.25, "per-feature PSI threshold for input drift warnings")
-		clampWarn     = fs.Float64("clamp-warn", 0.01, "out-of-range ratio threshold for clamp warnings")
-		scoreWindow   = fs.Int("score-window", 4096, "rolling score window size for prediction drift")
-		feedbackCap   = fs.Int("feedback-cap", 4096, "prediction ring capacity for /v1/feedback joins")
-		qualityWindow = fs.Int("quality-window", 1024, "rolling labeled-outcome window for the quality canary")
-		qualityTol    = fs.Float64("quality-tol", 0.05, "accuracy drop below the LOOCV baseline before the canary degrades")
 		otlpEndpoint  = fs.String("otlp-endpoint", "", "OTLP/HTTP trace collector URL, e.g. http://localhost:4318/v1/traces (empty disables span export)")
 		traceSample   = fs.Float64("trace-sample", 0.01, "head-sampling fraction of ordinary traces to export; slow/error/shed traces are always kept (negative: tail-only)")
 		sloTarget     = fs.Float64("slo-target", 0.999, "SLO compliance target for the availability and latency objectives")
@@ -163,14 +158,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		logLevel      = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		pprofFlag     = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (context-aware profile/trace handlers)")
 		profInterval  = fs.Duration("prof-interval", prof.DefaultInterval, "continuous-profiling capture cadence (0 disables scheduled captures)")
-		profRing      = fs.Int("prof-ring", prof.DefaultRingSize, "profile capture ring capacity")
 		profCPUMs     = fs.Int("prof-cpu-ms", int(prof.DefaultCPUDuration/time.Millisecond), "CPU profile sampling window per cycle, in milliseconds")
-		watchdog      = fs.Bool("watchdog", true, "enable the goroutine/heap/GC-pause runtime watchdogs")
 		auditDir      = fs.String("audit-dir", "", "directory for the hash-chained decision audit log (empty disables auditing)")
-		auditMaxBytes = fs.Int64("audit-max-bytes", 8<<20, "audit segment size before rotation")
 		auditFsync    = fs.String("audit-fsync", "none", "audit fsync policy: none, always, or an interval duration like 250ms")
-		auditQueue    = fs.Int("audit-queue", 4096, "audit event queue capacity (overflow is dropped, never blocks scoring)")
-		auditRing     = fs.Int("audit-ring", 64, "recent audit events kept for /debug/audit")
 		demo          = fs.Bool("demo", false, "fit a synthetic Pima M deployment in-process and serve it")
 		writeDemo     = fs.String("write-demo", "", "write the demo deployment to this file and exit")
 		dim           = fs.Int("dim", 0, "demo hypervector dimensionality (0 = 10000)")
@@ -242,11 +232,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		auditLog, err = audit.Open(audit.Config{
 			Dir:        *auditDir,
-			MaxBytes:   *auditMaxBytes,
-			QueueSize:  *auditQueue,
 			Fsync:      policy,
 			FsyncEvery: every,
-			RingSize:   *auditRing,
 			Chaos:      injector,
 			Logger:     logger,
 		})
@@ -258,6 +245,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			"resumed_seq", auditLog.LastSeq())
 	}
 
+	// On the flag surface a zero interval means "off"; in prof.Config zero
+	// means "default" and negative means off.
+	profCfg := prof.Config{Interval: *profInterval, CPUDuration: time.Duration(*profCPUMs) * time.Millisecond}
+	if *profInterval <= 0 {
+		profCfg.Interval = -1
+	}
 	srv := serve.New(dep, serve.Config{
 		ModelName:        modelName,
 		ModelPath:        *model,
@@ -268,19 +261,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		RequestTimeout:   *timeout,
 		RejectMissing:    *rejectMissing,
 		RejectOutOfRange: *rejectRange,
-		PSIWarn:          *psiWarn,
-		ClampWarn:        *clampWarn,
-		ScoreWindow:      *scoreWindow,
-		FeedbackCapacity: *feedbackCap,
-		QualityWindow:    *qualityWindow,
-		QualityTolerance: *qualityTol,
 		OTLPEndpoint:     *otlpEndpoint,
 		TraceSample:      *traceSample,
 		SLOTarget:        *sloTarget,
 		SLOLatency:       time.Duration(*sloLatencyMs) * time.Millisecond,
 		Logger:           logger,
 		EnablePprof:      *pprofFlag,
-		Prof:             profConfig(*profInterval, *profRing, *profCPUMs, *watchdog),
+		Prof:             profCfg,
 		Audit:            auditLog,
 	})
 	if *shadowPath != "" {
@@ -327,25 +314,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		"addr", ln.Addr().String(),
 		"pprof", *pprofFlag)
 	err = srv.Serve(ctx, ln)
-	logger.Info("drained and stopped", "summary", srv.Metrics().Snapshot().String())
+	logger.Info("drained and stopped", "summary", srv.Metrics().String())
 	return err
-}
-
-// profConfig maps the -prof-* and -watchdog flags onto a prof.Config.
-// On the flag surface 0 means "off" (the natural CLI reading); in
-// prof.Config 0 means "default" and negative means off, so the zero
-// values are translated here.
-func profConfig(interval time.Duration, ring, cpuMs int, watchdog bool) prof.Config {
-	cfg := prof.Config{
-		Interval:    interval,
-		CPUDuration: time.Duration(cpuMs) * time.Millisecond,
-		RingSize:    ring,
-	}
-	if interval <= 0 {
-		cfg.Interval = -1
-	}
-	cfg.Watchdog.Disable = !watchdog
-	return cfg
 }
 
 // demoDeployment fits the serving demo model: the synthetic Pima M

@@ -117,65 +117,99 @@ func TestRunWriteDemoAndServe(t *testing.T) {
 	}
 }
 
-// TestRunJSONLogsAndPprof drives the observability flags end to end:
-// -log-format json emits machine-parseable request logs with trace IDs,
-// and -pprof mounts the profiling handlers.
-func TestRunJSONLogsAndPprof(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stdout := &syncBuffer{}
-	var errOut bytes.Buffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-demo", "-dim", "128", "-addr", "127.0.0.1:0",
-			"-log-format", "json", "-pprof"}, stdout, &errOut)
-	}()
+// serveAddrRe finds the bound address in the "serving" line, text or JSON.
+var serveAddrRe = regexp.MustCompile(`addr(?:=|":")([^"\s]+:\d+)`)
 
-	jsonAddrRe := regexp.MustCompile(`"addr":"([^"]+:\d+)"`)
-	var addr string
+// serveRun starts run with args on a free loopback port and returns the
+// bound address, run's stdout, and a stop function that cancels the run
+// and waits for it to return cleanly.
+func serveRun(t *testing.T, args ...string) (addr string, stdout *syncBuffer, stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	stdout = &syncBuffer{}
+	stderr := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, append(args, "-addr", "127.0.0.1:0"), stdout, stderr) }()
 	deadline := time.Now().Add(15 * time.Second)
 	for addr == "" {
-		if m := jsonAddrRe.FindStringSubmatch(stdout.String()); m != nil {
+		if m := serveAddrRe.FindStringSubmatch(stdout.String()); m != nil {
 			addr = m[1]
-		} else if time.Now().After(deadline) {
+			continue
+		}
+		select {
+		case err := <-done:
+			cancel()
+			t.Fatalf("run %v exited before serving: %v; stderr %q", args, err, stderr.String())
+		case <-time.After(5 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			cancel()
 			t.Fatalf("server never reported its address; stdout %q", stdout.String())
-		} else {
-			time.Sleep(5 * time.Millisecond)
 		}
 	}
+	stop = func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run returned %v", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("run did not exit after context cancellation")
+		}
+	}
+	return addr, stdout, stop
+}
 
-	body := strings.NewReader(`{"features":[2,120,70,25,100,30.5,0.4,40]}`)
-	resp, err := http.Post("http://"+addr+"/v1/score", "application/json", body)
+// postScore posts body to /v1/score and returns the status and body.
+func postScore(t *testing.T, addr, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post("http://"+addr+"/v1/score", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("score status %d", resp.StatusCode)
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
+// requestLines returns the JSON "request" log lines in out.
+func requestLines(t *testing.T, out string) []map[string]any {
+	t.Helper()
+	var lines []map[string]any
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.Contains(line, `"msg":"request"`) {
+			continue
+		}
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("request log line %q: %v", line, err)
+		}
+		lines = append(lines, m)
+	}
+	return lines
+}
+
+const okRecord = `{"features":[2,120,70,25,100,30.5,0.4,40]}`
+
+// TestRunJSONLogsAndPprof drives the observability flags end to end:
+// -log-format json emits machine-parseable logs, the request line of a
+// 200 appears only at -log-level debug (a 4xx logs at Warn by default),
+// and -pprof mounts the profiling handlers.
+func TestRunJSONLogsAndPprof(t *testing.T) {
+	addr, stdout, stop := serveRun(t, "-demo", "-dim", "128", "-log-format", "json", "-pprof")
+	if code, body := postScore(t, addr, okRecord); code != http.StatusOK {
+		t.Fatalf("score status %d: %s", code, body)
+	}
+	if code, body := postScore(t, addr, `{"features":[1]}`); code != http.StatusBadRequest {
+		t.Fatalf("wrong-arity score status %d: %s", code, body)
 	}
 
-	// The request log line is JSON with trace_id/route/status/latency.
-	logDeadline := time.Now().Add(5 * time.Second)
-	for !strings.Contains(stdout.String(), `"msg":"request"`) {
-		if time.Now().After(logDeadline) {
-			t.Fatalf("no request log line; stdout %q", stdout.String())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	var reqLine map[string]any
-	for _, line := range strings.Split(stdout.String(), "\n") {
-		if strings.Contains(line, `"msg":"request"`) {
-			if err := json.Unmarshal([]byte(line), &reqLine); err != nil {
-				t.Fatalf("request log line %q: %v", line, err)
-			}
-			break
-		}
-	}
-	if reqLine["route"] != "score" || reqLine["trace_id"] == nil || reqLine["status"] != float64(200) {
-		t.Errorf("request log %v", reqLine)
-	}
-
-	resp, err = http.Get("http://" + addr + "/debug/pprof/")
+	resp, err := http.Get("http://" + addr + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,16 +227,83 @@ func TestRunJSONLogsAndPprof(t *testing.T) {
 	if !strings.Contains(string(prom), "hdserve_stage_duration_seconds_bucket") {
 		t.Errorf("/metrics missing stage histograms:\n%.400s", prom)
 	}
+	stop()
 
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("run did not exit after context cancellation")
+	// At the default level only the 400 logs, as a warning.
+	lines := requestLines(t, stdout.String())
+	if len(lines) != 1 || lines[0]["status"] != float64(400) || lines[0]["level"] != "WARN" {
+		t.Errorf("default-level request lines %v, want only the 400 at WARN", lines)
 	}
+
+	// At debug the 200 logs too, with trace_id/route/status.
+	addr, stdout, stop = serveRun(t, "-demo", "-dim", "128", "-log-format", "json", "-log-level", "debug")
+	if code, body := postScore(t, addr, okRecord); code != http.StatusOK {
+		t.Fatalf("score status %d: %s", code, body)
+	}
+	stop()
+	lines = requestLines(t, stdout.String())
+	if len(lines) != 1 {
+		t.Fatalf("debug-level request lines %v, want one", lines)
+	}
+	if l := lines[0]; l["route"] != "score" || l["trace_id"] == nil || l["status"] != float64(200) || l["level"] != "DEBUG" {
+		t.Errorf("request log %v", l)
+	}
+}
+
+// TestRunRejectFlags drives -reject-missing and -reject-out-of-range end
+// to end: a null feature and an out-of-range Glucose each get a 400 that
+// names the feature, the range rejection carrying the value and the
+// fitted bounds, while a default server clamps the same Glucose and
+// answers 200 with a warning.
+func TestRunRejectFlags(t *testing.T) {
+	const (
+		missing    = `{"features":[2,120,null,25,100,30.5,0.4,40]}`
+		outOfRange = `{"features":[2,999,70,25,100,30.5,0.4,40]}`
+	)
+	type errBody struct {
+		Details []struct {
+			Feature string   `json:"feature"`
+			Value   *float64 `json:"value"`
+			Min     *float64 `json:"min"`
+			Max     *float64 `json:"max"`
+		} `json:"details"`
+	}
+	addr, _, stop := serveRun(t, "-demo", "-dim", "128", "-reject-missing", "-reject-out-of-range")
+	for _, tc := range []struct{ body, feature string }{
+		{missing, "BloodPressure"},
+		{outOfRange, "Glucose"},
+	} {
+		code, body := postScore(t, addr, tc.body)
+		var eb errBody
+		if err := json.Unmarshal(body, &eb); err != nil {
+			t.Fatal(err)
+		}
+		if code != http.StatusBadRequest || len(eb.Details) != 1 || eb.Details[0].Feature != tc.feature {
+			t.Errorf("%s: status %d body %s, want a 400 naming %s", tc.body, code, body, tc.feature)
+			continue
+		}
+		if tc.body == outOfRange {
+			d := eb.Details[0]
+			if d.Value == nil || *d.Value != 999 || d.Min == nil || d.Max == nil || *d.Max >= 999 {
+				t.Errorf("range rejection details %s, want value 999 with the fitted min and max", body)
+			}
+		}
+	}
+	stop()
+
+	addr, _, stop = serveRun(t, "-demo", "-dim", "128")
+	code, body := postScore(t, addr, outOfRange)
+	var sr struct {
+		Warnings []string `json:"warnings"`
+	}
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusOK || len(sr.Warnings) != 1 || !strings.Contains(sr.Warnings[0], `"Glucose"`) ||
+		!strings.Contains(sr.Warnings[0], "clamped") {
+		t.Errorf("default server: status %d body %s, want 200 with a Glucose clamp warning", code, body)
+	}
+	stop()
 }
 
 // TestRunModelLifecycle drives the lifecycle surface end to end: boot
@@ -369,6 +470,12 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-demo", "-max-wait", "0"},         // unknown flag
 		{"-demo", "-queue-depth", "64"},     // unknown flag
 		{"-demo", "-request-timeout", "5s"}, // unknown flag (-timeout)
+	}
+	// Retired flags: their values are constants at the old defaults.
+	for _, f := range []string{"-psi-warn=0.25", "-clamp-warn=0.01", "-score-window=4096",
+		"-feedback-cap=4096", "-quality-window=1024", "-quality-tol=0.05", "-prof-ring=16",
+		"-watchdog=true", "-audit-max-bytes=8388608", "-audit-queue=4096", "-audit-ring=64"} {
+		cases = append(cases, []string{"-demo", f})
 	}
 	for _, args := range cases {
 		if err := run(ctx, args, &out, &errOut); err == nil {

@@ -12,12 +12,11 @@
 //	respond     response serialization
 //
 // A Tracer hands out pooled ActiveTrace spans (zero steady-state
-// allocations per request), accumulates per-stage durations into
-// lock-free histograms, and keeps fixed-size rings of the most recent
-// and slowest finished traces for /debug/traces.
+// allocations per request), folds per-stage durations into lock-free
+// Histograms, and keeps fixed-size rings of the most recent and slowest
+// finished traces for /debug/traces. Histogram, which hdserve's request
+// latency uses too, reads quantiles with a bounded relative error.
 package obs
-
-import "time"
 
 // Stage identifies one pipeline stage of a scoring request.
 type Stage uint8
@@ -41,14 +40,4 @@ func (s Stage) String() string {
 		return stageNames[s]
 	}
 	return "unknown"
-}
-
-// NumLatencyBuckets is the number of bounded histogram buckets; one
-// overflow bucket follows. The ladder matches internal/serve's request
-// latency histogram: 50µs doubling up to ~1.6s.
-const NumLatencyBuckets = 16
-
-// LatencyBound returns the inclusive upper bound of bounded bucket i.
-func LatencyBound(i int) time.Duration {
-	return 50 * time.Microsecond << uint(i)
 }

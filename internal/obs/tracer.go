@@ -23,40 +23,13 @@ type Trace struct {
 	Stages [NumStages]time.Duration
 }
 
-// stageHist is one stage's lock-free latency histogram: bounded buckets
-// plus an overflow bucket, with total count and summed duration for
-// Prometheus _sum/_count.
-type stageHist struct {
-	buckets [NumLatencyBuckets + 1]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64 // nanoseconds
-}
-
-func (h *stageHist) observe(d time.Duration) {
-	i := 0
-	for i < NumLatencyBuckets && d > LatencyBound(i) {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(uint64(d))
-}
-
-// StageStats is a point-in-time copy of one stage's histogram.
-type StageStats struct {
-	Stage   string
-	Buckets [NumLatencyBuckets + 1]uint64 // per-bucket (non-cumulative) counts
-	Count   uint64
-	Sum     time.Duration
-}
-
 // Tracer owns the per-stage histograms and the recent/slowest trace
 // rings. It is safe for concurrent use; span recording takes no locks
 // until Finish, which briefly locks the rings.
 type Tracer struct {
 	nextID atomic.Uint64
 	seed   uint64 // trace/span ID derivation seed
-	hist   [NumStages]stageHist
+	hist   [NumStages]Histogram
 	pool   sync.Pool
 
 	mu        sync.Mutex
@@ -219,7 +192,7 @@ func (a *ActiveTrace) Finish(status int) Trace {
 	tr := a.tr
 	for s := 0; s < NumStages; s++ {
 		if d := a.t.Stages[s]; d > 0 {
-			tr.hist[s].observe(d)
+			tr.hist[s].Observe(d, "")
 		}
 	}
 	t := a.t
@@ -254,20 +227,8 @@ func (tr *Tracer) record(t Trace) {
 	tr.mu.Unlock()
 }
 
-// StageSnapshot copies every stage histogram, in pipeline order.
-func (tr *Tracer) StageSnapshot() [NumStages]StageStats {
-	var out [NumStages]StageStats
-	for s := 0; s < NumStages; s++ {
-		st := StageStats{Stage: Stage(s).String()}
-		for i := range tr.hist[s].buckets {
-			st.Buckets[i] = tr.hist[s].buckets[i].Load()
-		}
-		st.Count = tr.hist[s].count.Load()
-		st.Sum = time.Duration(tr.hist[s].sum.Load())
-		out[s] = st
-	}
-	return out
-}
+// StageHistogram returns stage s's latency histogram.
+func (tr *Tracer) StageHistogram(s Stage) *Histogram { return &tr.hist[s] }
 
 // TraceView is the JSON shape of one trace at /debug/traces. Stage
 // durations are microseconds, omitting stages the request never entered.

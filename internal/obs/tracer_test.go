@@ -30,19 +30,19 @@ func TestTracerRecordsStagesAndRings(t *testing.T) {
 		a.SetBatch(i + 1)
 		a.Finish(200)
 	}
-	stats := tr.StageSnapshot()
-	if stats[StageValidate].Count != 10 {
-		t.Errorf("validate count %d, want 10", stats[StageValidate].Count)
+	validate, encode := tr.StageHistogram(StageValidate), tr.StageHistogram(StageEncode)
+	if n := histCount(validate); n != 10 {
+		t.Errorf("validate count %d, want 10", n)
 	}
-	if stats[StageValidate].Sum != 55*time.Millisecond {
-		t.Errorf("validate sum %v, want 55ms", stats[StageValidate].Sum)
+	if sum := time.Duration(validate.sum.Load()); sum != 55*time.Millisecond {
+		t.Errorf("validate sum %v, want 55ms", sum)
 	}
-	if stats[StageEncode].Count != 10 || stats[StageEncode].Sum != time.Millisecond {
-		t.Errorf("encode count/sum %d/%v", stats[StageEncode].Count, stats[StageEncode].Sum)
+	if n, sum := histCount(encode), time.Duration(encode.sum.Load()); n != 10 || sum != time.Millisecond {
+		t.Errorf("encode count/sum %d/%v", n, sum)
 	}
 	// score was never observed.
-	if stats[StageScore].Count != 0 {
-		t.Errorf("score count %d, want 0", stats[StageScore].Count)
+	if n := histCount(tr.StageHistogram(StageScore)); n != 0 {
+		t.Errorf("score count %d, want 0", n)
 	}
 
 	recent, slowest := tr.TraceViews()
@@ -163,9 +163,8 @@ func TestTracerConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	stats := tr.StageSnapshot()
-	if stats[StageEncode].Count != 1600 {
-		t.Errorf("encode count %d, want 1600", stats[StageEncode].Count)
+	if n := histCount(tr.StageHistogram(StageEncode)); n != 1600 {
+		t.Errorf("encode count %d, want 1600", n)
 	}
 	recent, slowest := tr.TraceViews()
 	if len(recent) != 16 || len(slowest) != 16 {

@@ -72,14 +72,11 @@ func TestChaosStalledStageShedsDeadlines(t *testing.T) {
 	if got := m.ShedCount(ShedDeadline); got != clients {
 		t.Errorf("deadline shed count %d, want %d", got, clients)
 	}
-	if scored := m.Snapshot().RecordsScored; scored != 0 {
+	if scored := m.recordsScored.Load(); scored != 0 {
 		t.Errorf("%d records scored despite every deadline expiring in the stall", scored)
 	}
 	if inj.Fired(chaos.PointScore) == 0 {
 		t.Error("score fault never fired")
-	}
-	if got := m.Snapshot().ShedDeadline; got < clients {
-		t.Errorf("snapshot shed_deadline = %d, want >= %d", got, clients)
 	}
 }
 
@@ -189,7 +186,7 @@ func TestChaosSlowShadowDropsNotBlocks(t *testing.T) {
 	if dropped := s.shadow.dropped.Load(); dropped == 0 {
 		t.Error("no shadow batches dropped despite a 50ms stall behind a 1-batch queue")
 	}
-	if scored := s.Metrics().Snapshot().RecordsScored; scored != requests {
+	if scored := s.Metrics().recordsScored.Load(); scored != requests {
 		t.Errorf("%d records scored, want %d (hot path must not shed)", scored, requests)
 	}
 

@@ -27,21 +27,31 @@ type driftState struct {
 	quality *drift.Quality
 
 	modelVersion uint64
-	psiWarn      float64
-	clampWarn    float64
 	logger       *slog.Logger
 
 	mu      sync.Mutex
 	alerted map[string]bool // per-signal warning latches (edge-triggered logs)
 }
 
-func newDriftState(ref *drift.Reference, modelVersion uint64, cfg Config) *driftState {
+// The drift warning thresholds, reported by /debug/drift.
+const (
+	// psiWarn is the per-feature PSI at which input drift is logged: 0.25
+	// is the conventional "significant shift" threshold.
+	psiWarn = 0.25
+	// clampWarn is the per-feature out-of-range ratio at which clamping
+	// is logged.
+	clampWarn = 0.01
+)
+
+// newDriftState builds one model's drift state. The score window and
+// the quality tracker run at their drift-package defaults: 4096 scores,
+// a 4096-prediction feedback ring, a 1024-label window and a 0.05
+// accuracy tolerance.
+func newDriftState(ref *drift.Reference, modelVersion uint64, logger *slog.Logger) *driftState {
 	d := &driftState{
-		scores:       drift.NewScoreWindow(cfg.ScoreWindow),
+		scores:       drift.NewScoreWindow(0),
 		modelVersion: modelVersion,
-		psiWarn:      cfg.PSIWarn,
-		clampWarn:    cfg.ClampWarn,
-		logger:       cfg.Logger,
+		logger:       logger,
 		alerted:      make(map[string]bool),
 	}
 	var base *drift.Baseline
@@ -49,11 +59,7 @@ func newDriftState(ref *drift.Reference, modelVersion uint64, cfg Config) *drift
 		d.monitor = drift.NewMonitor(ref)
 		base = &ref.Baseline
 	}
-	d.quality = drift.NewQuality(base, drift.QualityConfig{
-		Capacity:  cfg.FeedbackCapacity,
-		Window:    cfg.QualityWindow,
-		Tolerance: cfg.QualityTolerance,
-	})
+	d.quality = drift.NewQuality(base, drift.QualityConfig{})
 	return d
 }
 
@@ -88,8 +94,8 @@ type driftReport struct {
 func (d *driftState) report() driftReport {
 	rep := driftReport{
 		ModelVersion: d.modelVersion,
-		PSIWarn:      d.psiWarn,
-		ClampWarn:    d.clampWarn,
+		PSIWarn:      psiWarn,
+		ClampWarn:    clampWarn,
 		Prediction:   d.scores.Snapshot(),
 		Quality:      d.quality.Snapshot(),
 	}
@@ -111,14 +117,14 @@ func (d *driftState) evaluate(rep driftReport) {
 		if f.Observed == 0 {
 			continue
 		}
-		d.edge("psi:"+f.Name, f.PSI >= d.psiWarn, func() {
+		d.edge("psi:"+f.Name, f.PSI >= psiWarn, func() {
 			d.logger.Warn("input drift detected",
-				"feature", f.Name, "psi", f.PSI, "threshold", d.psiWarn,
+				"feature", f.Name, "psi", f.PSI, "threshold", psiWarn,
 				"model_version", d.modelVersion)
 		})
-		d.edge("clamp:"+f.Name, f.ClampRatio >= d.clampWarn, func() {
+		d.edge("clamp:"+f.Name, f.ClampRatio >= clampWarn, func() {
 			d.logger.Warn("out-of-range clamping elevated",
-				"feature", f.Name, "clamp_ratio", f.ClampRatio, "threshold", d.clampWarn,
+				"feature", f.Name, "clamp_ratio", f.ClampRatio, "threshold", clampWarn,
 				"below", f.Below, "above", f.Above,
 				"model_version", d.modelVersion)
 		})

@@ -32,7 +32,7 @@ func newModelState(m *registry.Model, cfg Config) *modelState {
 		model:  m,
 		scorer: sc,
 		val:    NewValidator(sc.Codebook(), cfg.RejectMissing, cfg.RejectOutOfRange),
-		drift:  newDriftState(sc.DriftRef(), m.Info().Version, cfg),
+		drift:  newDriftState(sc.DriftRef(), m.Info().Version, cfg.Logger),
 	}
 	m.SetState(st)
 	return st

@@ -2,25 +2,15 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
 	"hdfe/internal/obs"
 )
 
-// latencyBuckets are exponential upper bounds in microseconds: 50µs
-// doubling up to ~1.6s, plus an overflow bucket.
-const numLatencyBuckets = 16
-
-func latencyBound(i int) time.Duration {
-	return 50 * time.Microsecond << uint(i)
-}
-
-// Metrics is the server's lock-free counter set. All fields are updated
-// with atomics; Snapshot produces a consistent-enough view for /metrics
-// and /metrics.json (counters may be a hair out of sync with each other,
-// which is fine for observability).
+// Metrics is the server's lock-free counter set, exposed at /metrics.
+// Every field is updated atomically; counters may be a hair out of sync
+// with each other in one scrape, which is fine for observability.
 type Metrics struct {
 	start time.Time
 
@@ -28,26 +18,13 @@ type Metrics struct {
 	batchRequests  atomic.Uint64 // POST /v1/score/batch
 	recordsScored  atomic.Uint64 // records through either endpoint
 	validationErrs atomic.Uint64 // 4xx from request validation
-	timeouts       atomic.Uint64 // requests shed past their deadline (504)
 	errors         atomic.Uint64 // other 4xx/5xx
 
 	shed [numShedReasons]atomic.Uint64 // overload-protection rejections by reason
 
-	latencyHist [numLatencyBuckets + 1]atomic.Uint64
-	latencyObs  atomic.Uint64
-	latencySum  atomic.Uint64 // nanoseconds, for Prometheus _sum
-
-	// latencyEx pins the most recent trace per latency bucket, exposed
-	// as OpenMetrics exemplars so a dashboard histogram links straight
-	// to a concrete trace.
-	latencyEx [numLatencyBuckets + 1]atomic.Pointer[latencyExemplar]
-}
-
-// latencyExemplar is one bucket's most recent (traceID, latency) pair.
-type latencyExemplar struct {
-	traceID string
-	d       time.Duration
-	ts      time.Time
+	// latency is the end-to-end time of every 200 response on a scoring
+	// route, each bucket pinning its most recent trace as an exemplar.
+	latency obs.Histogram
 }
 
 // NewMetrics returns a zeroed metrics set anchored at the current time.
@@ -86,105 +63,9 @@ func (m *Metrics) Shed(r ShedReason) { m.shed[r].Add(1) }
 // ShedCount reads one reason's counter.
 func (m *Metrics) ShedCount(r ShedReason) uint64 { return m.shed[r].Load() }
 
-// ObserveLatencyTrace records one end-to-end request latency, pinning
-// traceID as the bucket's exemplar (skipped when empty).
-func (m *Metrics) ObserveLatencyTrace(d time.Duration, traceID string) {
-	i := 0
-	for i < numLatencyBuckets && d > latencyBound(i) {
-		i++
-	}
-	m.latencyHist[i].Add(1)
-	m.latencyObs.Add(1)
-	m.latencySum.Add(uint64(d))
-	if traceID != "" {
-		m.latencyEx[i].Store(&latencyExemplar{traceID: traceID, d: d, ts: time.Now()})
-	}
-}
-
-// latencyExemplars materializes the per-bucket exemplars in the shape
-// obs.PromWriter.HistogramExemplars renders (nil entries skip).
-func (m *Metrics) latencyExemplars() []*obs.Exemplar {
-	out := make([]*obs.Exemplar, numLatencyBuckets+1)
-	for i := range m.latencyEx {
-		if e := m.latencyEx[i].Load(); e != nil {
-			out[i] = &obs.Exemplar{TraceID: e.traceID, Value: e.d.Seconds(), Ts: e.ts}
-		}
-	}
-	return out
-}
-
-// quantile returns the upper bound of the first latency bucket whose
-// cumulative count reaches q of all observations (0 when empty). Bucketed
-// quantiles overestimate by at most one bucket width — plenty for p50/p99
-// dashboards.
-func (m *Metrics) quantile(q float64) time.Duration {
-	total := m.latencyObs.Load()
-	if total == 0 {
-		return 0
-	}
-	// Rank of the q-quantile order statistic. Ceiling, not truncation:
-	// with 9 fast samples and 1 overflow sample, p99's rank must be 10
-	// (the overflow sample), not 9 — truncation let an empty-tail
-	// histogram report a p99 below an observed overflow latency.
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	if target > total {
-		target = total
-	}
-	var cum uint64
-	for i := range m.latencyHist {
-		cum += m.latencyHist[i].Load()
-		if cum >= target {
-			if i >= numLatencyBuckets {
-				return latencyBound(numLatencyBuckets-1) * 2
-			}
-			return latencyBound(i)
-		}
-	}
-	return latencyBound(numLatencyBuckets-1) * 2
-}
-
-// Snapshot is the JSON shape of /metrics.
-type Snapshot struct {
-	UptimeSeconds    float64 `json:"uptime_seconds"`
-	ScoreRequests    uint64  `json:"score_requests"`
-	BatchRequests    uint64  `json:"batch_requests"`
-	RecordsScored    uint64  `json:"records_scored"`
-	ValidationErrors uint64  `json:"validation_errors"`
-	Timeouts         uint64  `json:"timeouts"`
-	Errors           uint64  `json:"errors"`
-	ShedQueueFull    uint64  `json:"shed_queue_full"`
-	ShedDeadline     uint64  `json:"shed_deadline"`
-	ShedDraining     uint64  `json:"shed_draining"`
-	LatencyP50Micros float64 `json:"latency_p50_us"`
-	LatencyP90Micros float64 `json:"latency_p90_us"`
-	LatencyP99Micros float64 `json:"latency_p99_us"`
-}
-
-// Snapshot materializes the current counters.
-func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		UptimeSeconds:    time.Since(m.start).Seconds(),
-		ScoreRequests:    m.scoreRequests.Load(),
-		BatchRequests:    m.batchRequests.Load(),
-		RecordsScored:    m.recordsScored.Load(),
-		ValidationErrors: m.validationErrs.Load(),
-		Timeouts:         m.timeouts.Load(),
-		Errors:           m.errors.Load(),
-		ShedQueueFull:    m.shed[ShedQueueFull].Load(),
-		ShedDeadline:     m.shed[ShedDeadline].Load(),
-		ShedDraining:     m.shed[ShedDraining].Load(),
-		LatencyP50Micros: float64(m.quantile(0.50)) / float64(time.Microsecond),
-		LatencyP90Micros: float64(m.quantile(0.90)) / float64(time.Microsecond),
-		LatencyP99Micros: float64(m.quantile(0.99)) / float64(time.Microsecond),
-	}
-}
-
-// String renders a terse one-line summary, handy in logs.
-func (s Snapshot) String() string {
+// String renders the terse one-line summary hdserve logs on shutdown.
+func (m *Metrics) String() string {
+	us := func(q float64) float64 { return float64(m.latency.Quantile(q)) / float64(time.Microsecond) }
 	return fmt.Sprintf("score=%d batch=%d records=%d p50=%.0fus p99=%.0fus",
-		s.ScoreRequests, s.BatchRequests, s.RecordsScored,
-		s.LatencyP50Micros, s.LatencyP99Micros)
+		m.scoreRequests.Load(), m.batchRequests.Load(), m.recordsScored.Load(), us(0.50), us(0.99))
 }

@@ -11,7 +11,6 @@ import (
 var readOnlyRoutes = []string{
 	"/healthz",
 	"/metrics",
-	"/metrics.json",
 	"/debug/traces",
 	"/debug/slo",
 	"/debug/drift",
@@ -67,7 +66,6 @@ func TestDebugJSONHeaders(t *testing.T) {
 	_, ts, _ := driftServer(t, Config{})
 	for _, path := range []string{
 		"/healthz",
-		"/metrics.json",
 		"/debug/traces",
 		"/debug/slo",
 		"/debug/drift",

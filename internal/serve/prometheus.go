@@ -10,9 +10,11 @@ import (
 	"hdfe/internal/obs/slo"
 )
 
-// handleMetricsProm serves the Prometheus text-format exposition: every
-// counter the JSON snapshot carries, the per-stage pipeline histograms,
-// the admission gauge, Go runtime stats, and build info.
+// handleMetricsProm serves the Prometheus text-format exposition: the
+// request, record and shed counters, the request-latency and per-stage
+// histograms (both obs.Histogram, on the same le bounds), the admission
+// gauge, the drift, tracing, SLO, audit and profiler families, Go
+// runtime stats, and build info.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	p := obs.NewPromWriter(w)
@@ -36,8 +38,6 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	p.Value("hdserve_records_scored_total", float64(m.recordsScored.Load()))
 	p.Header("hdserve_validation_errors_total", "counter", "Requests rejected by schema validation.")
 	p.Value("hdserve_validation_errors_total", float64(m.validationErrs.Load()))
-	p.Header("hdserve_timeouts_total", "counter", "Requests abandoned on context expiry.")
-	p.Value("hdserve_timeouts_total", float64(m.timeouts.Load()))
 	p.Header("hdserve_errors_total", "counter", "Other 4xx/5xx responses.")
 	p.Value("hdserve_errors_total", float64(m.errors.Load()))
 
@@ -49,25 +49,12 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	p.Value("hdserve_inflight_records", float64(s.adm.Inflight()))
 
 	p.Header("hdserve_request_duration_seconds", "histogram", "End-to-end request latency.")
-	latBounds := make([]float64, numLatencyBuckets)
-	latCounts := make([]uint64, numLatencyBuckets+1)
-	for i := 0; i < numLatencyBuckets; i++ {
-		latBounds[i] = latencyBound(i).Seconds()
-		latCounts[i] = m.latencyHist[i].Load()
-	}
-	latCounts[numLatencyBuckets] = m.latencyHist[numLatencyBuckets].Load()
-	p.HistogramExemplars("hdserve_request_duration_seconds", latBounds, latCounts,
-		float64(m.latencySum.Load())/1e9, m.latencyExemplars())
+	m.latency.WriteProm(p, "hdserve_request_duration_seconds")
 
 	p.Header("hdserve_stage_duration_seconds", "histogram",
 		"Per-request pipeline stage time (validate, encode, score, respond).")
-	stageBounds := make([]float64, obs.NumLatencyBuckets)
-	for i := range stageBounds {
-		stageBounds[i] = obs.LatencyBound(i).Seconds()
-	}
-	for _, st := range s.tracer.StageSnapshot() {
-		p.Histogram("hdserve_stage_duration_seconds", stageBounds, st.Buckets[:],
-			st.Sum.Seconds(), "stage", st.Stage)
+	for st := obs.Stage(0); int(st) < obs.NumStages; st++ {
+		s.tracer.StageHistogram(st).WriteProm(p, "hdserve_stage_duration_seconds", "stage", st.String())
 	}
 
 	s.promDrift(p)

@@ -78,7 +78,6 @@ var promFamilies = []string{
 	"hdserve_request_duration_seconds histogram",
 	"hdserve_requests_total counter",
 	"hdserve_stage_duration_seconds histogram",
-	"hdserve_timeouts_total counter",
 	"hdserve_uptime_seconds gauge",
 	"hdserve_validation_errors_total counter",
 }
@@ -109,11 +108,15 @@ func TestPrometheusExposition(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Drive one request through each scoring route so counters move.
+	// Drive one request through each scoring route so counters move, and
+	// one 400, which the request-latency histogram must not count.
 	d := synth.PimaM(7)
 	postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequest{Features: floats(d.X[0]...)})
 	postJSON(t, ts.Client(), ts.URL+"/v1/score/batch",
 		batchScoreRequest{Records: [][]*float64{floats(d.X[1]...)}})
+	if resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequest{Features: floats(1)}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("wrong-arity score: %d %s", resp.StatusCode, body)
+	}
 
 	body, resp := scrape(t, ts)
 	if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
@@ -152,7 +155,7 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		`hdserve_stage_duration_seconds_bucket{stage="encode",le="+Inf"}`,
-		`hdserve_requests_total{route="score"} 1`,
+		`hdserve_requests_total{route="score"} 2`,
 		`hdserve_requests_total{route="score_batch"} 1`,
 		`hdserve_request_duration_seconds_bucket{le="+Inf"} 2`,
 		`hdserve_build_info{go_version="`,
@@ -229,7 +232,9 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 }
 
-func TestMetricsJSONHeadersAndShape(t *testing.T) {
+// TestMetricsJSONGone pins the removal of the JSON counter snapshot:
+// /metrics is the one metrics surface.
+func TestMetricsJSONGone(t *testing.T) {
 	dep := testDeployment(t, 256)
 	s := New(dep, Config{})
 	defer s.Close()
@@ -240,19 +245,9 @@ func TestMetricsJSONHeadersAndShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type %q, want application/json", ct)
-	}
-	if cc := resp.Header.Get("Cache-Control"); cc != "no-store" {
-		t.Errorf("Cache-Control %q, want no-store", cc)
-	}
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.UptimeSeconds < 0 {
-		t.Errorf("uptime %v", snap.UptimeSeconds)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /metrics.json: status %d, want 404", resp.StatusCode)
 	}
 }
 

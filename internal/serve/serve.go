@@ -7,7 +7,6 @@
 //   - GET  /healthz         liveness + model identity.
 //   - GET  /metrics         Prometheus text exposition: request and shed
 //     counters, latency and per-stage histograms.
-//   - GET  /metrics.json    the counter snapshot as JSON.
 //
 // Requests are validated against the deployment's fitted codebook before
 // they reach the encoders, with per-feature error messages; the NaN and

@@ -74,25 +74,6 @@ type Config struct {
 	// [min, max] a validation error (with the value and bounds in the
 	// body) instead of a clamp-and-warn.
 	RejectOutOfRange bool
-	// PSIWarn is the per-feature PSI above which input drift is logged
-	// (default 0.25, the conventional "significant shift" threshold).
-	PSIWarn float64
-	// ClampWarn is the per-feature out-of-range ratio above which
-	// clamping is logged (default 0.01).
-	ClampWarn float64
-	// ScoreWindow sizes the rolling score window for prediction drift
-	// (default 4096).
-	ScoreWindow int
-	// FeedbackCapacity bounds the prediction ring /v1/feedback joins
-	// against (default 4096).
-	FeedbackCapacity int
-	// QualityWindow bounds the rolling labeled-outcome window the canary
-	// judges (default 1024).
-	QualityWindow int
-	// QualityTolerance is how far rolling accuracy may fall below the
-	// deployment's LOOCV baseline before the canary degrades
-	// (default 0.05).
-	QualityTolerance float64
 	// ShadowQueue bounds the lossy queue feeding the shadow scoring
 	// worker, in batches (default 64). Each scoring request is one batch:
 	// a /v1/score request queues one record, a /v1/score/batch request
@@ -161,12 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.PSIWarn <= 0 {
-		c.PSIWarn = 0.25
-	}
-	if c.ClampWarn <= 0 {
-		c.ClampWarn = 0.01
 	}
 	if c.ShadowQueue <= 0 {
 		c.ShadowQueue = 64
@@ -260,7 +235,7 @@ func New(sc core.Scorer, cfg Config) *Server {
 	// Slow-trace cutoff for tail sampling: the live p99 latency — any
 	// trace at or past it is always exported, whatever the head fraction.
 	s.sampler = export.NewSampler(cfg.TraceSample, cfg.TraceSeed,
-		func() time.Duration { return m.quantile(0.99) })
+		func() time.Duration { return m.latency.Quantile(0.99) })
 	// Adopt and promote the boot model before serving: every scoring path
 	// assumes the active slot is never empty.
 	s.reg.Promote(s.adopt(sc, cfg.ModelName, cfg.ModelPath, cfg.ModelSHA256))
@@ -292,7 +267,6 @@ func New(sc core.Scorer, cfg Config) *Server {
 	s.mux.HandleFunc("/admin/models/load", s.handleLoadModel)
 	s.mux.HandleFunc("/healthz", readOnly(s.handleHealthz))
 	s.mux.HandleFunc("/metrics", readOnly(s.handleMetricsProm))
-	s.mux.HandleFunc("/metrics.json", readOnly(s.handleMetricsJSON))
 	s.mux.HandleFunc("/debug/traces", readOnly(s.handleTraces))
 	s.mux.HandleFunc("/debug/slo", readOnly(s.handleSLO))
 	s.mux.HandleFunc("/debug/drift", readOnly(s.handleDriftDebug))
@@ -383,7 +357,8 @@ func (w *statusWriter) WriteHeader(code int) {
 // traced wraps a scoring handler in the pipeline tracer and the request
 // logger: every request gets a trace ID, a per-stage span record folded
 // into the stage histograms and trace rings, and one structured log line
-// carrying the version of the model that scored it.
+// carrying the version of the model that scored it. A 200's total time
+// feeds the request latency histogram, its trace ID the exemplar.
 //
 // W3C trace context flows through here: a valid inbound traceparent is
 // adopted (same trace ID, upstream span as parent), anything malformed
@@ -419,6 +394,9 @@ func (s *Server) traced(route string, h func(http.ResponseWriter, *http.Request,
 		sw := statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(&sw, r, at)
 		t := at.Finish(sw.status)
+		if t.Status == http.StatusOK {
+			s.metrics.latency.Observe(t.Total, t.Ctx.TraceIDString())
+		}
 		s.slo.Observe(t.Status, t.Total)
 		if s.exporter != nil {
 			if keep, _ := s.sampler.Keep(t); keep {
@@ -427,7 +405,10 @@ func (s *Server) traced(route string, h func(http.ResponseWriter, *http.Request,
 				}
 			}
 		}
-		lvl := slog.LevelInfo
+		// A 2xx line logs at Debug: the audit event and /debug/traces
+		// already carry its fields, and at Info it cost ~5% of server CPU
+		// under paced load.
+		lvl := slog.LevelDebug
 		switch {
 		case t.Status >= 500:
 			lvl = slog.LevelError
@@ -602,7 +583,6 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 	if time.Since(start) > budget {
 		at.SetShed(ShedDeadline.String())
 		s.metrics.Shed(ShedDeadline)
-		s.metrics.timeouts.Add(1)
 		s.auditOutcome(at, audit.OutcomeShed, ShedDeadline.String())
 		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "scoring timed out", TraceID: traceIDOf(at)})
 		return
@@ -627,7 +607,6 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 		EncodeUs:   encDur.Microseconds(),
 		ScoreUs:    distDur.Microseconds(),
 	}, 0)
-	s.metrics.ObserveLatencyTrace(time.Since(start), traceIDOf(at))
 }
 
 // handleScoreBatch scores an already-batched request directly through
@@ -639,7 +618,6 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	start := time.Now()
 	s.metrics.batchRequests.Add(1)
 	var req batchScoreRequest
 	if !s.decode(w, r, at, &req) {
@@ -721,7 +699,6 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 			s.auditScored(at, st, row, sc, stages, len(rows))
 		}
 	}
-	s.metrics.ObserveLatencyTrace(time.Since(start), traceIDOf(at))
 }
 
 // scoreRows scores validated rows with st's model, books the encode and
@@ -778,11 +755,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"dim":           info.Dim,
 		"features":      st.val.FeatureNames(),
 	})
-}
-
-// handleMetricsJSON serves the legacy expvar-style counter snapshot.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot())
 }
 
 // handleTraces serves the tracer's rings: the most recent and the

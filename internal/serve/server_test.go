@@ -18,6 +18,7 @@ import (
 
 	"hdfe/internal/chaos"
 	"hdfe/internal/core"
+	"hdfe/internal/obs"
 	"hdfe/internal/synth"
 )
 
@@ -184,17 +185,8 @@ func TestValidationErrorsOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/score: status %d", resp.StatusCode)
 	}
-	var snap Snapshot
-	resp, err = ts.Client().Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if snap.ValidationErrors < 2 {
-		t.Errorf("validation_errors = %d, want >= 2", snap.ValidationErrors)
+	if got := s.Metrics().validationErrs.Load(); got < 2 {
+		t.Errorf("validation_errors = %d, want >= 2", got)
 	}
 }
 
@@ -304,26 +296,29 @@ func TestLoadConcurrentClients(t *testing.T) {
 		t.Fatalf("%d score mismatches", failures.Load())
 	}
 
-	snap := s.Metrics().Snapshot()
-	if snap.ScoreRequests != clients*perClient {
-		t.Errorf("score_requests = %d, want %d", snap.ScoreRequests, clients*perClient)
+	m := s.Metrics()
+	if got := m.scoreRequests.Load(); got != clients*perClient {
+		t.Errorf("score_requests = %d, want %d", got, clients*perClient)
 	}
-	if snap.RecordsScored != clients*perClient {
-		t.Errorf("records_scored = %d, want %d", snap.RecordsScored, clients*perClient)
+	if got := m.recordsScored.Load(); got != clients*perClient {
+		t.Errorf("records_scored = %d, want %d", got, clients*perClient)
 	}
 	// The tracer ran for every one of those bit-identical responses: all
 	// 32k requests crossed every pipeline stage, so concurrent scoring
 	// under the tracer is exactly untraced scoring plus accounting.
-	for _, st := range s.Tracer().StageSnapshot() {
-		if st.Count != clients*perClient {
-			t.Errorf("stage %s observed %d requests, want %d", st.Stage, st.Count, clients*perClient)
+	for st := obs.Stage(0); int(st) < obs.NumStages; st++ {
+		if got := histCount(t, s.Tracer().StageHistogram(st)); got != clients*perClient {
+			t.Errorf("stage %s observed %d requests, want %d", st, got, clients*perClient)
 		}
+	}
+	if got := histCount(t, &m.latency); got != clients*perClient {
+		t.Errorf("request latency observed %d requests, want %d", got, clients*perClient)
 	}
 	recent, slowest := s.Tracer().TraceViews()
 	if len(recent) == 0 || len(slowest) == 0 {
 		t.Errorf("trace rings empty after load: recent=%d slowest=%d", len(recent), len(slowest))
 	}
-	t.Logf("load: %s", snap)
+	t.Logf("load: %s", m)
 }
 
 // TestGracefulShutdownDrains verifies the drain contract: requests

@@ -175,9 +175,8 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatalf("%d non-200/429 responses under overload", other.Load())
 	}
 
-	m := s.Metrics().Snapshot()
-	if m.ShedQueueFull != rejected {
-		t.Errorf("hdfe_shed_total{queue_full} = %d, clients saw %d rejections", m.ShedQueueFull, rejected)
+	if shed := s.Metrics().ShedCount(ShedQueueFull); shed != rejected {
+		t.Errorf("hdfe_shed_total{queue_full} = %d, clients saw %d rejections", shed, rejected)
 	}
 	if peak := maxInflight.Load(); peak > maxInFlight {
 		t.Errorf("records in flight peaked at %d, admission budget is %d", peak, maxInFlight)
