@@ -33,8 +33,8 @@ import (
 	"os"
 	"sort"
 
+	"hdfe/internal/core"
 	"hdfe/internal/obs/audit"
-	"hdfe/internal/registry"
 )
 
 func main() {
@@ -91,7 +91,7 @@ func runReplay(args []string, stdout, stderr io.Writer) error {
 	if *dir == "" || *model == "" {
 		return errors.New("replay: -dir and -model are required")
 	}
-	dep, sha, err := registry.ReadFile(*model)
+	dep, sha, err := core.ReadFile(*model)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,6 @@ import (
 
 	"hdfe/internal/core"
 	"hdfe/internal/obs/audit"
-	"hdfe/internal/registry"
 	"hdfe/internal/synth"
 )
 
@@ -31,7 +30,7 @@ func fixture(t *testing.T) (dir, model string) {
 	}
 	// Score through the artifact as read back from disk — the exact
 	// bytes replay will load — and record its content sha.
-	rdep, sha, err := registry.ReadFile(model)
+	rdep, sha, err := core.ReadFile(model)
 	if err != nil {
 		t.Fatal(err)
 	}

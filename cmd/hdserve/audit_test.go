@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"hdfe/internal/core"
 	"hdfe/internal/obs/audit"
-	"hdfe/internal/registry"
 )
 
 // TestRunAuditTrail boots hdserve with -audit-dir, scores traffic, shuts
@@ -104,7 +104,7 @@ func TestRunAuditTrail(t *testing.T) {
 	if res.Outcomes["scored"] != len(wantBits) {
 		t.Fatalf("%d scored events, want %d (census %v)", res.Outcomes["scored"], len(wantBits), res.Outcomes)
 	}
-	dep, sha, err := registry.ReadFile(model)
+	dep, sha, err := core.ReadFile(model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,15 @@
 // so new connections are refused, and lets in-flight requests finish
 // before exiting.
 //
-// Model lifecycle: the boot model becomes registry version 1 and serves
+// Model lifecycle: the boot model becomes model version 1 and serves
 // until replaced. SIGHUP re-reads the -model artifact and hot-swaps it
 // with zero downtime (in-flight requests finish on the old model). POST
 // /admin/models/load loads a new artifact as the active model or — with
 // "shadow": true — as a shadow that re-scores the same validated
 // batches off the hot path and reports disagreement-rate and
 // score-delta metrics for canary comparison before promotion. -shadow
-// installs such a shadow at boot; GET /v1/models reports the registry.
+// installs such a shadow at boot; GET /v1/models reports the active and
+// shadow models, the swap count and every model adopted since boot.
 //
 // Observability: every scoring request is logged structurally (log/slog,
 // text or JSON) with its trace ID, route, status, latency, and batch
@@ -87,8 +88,9 @@
 // per-request budget with an X-Request-Deadline-Ms header; a record past
 // its deadline when encode would start is shed with 504, never scored.
 // -chaos-spec enables the deterministic fault-injection seam
-// (internal/chaos) for soak and failure-drill testing — latency spikes,
-// stage stalls, artifact-load failures, shadow-queue pressure.
+// (internal/chaos) for soak and failure-drill testing — scoring stalls,
+// artifact-load failures, shadow-queue pressure, and span-export,
+// profile-capture and audit-write faults.
 //
 // Model observability: the server monitors input drift (per-feature PSI
 // against the training reference stored in the deployment), prediction
@@ -117,7 +119,6 @@ import (
 	"hdfe/internal/obs"
 	"hdfe/internal/obs/audit"
 	"hdfe/internal/obs/prof"
-	"hdfe/internal/registry"
 	"hdfe/internal/serve"
 	"hdfe/internal/synth"
 )
@@ -214,7 +215,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	case *model != "":
 		var err error
-		if dep, sha, err = registry.ReadFile(*model); err != nil {
+		if dep, sha, err = core.ReadFile(*model); err != nil {
 			return err
 		}
 		if modelName == "" {

@@ -1,12 +1,13 @@
 // Package chaos is the fault-injection seam for the hdfe serving stack.
 //
 // An Injector holds a set of Faults, each bound to a named injection
-// Point that serving code consults at the moments worth breaking: request
-// entry, single-record scoring, model-artifact loads, and the
-// shadow-scoring worker. A consultation draws from a deterministic rng.Source (seeded at
-// construction, see internal/rng), so a chaos run replays bit for bit
-// given the same consultation order — which is what lets the regression
-// suite assert exact shed counts instead of flaky probabilistic ones.
+// Point that serving code consults at the moments worth breaking:
+// single-record scoring, model-artifact loads, the shadow-scoring worker,
+// span export, profile captures and audit writes. A consultation draws
+// from a deterministic rng.Source (seeded at construction, see
+// internal/rng), so a chaos run replays bit for bit given the same
+// consultation order — which is what lets the regression suite assert
+// exact shed counts instead of flaky probabilistic ones.
 //
 // Production builds pay nothing: the zero configuration is a nil
 // *Injector, and every method is nil-safe, so an uninstrumented server
@@ -31,13 +32,10 @@ import (
 type Point uint8
 
 const (
-	// PointHTTP fires at request entry, before validation — models a
-	// slow proxy or accept-queue latency spike.
-	PointHTTP Point = iota
 	// PointScore fires once per /v1/score request, after validation and
 	// at the start of the encode stage, before the deadline check —
 	// models a stalled scoring stage.
-	PointScore
+	PointScore Point = iota
 	// PointLoad fires inside model-artifact loads (admin load, SIGHUP
 	// reload) — models a failed or slow disk read.
 	PointLoad
@@ -65,7 +63,7 @@ const (
 	numPoints
 )
 
-var pointNames = [numPoints]string{"http", "score", "load", "shadow", "export", "prof", "audit"}
+var pointNames = [numPoints]string{"score", "load", "shadow", "export", "prof", "audit"}
 
 // String returns the point's spec name.
 func (p Point) String() string {
@@ -82,7 +80,7 @@ func ParsePoint(s string) (Point, error) {
 			return Point(i), nil
 		}
 	}
-	return 0, fmt.Errorf("chaos: unknown injection point %q (want http|score|load|shadow|export|prof|audit)", s)
+	return 0, fmt.Errorf("chaos: unknown injection point %q (want score|load|shadow|export|prof|audit)", s)
 }
 
 // Fault is one configured failure mode at a Point. Each consultation of
@@ -122,9 +120,9 @@ func New(seed uint64, faults ...Fault) *Injector {
 //
 //	point:key=val,key=val;point:key=val...
 //
-// where point is http|score|load|shadow|export|prof|audit and keys are p (probability,
-// default 1), delay and jitter (Go durations, default 0), and err (an
-// error message; the consultation fails with it). Example:
+// where point is score|load|shadow|export|prof|audit and keys are p
+// (probability, default 1), delay and jitter (Go durations, default 0),
+// and err (an error message; the consultation fails with it). Example:
 //
 //	score:p=0.2,delay=5ms,jitter=20ms;load:err=injected disk failure
 //

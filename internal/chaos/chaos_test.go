@@ -58,6 +58,7 @@ func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"warp:delay=1ms",      // unknown point
 		"batch:delay=1ms",     // retired point name
+		"http:delay=1ms",      // retired point name
 		"score",               // no colon
 		"score:delay",         // no key=val
 		"score:p=high",        // bad float
@@ -66,7 +67,7 @@ func TestParseErrors(t *testing.T) {
 		"score:speed=11",      // unknown key
 		"load:err=",           // empty error message
 		"score:delay=-5ms",    // negative delay
-		"http:p=1;;warp:p=1",  // bad clause after empty one
+		"score:p=1;;warp:p=1", // bad clause after empty one
 		"score:jitter=oops",   // bad jitter duration
 		"score:p=0.5,delay=5", // bare number is not a duration
 	}
@@ -96,13 +97,13 @@ func TestInjectErrorAndCount(t *testing.T) {
 }
 
 func TestProbabilityZeroNeverFires(t *testing.T) {
-	in := New(1, Fault{Point: PointHTTP, P: 0, Err: "never"})
+	in := New(1, Fault{Point: PointScore, P: 0, Err: "never"})
 	for i := 0; i < 100; i++ {
-		if err := in.Inject(PointHTTP); err != nil {
+		if err := in.Inject(PointScore); err != nil {
 			t.Fatalf("p=0 fault fired on consultation %d: %v", i, err)
 		}
 	}
-	if in.Fired(PointHTTP) != 0 {
+	if in.Fired(PointScore) != 0 {
 		t.Fatal("p=0 fault counted firings")
 	}
 }
@@ -147,17 +148,17 @@ func TestInjectSleepsDelay(t *testing.T) {
 }
 
 func TestJitterStaysBounded(t *testing.T) {
-	in := New(3, Fault{Point: PointHTTP, P: 1, Jitter: 2 * time.Millisecond})
+	in := New(3, Fault{Point: PointScore, P: 1, Jitter: 2 * time.Millisecond})
 	start := time.Now()
 	for i := 0; i < 5; i++ {
-		if err := in.Inject(PointHTTP); err != nil {
+		if err := in.Inject(PointScore); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
 		t.Fatalf("5 jittered consultations took %v, jitter unbounded?", elapsed)
 	}
-	if got := in.Fired(PointHTTP); got != 5 {
+	if got := in.Fired(PointScore); got != 5 {
 		t.Fatalf("Fired = %d, want 5", got)
 	}
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -250,16 +253,25 @@ func (d *Deployment) Save(path string) error {
 	return nil
 }
 
+// ReadFile loads a deployment artifact and returns it with the hex
+// SHA-256 of the file bytes — the identity hdserve records for each model
+// and reports on /v1/models. The whole file is read up front so the
+// digest covers exactly the bytes that were parsed.
+func ReadFile(path string) (*Deployment, string, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, "", fmt.Errorf("core: reading model artifact: %w", err)
+	}
+	sum := sha256.Sum256(raw)
+	dep, err := ReadDeployment(bytes.NewReader(raw))
+	if err != nil {
+		return nil, "", fmt.Errorf("core: loading model from %s: %w", path, err)
+	}
+	return dep, hex.EncodeToString(sum[:]), nil
+}
+
 // LoadDeployment reads a deployment from a file written by Save/WriteTo.
 func LoadDeployment(path string) (*Deployment, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading deployment: %w", err)
-	}
-	defer f.Close()
-	d, err := ReadDeployment(f)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading deployment from %s: %w", path, err)
-	}
-	return d, nil
+	dep, _, err := ReadFile(path)
+	return dep, err
 }

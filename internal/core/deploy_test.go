@@ -156,6 +156,46 @@ func TestDeploymentSaveLoadFile(t *testing.T) {
 	}
 }
 
+// TestReadFile pins the artifact loader hdserve and hdaudit share: the
+// reloaded model scores identically, the digest is the 64-hex SHA-256 of
+// the file bytes and is deterministic, and a missing or garbage file
+// fails.
+func TestReadFile(t *testing.T) {
+	d := toyDataset()
+	dep, err := BuildDeployment(SpecsFor(d.Features), d.X, d.Y, Options{Dim: 64, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "dep.bin")
+	if err := dep.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	got, sha, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sha) != 64 {
+		t.Errorf("sha256 hex %q, want 64 chars", sha)
+	}
+	if got.Score(d.X[0]) != dep.Score(d.X[0]) {
+		t.Error("reloaded model scores differently")
+	}
+	if _, sha2, err := ReadFile(path); err != nil || sha2 != sha {
+		t.Errorf("digest not deterministic: %q vs %q (%v)", sha, sha2, err)
+	}
+
+	if _, _, err := ReadFile(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
+		t.Error("ReadFile on a missing path succeeded")
+	}
+	bad := filepath.Join(t.TempDir(), "bad.bin")
+	if err := os.WriteFile(bad, []byte("not a deployment"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadFile(bad); err == nil {
+		t.Error("ReadFile on garbage succeeded")
+	}
+}
+
 func TestReadDeploymentRejectsGarbage(t *testing.T) {
 	for i, in := range []string{"", "WRONGMAGIC", deployMagicV1, deployMagicV2} {
 		if _, err := ReadDeployment(strings.NewReader(in)); err == nil {

@@ -9,7 +9,6 @@ import (
 	"hdfe/internal/core"
 	"hdfe/internal/obs"
 	"hdfe/internal/obs/audit"
-	"hdfe/internal/registry"
 )
 
 // parseExplain reads the ?explain=k query parameter of /v1/score: the
@@ -57,21 +56,20 @@ func explainTopK(contribs []core.FeatureContribution, k int) []audit.Contributio
 // /v1/score/batch and 0 on /v1/score, where the field is omitted. The nil
 // check keeps a server without an audit log from paying the event
 // construction.
-func (s *Server) auditScored(at *obs.ActiveTrace, st *modelState, row []float64, resp scoreResponse, stages audit.Stages, batch int) {
+func (s *Server) auditScored(at *obs.ActiveTrace, m *model, row []float64, resp scoreResponse, stages audit.Stages, batch int) {
 	if s.audit == nil {
 		return
 	}
 	// Copy after the guard: taking &stages directly would make the
 	// parameter escape and cost the disabled path one heap allocation.
 	stg := stages
-	info := st.model.Info()
 	s.audit.Enqueue(audit.Event{
 		Route:        at.Route(),
 		Outcome:      audit.OutcomeScored,
 		RequestID:    resp.RequestID,
 		TraceID:      traceIDOf(at),
-		ModelVersion: info.Version,
-		ModelSHA256:  info.SHA256,
+		ModelVersion: m.info.Version,
+		ModelSHA256:  m.info.SHA256,
 		Inputs:       audit.Inputs(row),
 		InputsSHA256: audit.InputsDigest(row),
 		Score:        resp.Score,
@@ -116,7 +114,7 @@ func (s *Server) auditFeedback(reqID string, label int, status string) {
 
 // auditSwap records a model promotion, so replay can attribute every
 // scored event on either side of the swap to its exact artifact.
-func (s *Server) auditSwap(info registry.Info, replaced uint64) {
+func (s *Server) auditSwap(info ModelInfo, replaced uint64) {
 	if s.audit == nil {
 		return
 	}

@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"hdfe/internal/chaos"
+	"hdfe/internal/core"
 	"hdfe/internal/obs/audit"
-	"hdfe/internal/registry"
 	"hdfe/internal/synth"
 )
 
@@ -28,7 +28,7 @@ func auditServer(t *testing.T, cfg Config, acfg audit.Config) (*Server, *httptes
 	if err := testDeployment(t, 256).Save(artifact); err != nil {
 		t.Fatal(err)
 	}
-	dep, sha, err := registry.ReadFile(artifact)
+	dep, sha, err := core.ReadFile(artifact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +139,13 @@ func TestAuditE2E(t *testing.T) {
 	}
 
 	// Every audited score must carry the bits the client saw, the swap
-	// must be on record, and the explained event must carry its top-3.
-	sawSwap, sawExplain := false, false
+	// must be on record — once: the boot model is published without a
+	// swap event — and the explained event must carry its top-3.
+	swapEvents, sawExplain := 0, false
 	if _, err := audit.Walk(auditDir, func(ev audit.Event) error {
 		switch {
 		case ev.Route == "model_swap":
-			sawSwap = true
+			swapEvents++
 		case ev.Outcome == audit.OutcomeScored:
 			if want, ok := wantBits[ev.RequestID]; !ok || ev.ScoreBits != want {
 				t.Errorf("seq %d: audited bits %#x, client saw %#x", ev.Seq, ev.ScoreBits, want)
@@ -157,13 +158,13 @@ func TestAuditE2E(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !sawSwap || !sawExplain {
-		t.Fatalf("sawSwap=%v sawExplain=%v, want both", sawSwap, sawExplain)
+	if swapEvents != 1 || !sawExplain {
+		t.Fatalf("%d model_swap events (want 1), sawExplain=%v", swapEvents, sawExplain)
 	}
 
 	// Offline replay against the artifact: every attributed score must
 	// reproduce bit-identically.
-	dep, sha, err := registry.ReadFile(artifact)
+	dep, sha, err := core.ReadFile(artifact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestAuditChaosRaceE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	// (c) offline replay reproduces every audited score bit-identically.
-	dep, sha, err := registry.ReadFile(artifact)
+	dep, sha, err := core.ReadFile(artifact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,15 +399,15 @@ func TestAuditChaosRaceE2E(t *testing.T) {
 func TestAuditHelpersZeroAllocWhenDisabled(t *testing.T) {
 	s := New(testDeployment(t, 64), Config{})
 	defer s.Close()
-	st := s.activeState()
+	m := s.active.Load()
 	row := synth.PimaM(7).X[0]
 	resp := scoreResponse{RequestID: "1", Score: 0.5}
 	stages := audit.Stages{}
 	if allocs := testing.AllocsPerRun(100, func() {
-		s.auditScored(nil, st, row, resp, stages, 1)
+		s.auditScored(nil, m, row, resp, stages, 1)
 		s.auditOutcome(nil, audit.OutcomeShed, "x")
 		s.auditFeedback("1", 1, "matched")
-		s.auditSwap(registry.Info{}, 0)
+		s.auditSwap(ModelInfo{}, 0)
 	}); allocs != 0 {
 		t.Fatalf("audit helpers allocate %.1f per call with auditing disabled, want 0", allocs)
 	}

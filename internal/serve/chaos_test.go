@@ -82,7 +82,7 @@ func TestChaosStalledStageShedsDeadlines(t *testing.T) {
 
 // TestChaosLoadFailureKeepsServing pins the reload failure mode: an
 // injected artifact-read failure mid-swap must leave the old model
-// serving, bit-identical, with no registry churn.
+// serving, bit-identical, with no model churn.
 func TestChaosLoadFailureKeepsServing(t *testing.T) {
 	d := synth.PimaM(7)
 	dep, err := core.BuildDeployment(core.SpecsFor(d.Features), d.X, d.Y, core.Options{Dim: 128, Seed: 7})
@@ -115,10 +115,10 @@ func TestChaosLoadFailureKeepsServing(t *testing.T) {
 		t.Fatalf("admin load through injected failure: %d %s, want 422", resp.StatusCode, body)
 	}
 
-	if v := s.Registry().Active().Info().Version; v != 1 {
+	if v := s.active.Load().info.Version; v != 1 {
 		t.Fatalf("active version %d after failed loads, want 1 (old model keeps serving)", v)
 	}
-	if swaps := s.Registry().Swaps(); swaps != 0 {
+	if swaps := s.swaps.Load(); swaps != 0 {
 		t.Fatalf("%d swaps recorded after failed loads", swaps)
 	}
 	if inj.Fired(chaos.PointLoad) < 2 {

@@ -14,13 +14,13 @@ import (
 // driftState bundles one model's data/quality observability: the input
 // drift monitor (live per-feature histograms against that model's
 // training reference), the rolling score window for prediction drift,
-// and the delayed-label quality tracker. It lives on the modelState and
-// swaps atomically with the model — drift signals always describe
-// traffic as seen by one specific model version, never a blend across a
-// hot-swap. The monitor is nil when the model carries no reference (a
-// pre-v2 artifact) — input drift reporting is then disabled while
-// prediction drift and quality still run, since neither needs
-// training-time state beyond the baseline.
+// and the delayed-label quality tracker. It lives on the model and swaps
+// atomically with it — drift signals always describe traffic as seen by
+// one specific model version, never a blend across a hot-swap. The
+// monitor is nil when the model carries no reference (a pre-v2
+// artifact) — input drift reporting is then disabled while prediction
+// drift and quality still run, since neither needs training-time state
+// beyond the baseline.
 type driftState struct {
 	monitor *drift.Monitor
 	scores  *drift.ScoreWindow
@@ -181,8 +181,8 @@ type feedbackResponse struct {
 // handleFeedback joins delayed ground-truth labels to remembered
 // predictions. Unknown IDs are reported, not rejected: labels routinely
 // arrive after the bounded join ring has rotated — or, under
-// hot-swapping, after the model that made the prediction was retired
-// (labels join the active model's quality tracker; a retired model's
+// hot-swapping, after the model that made the prediction was replaced
+// (labels join the active model's quality tracker; a replaced model's
 // request IDs report unknown).
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
@@ -217,7 +217,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	quality := s.activeState().drift.quality
+	quality := s.active.Load().drift.quality
 	resp := feedbackResponse{Results: make([]feedbackResult, len(items))}
 	for i, it := range items {
 		res := quality.Feedback(it.RequestID, *it.Label)
@@ -239,15 +239,14 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // a side effect, runs the threshold evaluation exactly like a metrics
 // scrape does), plus the shadow comparison when a shadow is installed.
 func (s *Server) handleDriftDebug(w http.ResponseWriter, r *http.Request) {
-	st := s.activeState()
-	rep := st.drift.report()
-	rep.Model = st.model.Info().Name
-	if sh := s.reg.Shadow(); sh != nil {
-		shst := sh.State().(*modelState)
+	m := s.active.Load()
+	rep := m.drift.report()
+	rep.Model = m.info.Name
+	if sh := s.shadow.slot.Load(); sh != nil {
 		rep.Shadow = &shadowDebug{
-			Model:          sh.Info().Name,
-			ModelVersion:   sh.Info().Version,
-			shadowSnapshot: shst.shadow.snapshot(),
+			Model:          sh.info.Name,
+			ModelVersion:   sh.info.Version,
+			shadowSnapshot: sh.shadow.snapshot(),
 		}
 	}
 	writeJSON(w, http.StatusOK, rep)
@@ -260,9 +259,9 @@ func (s *Server) handleDriftDebug(w http.ResponseWriter, r *http.Request) {
 // installed, the hdfe_shadow_* canary families follow, labelled with
 // the shadow's version.
 func (s *Server) promDrift(p *obs.PromWriter) {
-	st := s.activeState()
-	ver := versionLabel(st.model.Info().Version)
-	rep := st.drift.report()
+	m := s.active.Load()
+	ver := versionLabel(m.info.Version)
+	rep := m.drift.report()
 	if rep.InputDriftEnabled {
 		p.Header("hdfe_drift_rows_observed_total", "counter", "Rows folded into the input drift histograms.")
 		p.Value("hdfe_drift_rows_observed_total", float64(rep.RowsObserved), "model_version", ver)
@@ -308,10 +307,9 @@ func (s *Server) promDrift(p *obs.PromWriter) {
 	}
 	p.Value("hdfe_quality_canary_healthy", healthy, "model_version", ver)
 
-	if sh := s.reg.Shadow(); sh != nil {
-		shst := sh.State().(*modelState)
-		shVer := versionLabel(sh.Info().Version)
-		snap := shst.shadow.snapshot()
+	if sh := s.shadow.slot.Load(); sh != nil {
+		shVer := versionLabel(sh.info.Version)
+		snap := sh.shadow.snapshot()
 		p.Header("hdfe_shadow_records_total", "counter", "Records re-scored by the shadow model.")
 		p.Value("hdfe_shadow_records_total", float64(snap.Records), "model_version", shVer)
 		p.Header("hdfe_shadow_disagreements_total", "counter", "Shadow predictions that flipped the active model's decision at 0.5.")

@@ -4,76 +4,86 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"hdfe/internal/chaos"
 	"hdfe/internal/core"
-	"hdfe/internal/registry"
 )
 
-// modelState is the serving layer's per-model companion: everything
-// that must swap atomically with the model itself. The validator is the
-// model's fitted schema; the drift trackers (input histograms, score
-// window, delayed-label quality) describe traffic as seen by this
-// model version, so comparing a new model against stale drift state is
-// impossible by construction. It is attached to the registry.Model via
-// SetState before publication and retrieved by every scoring path.
-type modelState struct {
-	model  *registry.Model
-	scorer core.Scorer
+// ModelInfo identifies one loaded model. It is immutable once the model
+// is adopted and safe to hand to JSON encoders and log lines.
+type ModelInfo struct {
+	// Version is the server-assigned monotonic model version, starting
+	// at 1 for the boot model. It is the value of the model_version
+	// metric label.
+	Version uint64 `json:"version"`
+	// Name is the human-facing model name (flag -name, admin "name"
+	// field, or the backing path when neither is given).
+	Name string `json:"name"`
+	// Path is the artifact file the model was loaded from ("" for
+	// in-process models, e.g. -demo).
+	Path string `json:"path,omitempty"`
+	// SHA256 is the hex digest of the artifact bytes ("" for in-process
+	// models).
+	SHA256 string `json:"sha256,omitempty"`
+	// Dim and Features describe the fitted schema.
+	Dim      int `json:"dim"`
+	Features int `json:"features"`
+	// LoadedAt is when the server adopted the model.
+	LoadedAt time.Time `json:"loaded_at"`
+}
+
+// model is one adopted model and everything that must swap atomically
+// with it: its identity, the deployment, the validator built from the
+// fitted schema, and the drift trackers (input histograms, score
+// window, delayed-label quality) that describe traffic as seen by this
+// model version — so comparing a new model against stale drift state is
+// impossible by construction. adopt builds all of it before the model is
+// published with one atomic store; nothing in a model is written after
+// that except the internally synchronized trackers. A replaced model
+// keeps serving the requests that already loaded it and is freed by the
+// garbage collector once they finish.
+type model struct {
+	info   ModelInfo
+	dep    *core.Deployment
 	val    *Validator
 	drift  *driftState
 	shadow shadowStats // canary comparison, used while the model is shadow
 }
 
-// newModelState builds and attaches the serving state for m.
-func newModelState(m *registry.Model, cfg Config) *modelState {
-	sc := m.Scorer()
-	st := &modelState{
-		model:  m,
-		scorer: sc,
-		val:    NewValidator(sc.Codebook(), cfg.RejectMissing, cfg.RejectOutOfRange),
-		drift:  newDriftState(sc.DriftRef(), m.Info().Version, cfg.Logger),
+// adopt builds a model for dep under a fresh version and appends it to
+// the adoption history. The returned model is complete but unpublished:
+// promote it or store it in the shadow slot.
+func (s *Server) adopt(dep *core.Deployment, name, path, sha string) *model {
+	cb := dep.Extractor.Codebook()
+	s.modelsMu.Lock()
+	defer s.modelsMu.Unlock()
+	s.nextVersion++
+	info := ModelInfo{
+		Version:  s.nextVersion,
+		Name:     name,
+		Path:     path,
+		SHA256:   sha,
+		Dim:      cb.Dim(),
+		Features: cb.NumFeatures(),
+		LoadedAt: time.Now(),
 	}
-	m.SetState(st)
-	return st
+	s.loaded = append(s.loaded, info)
+	return &model{
+		info:  info,
+		dep:   dep,
+		val:   NewValidator(cb, s.cfg.RejectMissing, s.cfg.RejectOutOfRange),
+		drift: newDriftState(dep.Ref, info.Version, s.cfg.Logger),
+	}
 }
 
-// version is the model's registry version — the model_version label.
-func (st *modelState) version() uint64 { return st.model.Info().Version }
-
-// release drops the scoring reference held by acquireActive.
-func (st *modelState) release() { st.model.Release() }
-
-// adopt registers sc in the registry and builds its serving state. The
-// returned model is ready to Promote or SetShadow.
-func (s *Server) adopt(sc core.Scorer, name, path, sha string) *registry.Model {
-	m := s.reg.Adopt(sc, name, path, sha)
-	newModelState(m, s.cfg)
-	return m
-}
-
-// activeState returns the active model's serving state without holding
-// a scoring reference — for identity reads, validation, and drift
-// reporting (immutable or internally synchronized data), not for
-// scoring. New promotes the boot model before serving starts, so the
-// active slot is never empty.
-func (s *Server) activeState() *modelState {
-	return s.reg.Active().State().(*modelState)
-}
-
-// acquireActive returns the active state with a scoring reference
-// held; callers must release() after their last scorer use.
-func (s *Server) acquireActive() *modelState {
-	return s.reg.AcquireActive().State().(*modelState)
-}
-
-// checkSchema verifies that sc is hot-swappable with the active model:
+// checkSchema verifies that dep is hot-swappable with the active model:
 // identical feature schemas, position by position. Clients send features
 // positionally against the schema they were built for, so a swap must
 // not change it.
-func (s *Server) checkSchema(sc core.Scorer) error {
-	cur := s.activeState().scorer.Specs()
-	next := sc.Specs()
+func (s *Server) checkSchema(dep *core.Deployment) error {
+	cur := s.active.Load().dep.Extractor.Codebook().Specs()
+	next := dep.Extractor.Codebook().Specs()
 	if len(next) != len(cur) {
 		return fmt.Errorf("serve: schema mismatch: new model has %d features, active model %d", len(next), len(cur))
 	}
@@ -86,76 +96,72 @@ func (s *Server) checkSchema(sc core.Scorer) error {
 	return nil
 }
 
-// AdoptAndPromote registers an in-process scorer (no backing file) and
-// promotes it to active after the schema check. The replaced model
-// retires gracefully: it finishes its in-flight requests, then drains.
-func (s *Server) AdoptAndPromote(sc core.Scorer, name string) (registry.Info, error) {
-	if err := s.checkSchema(sc); err != nil {
-		return registry.Info{}, err
+// AdoptAndPromote adopts an in-process deployment (no backing file) and
+// promotes it to active after the schema check. Requests that already
+// loaded the replaced model finish on it.
+func (s *Server) AdoptAndPromote(dep *core.Deployment, name string) (ModelInfo, error) {
+	if err := s.checkSchema(dep); err != nil {
+		return ModelInfo{}, err
 	}
-	m := s.adopt(sc, name, "", "")
+	m := s.adopt(dep, name, "", "")
 	s.promote(m)
-	return m.Info(), nil
+	return m.info, nil
 }
 
 // LoadAndPromote loads a model artifact from path and promotes it to
 // active. name defaults to path.
-func (s *Server) LoadAndPromote(path, name string) (registry.Info, error) {
+func (s *Server) LoadAndPromote(path, name string) (ModelInfo, error) {
 	m, err := s.load(path, name)
 	if err != nil {
-		return registry.Info{}, err
+		return ModelInfo{}, err
 	}
 	s.promote(m)
-	return m.Info(), nil
+	return m.info, nil
 }
 
 // LoadShadow loads a model artifact from path and installs it as the
 // shadow model, replacing any previous shadow. name defaults to path.
-func (s *Server) LoadShadow(path, name string) (registry.Info, error) {
+func (s *Server) LoadShadow(path, name string) (ModelInfo, error) {
 	m, err := s.load(path, name)
 	if err != nil {
-		return registry.Info{}, err
+		return ModelInfo{}, err
 	}
-	s.reg.SetShadow(m)
-	info := m.Info()
+	s.shadow.slot.Store(m)
 	s.logger.Info("shadow model installed",
-		"model", info.Name, "model_version", info.Version, "sha256", info.SHA256)
-	return info, nil
+		"model", m.info.Name, "model_version", m.info.Version, "sha256", m.info.SHA256)
+	return m.info, nil
 }
 
-// AdoptShadow installs an in-process scorer as the shadow model.
-func (s *Server) AdoptShadow(sc core.Scorer, name string) (registry.Info, error) {
-	if err := s.checkSchema(sc); err != nil {
-		return registry.Info{}, err
+// AdoptShadow installs an in-process deployment as the shadow model.
+func (s *Server) AdoptShadow(dep *core.Deployment, name string) (ModelInfo, error) {
+	if err := s.checkSchema(dep); err != nil {
+		return ModelInfo{}, err
 	}
-	m := s.adopt(sc, name, "", "")
-	s.reg.SetShadow(m)
-	return m.Info(), nil
+	m := s.adopt(dep, name, "", "")
+	s.shadow.slot.Store(m)
+	return m.info, nil
 }
 
 // ReloadModel re-reads the active model's backing artifact and promotes
 // the result — the SIGHUP handler. It fails for in-process models
 // (-demo), which have no file to reload.
-func (s *Server) ReloadModel() (registry.Info, error) {
-	info := s.reg.Active().Info()
+func (s *Server) ReloadModel() (ModelInfo, error) {
+	info := s.active.Load().info
 	if info.Path == "" {
-		return registry.Info{}, errors.New("serve: active model has no backing file to reload")
+		return ModelInfo{}, errors.New("serve: active model has no backing file to reload")
 	}
 	return s.LoadAndPromote(info.Path, info.Name)
 }
-
-// Registry exposes the model registry (for introspection and tests).
-func (s *Server) Registry() *registry.Registry { return s.reg }
 
 // load reads and schema-checks an artifact, returning an adopted,
 // unpublished model. The chaos seam can fail the read — a load failure,
 // injected or real, must leave the serving state untouched (the current
 // model keeps serving; the chaos regression suite pins this).
-func (s *Server) load(path, name string) (*registry.Model, error) {
+func (s *Server) load(path, name string) (*model, error) {
 	if err := s.cfg.Chaos.Inject(chaos.PointLoad); err != nil {
 		return nil, err
 	}
-	dep, sha, err := registry.ReadFile(path)
+	dep, sha, err := core.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -168,43 +174,39 @@ func (s *Server) load(path, name string) (*registry.Model, error) {
 	return s.adopt(dep, name, path, sha), nil
 }
 
-// promote publishes m as active and logs and audits the swap.
-func (s *Server) promote(m *registry.Model) {
-	old := s.reg.Promote(m)
-	info := m.Info()
-	attrs := []any{
-		"model", info.Name, "model_version", info.Version, "sha256", info.SHA256,
-	}
-	var replaced uint64
-	if old != nil {
-		replaced = old.Info().Version
-		attrs = append(attrs, "replaced_version", replaced)
-	}
-	s.logger.Info("model promoted", attrs...)
-	s.auditSwap(info, replaced)
+// promote publishes m as active and counts, logs and audits the swap.
+// New stores the boot model directly, so a promote always replaces one.
+func (s *Server) promote(m *model) {
+	old := s.active.Swap(m)
+	s.swaps.Add(1)
+	s.logger.Info("model promoted",
+		"model", m.info.Name, "model_version", m.info.Version, "sha256", m.info.SHA256,
+		"replaced_version", old.info.Version)
+	s.auditSwap(m.info, old.info.Version)
 }
 
 // modelsResponse is the GET /v1/models body: the live publication state
 // plus the full adoption history.
 type modelsResponse struct {
-	Active registry.Info   `json:"active"`
-	Shadow *registry.Info  `json:"shadow,omitempty"`
-	Swaps  uint64          `json:"swaps"`
-	Loaded []registry.Info `json:"loaded"`
+	Active ModelInfo   `json:"active"`
+	Shadow *ModelInfo  `json:"shadow,omitempty"`
+	Swaps  uint64      `json:"swaps"`
+	Loaded []ModelInfo `json:"loaded"`
 }
 
-// handleModels reports the registry: active and shadow identities,
-// swap count, and every model adopted since boot.
+// handleModels reports the model lifecycle: active and shadow
+// identities, swap count, and every model adopted since boot.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	resp := modelsResponse{
-		Active: s.reg.Active().Info(),
-		Swaps:  s.reg.Swaps(),
-		Loaded: s.reg.Loaded(),
+		Active: s.active.Load().info,
+		Swaps:  s.swaps.Load(),
 	}
-	if sh := s.reg.Shadow(); sh != nil {
-		info := sh.Info()
-		resp.Shadow = &info
+	if sh := s.shadow.slot.Load(); sh != nil {
+		resp.Shadow = &sh.info
 	}
+	s.modelsMu.Lock()
+	resp.Loaded = append([]ModelInfo(nil), s.loaded...)
+	s.modelsMu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -220,11 +222,11 @@ type loadModelRequest struct {
 
 // loadModelResponse is the body of a successful POST /admin/models/load.
 type loadModelResponse struct {
-	Role  string        `json:"role"` // "active" | "shadow"
-	Model registry.Info `json:"model"`
+	Role  string    `json:"role"` // "active" | "shadow"
+	Model ModelInfo `json:"model"`
 }
 
-// handleLoadModel loads a model artifact into the registry: by default
+// handleLoadModel loads a model artifact: by default
 // it promotes (zero-downtime swap), with "shadow": true it installs the
 // canary. A load or schema failure leaves the serving state untouched.
 func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
@@ -241,7 +243,7 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 	}
 	var (
 		role = "active"
-		info registry.Info
+		info ModelInfo
 		err  error
 	)
 	if req.Shadow {

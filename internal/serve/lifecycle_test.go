@@ -7,11 +7,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hdfe/internal/core"
-	"hdfe/internal/registry"
 	"hdfe/internal/synth"
 )
 
@@ -91,6 +91,52 @@ func TestModelsEndpoint(t *testing.T) {
 	}
 	if len(out.Loaded) != 2 {
 		t.Errorf("loaded = %+v, want boot + shadow", out.Loaded)
+	}
+}
+
+// TestAdoptAssignsMonotonicVersions pins model identity: versions count
+// up from the boot model's 1, even when adoptions race (an admin load and
+// a SIGHUP reload can), each adoption records its name, path, digest,
+// schema and load time, and the history lists every adoption in version
+// order, published or not.
+func TestAdoptAssignsMonotonicVersions(t *testing.T) {
+	dep := testDeployment(t, 64)
+	s := New(dep, Config{ModelName: "boot"})
+	defer s.Close()
+	a := s.adopt(dep, "a", "/models/a.bin", "sha-a")
+	if a.info.Version != 2 {
+		t.Fatalf("first adoption after boot got version %d, want 2", a.info.Version)
+	}
+	if a.info.Name != "a" || a.info.Path != "/models/a.bin" || a.info.SHA256 != "sha-a" {
+		t.Errorf("info %+v", a.info)
+	}
+	if a.info.Dim != 64 || a.info.Features != 8 {
+		t.Errorf("schema info %+v, want dim 64, 8 features", a.info)
+	}
+	if a.info.LoadedAt.IsZero() {
+		t.Error("LoadedAt not stamped")
+	}
+
+	const goroutines, each = 4, 5
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				s.adopt(dep, "race", "", "")
+			}
+		}()
+	}
+	wg.Wait()
+	hist := s.loaded
+	if len(hist) != 2+goroutines*each {
+		t.Fatalf("history has %d models, want %d", len(hist), 2+goroutines*each)
+	}
+	for i, info := range hist {
+		if info.Version != uint64(i+1) {
+			t.Fatalf("history[%d] is version %d, want %d", i, info.Version, i+1)
+		}
 	}
 }
 
@@ -264,19 +310,8 @@ func TestScoreDuringSwapBitIdentical(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Graceful retirement: with traffic stopped, replacing the active
-	// model drains it — the last in-flight batch releases its reference.
-	old := s.Registry().Active()
-	if _, err := s.AdoptAndPromote(depA, "final"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-old.Drained():
-	case <-time.After(5 * time.Second):
-		t.Fatal("replaced model never drained after traffic stopped")
-	}
-	if out := getModels(t, ts); out.Swaps != swaps+1 || out.Active.Version != uint64(swaps+2) {
-		t.Errorf("registry after %d swaps: swaps=%d active=%+v", swaps+1, out.Swaps, out.Active)
+	if out := getModels(t, ts); out.Swaps != swaps || out.Active.Version != uint64(swaps+1) {
+		t.Errorf("models after %d swaps: swaps=%d active=%+v", swaps, out.Swaps, out.Active)
 	}
 }
 
@@ -318,11 +353,11 @@ func TestShadowScoringComparesModels(t *testing.T) {
 
 	// The shadow worker runs off the hot path; poll its stats until the
 	// batch lands.
-	st := s.Registry().Shadow().State().(*modelState)
+	sh := s.shadow.slot.Load()
 	var snap shadowSnapshot
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		snap = st.shadow.snapshot()
+		snap = sh.shadow.snapshot()
 		if snap.Records >= rows || time.Now().After(deadline) {
 			break
 		}
@@ -372,9 +407,91 @@ func TestShadowScoringComparesModels(t *testing.T) {
 	if _, err := s.AdoptShadow(altDeployment(t, 128), "cand2"); err != nil {
 		t.Fatal(err)
 	}
-	st2 := s.Registry().Shadow().State().(*modelState)
-	if got := st2.shadow.snapshot().Records; got != 0 {
+	if got := s.shadow.slot.Load().shadow.snapshot().Records; got != 0 {
 		t.Errorf("fresh shadow starts with %d records", got)
+	}
+}
+
+// TestShadowLedgerAcrossReplacement pins the shadow ledger while the
+// shadow is replaced under live traffic: every record scored with a
+// shadow installed is either compared by some shadow or counted in
+// hdfe_shadow_dropped_batches_total (each request is a one-record
+// batch), never lost in the hand-off between two shadow models. The
+// one-batch queue makes drops likely, so both sides of the sum move.
+func TestShadowLedgerAcrossReplacement(t *testing.T) {
+	const (
+		workers  = 6
+		replaces = 40
+	)
+	depA := testDeployment(t, 128)
+	depB := altDeployment(t, 128)
+	s := New(depA, Config{ModelName: "a", ShadowQueue: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// The first shadow goes in before traffic starts, so no record is
+	// scored while the slot is empty.
+	if _, err := s.AdoptShadow(depB, "shadow"); err != nil {
+		t.Fatal(err)
+	}
+	shadows := []*model{s.shadow.slot.Load()}
+
+	row := floats(synth.PimaM(7).X[3]...)
+	var scored atomic.Uint64
+	stop := make(chan struct{})
+	var wg, started sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			first := true
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequest{Features: row})
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("score during shadow replacement: status %d body %s", resp.StatusCode, body)
+					continue
+				}
+				scored.Add(1)
+				if first {
+					first = false
+					started.Done()
+				}
+			}
+		}()
+	}
+	started.Wait() // every worker has traffic in flight before replacing starts
+	for i := 0; i < replaces; i++ {
+		dep := depA
+		if i%2 == 1 {
+			dep = depB
+		}
+		if _, err := s.AdoptShadow(dep, "shadow"); err != nil {
+			t.Fatal(err)
+		}
+		shadows = append(shadows, s.shadow.slot.Load())
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	s.Close() // drains the shadow worker: every queued batch is compared or dropped
+
+	var compared uint64
+	for _, m := range shadows {
+		compared += m.shadow.snapshot().Records
+	}
+	dropped := s.shadow.dropped.Load()
+	t.Logf("%d scored: %d compared, %d dropped", scored.Load(), compared, dropped)
+	if compared+dropped != scored.Load() {
+		t.Errorf("shadow ledger: %d compared + %d dropped != %d scored", compared, dropped, scored.Load())
+	}
+	if n := s.metrics.recordsScored.Load(); n != scored.Load() {
+		t.Errorf("records scored counter %d, clients saw %d", n, scored.Load())
 	}
 }
 
@@ -414,7 +531,7 @@ func TestReloadModel(t *testing.T) {
 	}
 	s.Close()
 
-	loaded, sha, err := registry.ReadFile(path)
+	loaded, sha, err := core.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +544,7 @@ func TestReloadModel(t *testing.T) {
 	if info.Version != 2 || info.Path != path || info.Name != "disk" {
 		t.Errorf("reloaded info %+v, want version 2 from %s", info, path)
 	}
-	if s2.Registry().Swaps() != 1 {
-		t.Errorf("swaps = %d after reload, want 1", s2.Registry().Swaps())
+	if got := s2.swaps.Load(); got != 1 {
+		t.Errorf("swaps = %d after reload, want 1", got)
 	}
 }

@@ -236,9 +236,9 @@ func TestLoadProfilerOnBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPprofProfileHonorsContext pins the satellite bugfix: a client that
-// hangs up 100ms into a 30-second CPU profile download gets the capture
-// stopped at disconnect instead of the handler running its full window.
+// TestPprofProfileHonorsContext pins that a client hanging up 100ms into
+// a 30-second profile or trace download stops the capture at disconnect,
+// and that the aborted CPU capture counts as a profiler failure.
 func TestPprofProfileHonorsContext(t *testing.T) {
 	dep := testDeployment(t, 128)
 	s := New(dep, Config{
@@ -264,8 +264,8 @@ func TestPprofProfileHonorsContext(t *testing.T) {
 		}
 		elapsed := time.Since(start)
 		cancel()
-		// The stdlib handlers would hold the goroutine for the full 30s
-		// window; the context-aware ones return at disconnect.
+		// The profiler's capture and the stdlib trace both wait on the
+		// request context, so each returns at disconnect.
 		if elapsed > 5*time.Second {
 			t.Fatalf("%s: handler ran %v after client cancel, want prompt stop", path, elapsed)
 		}

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"runtime/trace"
 	"strconv"
 	"strings"
 	"time"
@@ -11,8 +10,8 @@ import (
 	"hdfe/internal/obs/prof"
 )
 
-// maxPprofSeconds caps client-requested CPU/trace capture windows so a
-// typo'd ?seconds= cannot pin the profiler for hours.
+// maxPprofSeconds caps client-requested CPU capture windows so a typo'd
+// ?seconds= cannot pin the profiler for hours.
 const maxPprofSeconds = 120
 
 // handleProfIndex serves the continuous-profiling state as JSON: the
@@ -62,10 +61,11 @@ func (s *Server) handleProfDownload(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(c.Blob)
 }
 
-// pprofSeconds parses the stdlib-compatible ?seconds= parameter.
-func pprofSeconds(r *http.Request, def float64) (time.Duration, error) {
+// pprofSeconds parses the stdlib-compatible ?seconds= parameter of a CPU
+// profile download (default 30, like net/http/pprof).
+func pprofSeconds(r *http.Request) (time.Duration, error) {
 	q := r.URL.Query().Get("seconds")
-	sec := def
+	sec := 30.0
 	if q != "" {
 		v, err := strconv.ParseFloat(q, 64)
 		if err != nil || v <= 0 {
@@ -79,14 +79,13 @@ func pprofSeconds(r *http.Request, def float64) (time.Duration, error) {
 	return time.Duration(sec * float64(time.Second)), nil
 }
 
-// handlePprofProfile is the context-aware replacement for
-// net/http/pprof.Profile: the capture runs through the continuous
-// profiler (which serializes the process-wide CPU profile slot) and is
-// bounded by the request context, so a client that hangs up stops the
-// capture instead of leaving it running for the full window. Successful
-// downloads also land in the ring, like any other capture.
+// handlePprofProfile replaces net/http/pprof.Profile: the capture runs
+// through the continuous profiler, which serializes the process-wide CPU
+// profile slot with its scheduled captures, and a successful download
+// lands in the ring like any other capture. The request context bounds
+// the capture, so a client that hangs up stops it.
 func (s *Server) handlePprofProfile(w http.ResponseWriter, r *http.Request) {
-	d, err := pprofSeconds(r, 30)
+	d, err := pprofSeconds(r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
@@ -100,29 +99,4 @@ func (s *Server) handlePprofProfile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", `attachment; filename="profile.pb.gz"`)
 	_, _ = w.Write(c.Blob)
-}
-
-// handlePprofTrace is the context-aware replacement for
-// net/http/pprof.Trace. The trace streams straight to the client; a
-// cancelled request stops tracing at the moment of disconnect.
-func (s *Server) handlePprofTrace(w http.ResponseWriter, r *http.Request) {
-	d, err := pprofSeconds(r, 1)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", `attachment; filename="trace.out"`)
-	if err := trace.Start(w); err != nil {
-		// Tracing already active (another download in flight).
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "could not start trace: " + err.Error()})
-		return
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-r.Context().Done():
-	case <-timer.C:
-	}
-	trace.Stop()
 }

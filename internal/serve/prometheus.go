@@ -20,7 +20,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	p := obs.NewPromWriter(w)
 	m := s.metrics
 
-	activeInfo := s.reg.Active().Info()
+	activeInfo := s.active.Load().info
 	p.Header("hdserve_build_info", "gauge", "Build and active model identity (always 1).")
 	p.Value("hdserve_build_info", 1,
 		"go_version", runtime.Version(),
@@ -29,7 +29,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	p.Header("hdserve_uptime_seconds", "gauge", "Seconds since the metrics epoch.")
 	p.Value("hdserve_uptime_seconds", time.Since(m.start).Seconds())
 	p.Header("hdserve_model_swaps_total", "counter", "Active-model hot-swaps since boot (the boot promote does not count).")
-	p.Value("hdserve_model_swaps_total", float64(s.reg.Swaps()))
+	p.Value("hdserve_model_swaps_total", float64(s.swaps.Load()))
 
 	p.Header("hdserve_requests_total", "counter", "Scoring requests by route.")
 	p.Value("hdserve_requests_total", float64(m.scoreRequests.Load()), "route", "score")

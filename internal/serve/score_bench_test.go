@@ -120,8 +120,8 @@ func benchScoreConcurrent(b *testing.B, shadow bool) {
 	}
 	if shadow {
 		s.shadow.close() // drain the queue, so every comparison has run
-		st := s.reg.Shadow().State().(*modelState)
-		b.ReportMetric(100*float64(st.shadow.snapshot().Records)/float64(b.N), "shadow-compared-%")
+		sh := s.shadow.slot.Load()
+		b.ReportMetric(100*float64(sh.shadow.snapshot().Records)/float64(b.N), "shadow-compared-%")
 		b.ReportMetric(float64(s.shadow.dropped.Load()), "shadow-drops")
 	}
 }

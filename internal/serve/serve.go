@@ -8,6 +8,13 @@
 //   - GET  /metrics         Prometheus text exposition: request and shed
 //     counters, latency and per-stage histograms.
 //
+// The server owns its models. Each adopted deployment becomes one model
+// — identity, validator and drift state, all built before it is
+// published — stored in an atomic pointer, active or shadow. A request
+// loads the active model once and uses it throughout, so a hot swap
+// (POST /admin/models/load, SIGHUP in cmd/hdserve) never splits a
+// request across versions. GET /v1/models lists them.
+//
 // Requests are validated against the deployment's fitted codebook before
 // they reach the encoders, with per-feature error messages; the NaN and
 // clamping rules mirror the encode package's pinned contract (see

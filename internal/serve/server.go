@@ -21,7 +21,6 @@ import (
 	"hdfe/internal/obs/export"
 	"hdfe/internal/obs/prof"
 	"hdfe/internal/obs/slo"
-	"hdfe/internal/registry"
 )
 
 // DeadlineHeader is the request header carrying a client-side scoring
@@ -49,7 +48,7 @@ type Config struct {
 	// is reported by /v1/models.
 	ModelPath string
 	// ModelSHA256 is the hex digest of the boot model's artifact bytes
-	// (registry.ReadFile computes it).
+	// (core.ReadFile computes it).
 	ModelSHA256 string
 	// RequestTimeout bounds one request end to end (default 5s).
 	RequestTimeout time.Duration
@@ -107,9 +106,8 @@ type Config struct {
 	// holds responses to (default 250ms).
 	SLOLatency time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. The profile
-	// and trace endpoints are served by context-aware replacements routed
-	// through the continuous profiler, so a cancelled download stops the
-	// capture instead of running its full window.
+	// endpoint is routed through the continuous profiler, so a download
+	// takes turns with the scheduled CPU captures and lands in the ring.
 	EnablePprof bool
 	// Prof tunes the continuous profiler and runtime watchdogs (see
 	// internal/obs/prof). The profiler is always on; Prof.Interval < 0
@@ -167,15 +165,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server wires the model registry behind the HTTP scoring API described
-// in the package comment. The boot scorer becomes registry version 1;
+// Server serves the HTTP scoring API described in the package comment
+// and owns its models. The boot deployment becomes model version 1;
 // further models arrive via POST /admin/models/load, SIGHUP (see
 // cmd/hdserve), or the Load*/Adopt* lifecycle methods. Construct with
 // New, mount via Handler (tests) or run with Serve (production), and
 // always Close to stop scoring and drain the shadow worker.
 type Server struct {
-	cfg      Config
-	reg      *registry.Registry
+	cfg Config
+	// active is the model every scoring request loads once and uses
+	// throughout; a promote swaps it whole. The shadow slot lives on the
+	// shadow scorer.
+	active atomic.Pointer[model]
+	swaps  atomic.Uint64 // promotes since boot; the boot model does not count
+	// modelsMu guards the version counter and the adoption history: an
+	// admin load and a SIGHUP reload can adopt concurrently.
+	modelsMu    sync.Mutex
+	nextVersion uint64
+	loaded      []ModelInfo
+
 	draining atomic.Bool // set first thing in Close: scoring routes answer 503
 	shadow   *shadowScorer
 	adm      *admission
@@ -192,15 +200,13 @@ type Server struct {
 	mux      *http.ServeMux
 }
 
-// New builds a server over the boot scorer (typically a
-// *core.Deployment). The scorer must be fitted; its codebook supplies
-// the validation schema.
-func New(sc core.Scorer, cfg Config) *Server {
+// New builds a server over the boot deployment. The deployment must be
+// fitted; its codebook supplies the validation schema.
+func New(dep *core.Deployment, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	m := NewMetrics()
 	s := &Server{
 		cfg:     cfg,
-		reg:     registry.New(),
 		metrics: m,
 		tracer:  obs.NewTracerSeeded(cfg.TraceBuffer, cfg.TraceSeed),
 		audit:   cfg.Audit,
@@ -236,12 +242,13 @@ func New(sc core.Scorer, cfg Config) *Server {
 	// trace at or past it is always exported, whatever the head fraction.
 	s.sampler = export.NewSampler(cfg.TraceSample, cfg.TraceSeed,
 		func() time.Duration { return m.latency.Quantile(0.99) })
-	// Adopt and promote the boot model before serving: every scoring path
-	// assumes the active slot is never empty.
-	s.reg.Promote(s.adopt(sc, cfg.ModelName, cfg.ModelPath, cfg.ModelSHA256))
+	// Publish the boot model before serving: every scoring path assumes
+	// the active slot is never empty. A plain store, not promote, so boot
+	// logs no swap, audits no model_swap event and counts no swap.
+	s.active.Store(s.adopt(dep, cfg.ModelName, cfg.ModelPath, cfg.ModelSHA256))
 	// The continuous profiler inherits the server's seed, logger, and
 	// chaos seam unless the caller overrode them, and stamps captures with
-	// the live registry version so a hot-spot shift ties to a hot-swap.
+	// the live model version so a hot-spot shift ties to a hot-swap.
 	pc := cfg.Prof
 	if pc.Seed == 0 {
 		pc.Seed = cfg.TraceSeed
@@ -253,13 +260,13 @@ func New(sc core.Scorer, cfg Config) *Server {
 		pc.Chaos = cfg.Chaos
 	}
 	if pc.Version == nil {
-		pc.Version = func() uint64 { return s.reg.Active().Info().Version }
+		pc.Version = func() uint64 { return s.active.Load().info.Version }
 	}
 	s.profiler = prof.New(pc)
 	s.rtColl = prof.NewCollector()
 	s.profiler.Start()
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.RetryAfter)
-	s.shadow = newShadowScorer(s.reg, cfg.ShadowQueue, cfg.RequestTimeout, cfg.Chaos, s.exporter)
+	s.shadow = newShadowScorer(cfg.ShadowQueue, cfg.RequestTimeout, cfg.Chaos, s.exporter)
 	s.mux.HandleFunc("/v1/score", s.traced("score", s.handleScore))
 	s.mux.HandleFunc("/v1/score/batch", s.traced("score_batch", s.handleScoreBatch))
 	s.mux.HandleFunc("/v1/feedback", s.handleFeedback)
@@ -277,12 +284,11 @@ func New(sc core.Scorer, cfg Config) *Server {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		// profile and trace go through context-aware replacements: the
-		// stdlib handlers run their full sampling window even after the
-		// client hangs up, and a stdlib CPU capture would collide with the
-		// scheduled profiler's (the runtime allows one at a time).
+		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		// profile goes through the continuous profiler: a stdlib CPU
+		// capture would collide with the scheduled profiler's (the runtime
+		// allows one at a time).
 		s.mux.HandleFunc("/debug/pprof/profile", s.handlePprofProfile)
-		s.mux.HandleFunc("/debug/pprof/trace", s.handlePprofTrace)
 	}
 	return s
 }
@@ -369,10 +375,6 @@ func (w *statusWriter) WriteHeader(code int) {
 // whether the trace ships to the OTLP exporter.
 func (s *Server) traced(route string, h func(http.ResponseWriter, *http.Request, *obs.ActiveTrace)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		// Fault seam: injected request-entry latency (a slow proxy, an
-		// accept-queue spike) lands before the trace clock starts, like
-		// real upstream delay would.
-		_ = s.cfg.Chaos.Inject(chaos.PointHTTP)
 		parent, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
 		if parent.Valid() {
 			parent.State = r.Header.Get("tracestate")
@@ -435,7 +437,7 @@ type scoreRequest struct {
 
 // scoreResponse is the body of a successful POST /v1/score. RequestID
 // is the handle /v1/feedback joins a delayed ground-truth label with.
-// ModelVersion is the registry version of the model that scored the
+// ModelVersion is the version of the model that scored the
 // record — under hot-swapping, the authoritative attribution for the
 // score.
 type scoreResponse struct {
@@ -525,10 +527,9 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 }
 
 // handleScore scores one record on the handler goroutine. The active
-// model is acquired once, so validation, warnings, the score, ?explain,
-// drift observation and the audit event all name the same version, and
-// a concurrent promote retires the old model only after this request
-// releases it.
+// model is loaded once, so validation, warnings, the score, ?explain,
+// drift observation and the audit event all use the same version, even
+// when a promote replaces it mid-request.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -560,10 +561,9 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 		s.shed(w, at, http.StatusServiceUnavailable, ShedDraining, "server shutting down")
 		return
 	}
-	st := s.acquireActive()
-	defer st.release()
+	m := s.active.Load()
 	tValidate := time.Now()
-	row, warnings, err := st.val.Validate(req.Features, nil)
+	row, warnings, err := m.val.Validate(req.Features, nil)
 	validateDur := time.Since(tValidate)
 	at.Step(obs.StageValidate)
 	if err != nil {
@@ -587,22 +587,22 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "scoring timed out", TraceID: traceIDOf(at)})
 		return
 	}
-	scores, encDur, distDur := s.scoreRows(st, [][]float64{row}, at)
+	scores, encDur, distDur := s.scoreRows(m, [][]float64{row}, at)
 	score := scores[0]
-	at.SetModel(st.version())
-	resp := scoreResponse{RequestID: requestID(at.ID()), Score: score, ModelVersion: st.version(), Warnings: warnings}
+	at.SetModel(m.info.Version)
+	resp := scoreResponse{RequestID: requestID(at.ID()), Score: score, ModelVersion: m.info.Version, Warnings: warnings}
 	if score >= 0.5 {
 		resp.Prediction = 1
 	}
 	if explainK > 0 {
-		resp.Explain = explainTopK(st.scorer.Explain(row), explainK)
+		resp.Explain = explainTopK(m.dep.Extractor.ExplainRecord(row), explainK)
 	}
-	st.drift.observeRow(row)
-	st.drift.scores.Observe(score)
-	st.drift.quality.Record(resp.RequestID, resp.Prediction)
+	m.drift.observeRow(row)
+	m.drift.scores.Observe(score)
+	m.drift.quality.Record(resp.RequestID, resp.Prediction)
 	writeJSON(w, http.StatusOK, resp)
 	at.Step(obs.StageRespond)
-	s.auditScored(at, st, row, resp, audit.Stages{
+	s.auditScored(at, m, row, resp, audit.Stages{
 		ValidateUs: validateDur.Microseconds(),
 		EncodeUs:   encDur.Microseconds(),
 		ScoreUs:    distDur.Microseconds(),
@@ -610,10 +610,10 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 }
 
 // handleScoreBatch scores an already-batched request directly through
-// the active scorer — the client-side batching fast path. The model is
-// acquired once for the whole request: validation, scoring, and
-// attribution all see the same version, and a concurrent promote retires
-// the old model only after this batch finishes.
+// the active model — the client-side batching fast path. The model is
+// loaded once for the whole request: validation, scoring, and
+// attribution all see the same version, even when a promote replaces it
+// mid-batch.
 func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -644,13 +644,12 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 		return
 	}
 	defer s.adm.release(n)
-	st := s.acquireActive()
-	defer st.release()
-	at.SetModel(st.version())
+	m := s.active.Load()
+	at.SetModel(m.info.Version)
 	rows := make([][]float64, len(req.Records))
 	var allWarnings []recordWarnings
 	for i, rec := range req.Records {
-		row, warnings, err := st.val.Validate(rec, nil)
+		row, warnings, err := m.val.Validate(rec, nil)
 		if err != nil {
 			var verr *ValidationError
 			if errors.As(err, &verr) {
@@ -666,10 +665,10 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 		}
 	}
 	for _, row := range rows {
-		st.drift.observeRow(row)
+		m.drift.observeRow(row)
 	}
 	at.Step(obs.StageValidate)
-	scores, encTotal, distTotal := s.scoreRows(st, rows, at)
+	scores, encTotal, distTotal := s.scoreRows(m, rows, at)
 	preds := make([]int, len(scores))
 	ids := make([]string, len(scores))
 	for i, sc := range scores {
@@ -677,12 +676,12 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 			preds[i] = 1
 		}
 		ids[i] = batchRequestID(at.ID(), i)
-		st.drift.scores.Observe(sc)
-		st.drift.quality.Record(ids[i], preds[i])
+		m.drift.scores.Observe(sc)
+		m.drift.quality.Record(ids[i], preds[i])
 	}
 	writeJSON(w, http.StatusOK, batchScoreResponse{
 		RequestIDs: ids, Scores: scores, Predictions: preds,
-		ModelVersion: st.version(), Warnings: allWarnings,
+		ModelVersion: m.info.Version, Warnings: allWarnings,
 	})
 	at.Step(obs.StageRespond)
 	if s.audit != nil {
@@ -696,17 +695,17 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 		}
 		for i, row := range rows {
 			sc := scoreResponse{RequestID: ids[i], Score: scores[i], Prediction: preds[i]}
-			s.auditScored(at, st, row, sc, stages, len(rows))
+			s.auditScored(at, m, row, sc, stages, len(rows))
 		}
 	}
 }
 
-// scoreRows scores validated rows with st's model, books the encode and
-// score time on the trace, hands a copy to the shadow comparison and
-// counts the records. Both scoring routes score through it.
-func (s *Server) scoreRows(st *modelState, rows [][]float64, at *obs.ActiveTrace) (scores []float64, enc, dist time.Duration) {
+// scoreRows scores validated rows with m, books the encode and score
+// time on the trace, hands a copy to the shadow comparison and counts the
+// records. Both scoring routes score through it.
+func (s *Server) scoreRows(m *model, rows [][]float64, at *obs.ActiveTrace) (scores []float64, enc, dist time.Duration) {
 	var acc obs.StageAccum
-	scores = st.scorer.ScoreBatchIntoObserved(rows, nil, &acc)
+	scores = m.dep.ScoreBatchIntoObserved(rows, nil, &acc)
 	// Every record shares the request's trace context, so a shadow
 	// disagreement on any of them joins this trace.
 	s.shadow.submit(rows, scores, at.Context())
@@ -742,18 +741,17 @@ func (s *Server) requestBudget(r *http.Request) (time.Duration, error) {
 // is already closed by then, so only an embedder still routing to
 // Handler sees it.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.activeState()
-	info := st.model.Info()
+	m := s.active.Load()
 	status, code := "ok", http.StatusOK
 	if s.draining.Load() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, map[string]any{
 		"status":        status,
-		"model":         info.Name,
-		"model_version": info.Version,
-		"dim":           info.Dim,
-		"features":      st.val.FeatureNames(),
+		"model":         m.info.Name,
+		"model_version": m.info.Version,
+		"dim":           m.info.Dim,
+		"features":      m.val.FeatureNames(),
 	})
 }
 

@@ -9,13 +9,12 @@ import (
 	"hdfe/internal/chaos"
 	"hdfe/internal/obs"
 	"hdfe/internal/obs/export"
-	"hdfe/internal/registry"
 )
 
 // shadowStats accumulates the canary comparison for one shadow model:
 // how often it disagrees with the active model's prediction and how far
-// its scores sit from the active scores. It lives on the shadow's
-// modelState, so loading a new shadow starts the comparison fresh.
+// its scores sit from the active scores. It lives on the shadow model,
+// so loading a new shadow starts the comparison fresh.
 type shadowStats struct {
 	records       atomic.Uint64
 	disagreements atomic.Uint64
@@ -81,7 +80,10 @@ type shadowBatch struct {
 // and lossy — under overload, shadow comparison drops batches (counted
 // in dropped) rather than applying backpressure to live traffic.
 type shadowScorer struct {
-	reg      *registry.Registry
+	// slot is the published shadow model: nil until the first shadow is
+	// installed, never cleared after, so a queued batch always finds one.
+	// Each batch loads it once; replacing it starts a fresh comparison.
+	slot     atomic.Pointer[model]
 	maxAge   time.Duration    // deadline for queued batches; <= 0 keeps all
 	chaos    *chaos.Injector  // nil in production
 	exporter *export.Exporter // nil without an OTLP endpoint
@@ -100,12 +102,11 @@ type shadowScorer struct {
 // may be nil; with an exporter, every prediction flip emits an
 // always-exported shadow_disagreement span joined to the request's
 // trace.
-func newShadowScorer(reg *registry.Registry, queueLen int, maxAge time.Duration, inj *chaos.Injector, exp *export.Exporter) *shadowScorer {
+func newShadowScorer(queueLen int, maxAge time.Duration, inj *chaos.Injector, exp *export.Exporter) *shadowScorer {
 	if queueLen <= 0 {
 		queueLen = 64
 	}
 	sh := &shadowScorer{
-		reg:      reg,
 		maxAge:   maxAge,
 		chaos:    inj,
 		exporter: exp,
@@ -122,7 +123,7 @@ func newShadowScorer(reg *registry.Registry, queueLen int, maxAge time.Duration,
 // atomic load and an early return. A zero tc just skips disagreement
 // spans.
 func (sh *shadowScorer) submit(rows [][]float64, active []float64, tc obs.TraceContext) {
-	if sh.reg.Shadow() == nil {
+	if sh.slot.Load() == nil {
 		return
 	}
 	cp := shadowBatch{
@@ -146,7 +147,7 @@ func (sh *shadowScorer) submit(rows [][]float64, active []float64, tc obs.TraceC
 	}
 }
 
-// loop is the shadow worker: it acquires whatever shadow model is
+// loop is the shadow worker: it loads whatever shadow model is
 // published per batch, scores the copied rows, and folds the comparison
 // into that model's stats and score window. The shadow deliberately
 // does not feed input-drift histograms — it sees the exact rows the
@@ -164,16 +165,12 @@ func (sh *shadowScorer) loop() {
 			sh.dropped.Add(1)
 			continue // deadline shed: nobody is waiting for this comparison
 		}
-		m := sh.reg.AcquireShadow()
-		if m == nil {
-			continue // shadow unset between submit and here; drop quietly
-		}
-		st := m.State().(*modelState)
-		dst = st.scorer.ScoreBatchInto(b.rows, dst)
+		m := sh.slot.Load()
+		dst = m.dep.ScoreBatchInto(b.rows, dst)
 		now := time.Now()
 		for i, sc := range dst {
-			st.shadow.observe(b.active[i], sc)
-			st.drift.scores.Observe(sc)
+			m.shadow.observe(b.active[i], sc)
+			m.drift.scores.Observe(sc)
 			// A prediction flip is exactly what tail sampling exists to
 			// keep, but the keep/drop decision happened when the request
 			// finished — before this comparison ran. So disagreements are
@@ -181,10 +178,9 @@ func (sh *shadowScorer) loop() {
 			// original trace by the identity threaded through the batch.
 			if (b.active[i] >= 0.5) != (sc >= 0.5) && b.tc.Valid() {
 				sh.exporter.Enqueue(export.DisagreementSpan(
-					b.tc, i, st.version(), b.active[i], sc, now))
+					b.tc, i, m.info.Version, b.active[i], sc, now))
 			}
 		}
-		m.Release()
 	}
 }
 

@@ -9,9 +9,10 @@
 #   sh scripts/coverage_gate.sh           # gate against the baseline
 #   sh scripts/coverage_gate.sh -update   # rewrite the baseline from this run
 #
-# Packages present in this run but absent from the baseline (new code)
-# are advisory only, as are baseline packages that disappeared (moved or
-# deleted code): both print a notice and update the baseline when asked.
+# Every package that reports coverage must have a baseline line: one
+# missing from the baseline (new code) fails the gate, so no package goes
+# ungated. Baseline packages that disappeared (moved or deleted code)
+# only print a notice. -update rewrites the baseline from this run.
 set -eu
 
 ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -69,16 +70,15 @@ while read -r pkg base; do
     fi
 done <"$BASELINE"
 
-# New packages are reported but never gate: their first baseline entry
-# lands with the next -update.
 while read -r pkg cur; do
     if ! awk -v p="$pkg" '$1 == p { found = 1 } END { exit !found }' "$BASELINE"; then
-        echo "coverage-gate: note: new package $pkg at ${cur}% (not in baseline yet)"
+        echo "coverage-gate: FAIL $pkg at ${cur}% has no baseline line" >&2
+        FAIL=1
     fi
 done <"$TMP/current.txt"
 
 if [ "$FAIL" -ne 0 ]; then
-    echo "coverage-gate: coverage regressed; if intentional, refresh with: sh scripts/coverage_gate.sh -update" >&2
+    echo "coverage-gate: coverage regressed or a package is ungated; if intentional, refresh with: sh scripts/coverage_gate.sh -update" >&2
     exit 1
 fi
 echo "coverage-gate: OK"
