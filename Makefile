@@ -1,9 +1,11 @@
 # Tier-1 entry points for hdfe. `make test` is the gate every change must
 # pass; `make test-race` runs the whole module (serving suite included)
 # under the race detector; `make fuzz-smoke` gives each fuzz target a short
-# budget; `make bench` tracks the zero-allocation encode/score path, the
-# hv and level-codeword kernels under it, and concurrent single-record
-# /v1/score throughput; `make obs-smoke` boots
+# budget, including the scoring-body parser checked against encoding/json;
+# `make bench` tracks the zero-allocation encode/score path, the
+# carry-save bundling and level-codeword kernels under it, the parse of a
+# 64-record batch body, and concurrent single-record /v1/score
+# throughput; `make obs-smoke` boots
 # hdserve and asserts the /metrics surface; `make trace-smoke` adds a
 # mock OTLP collector and asserts the W3C traceparent round trip, span
 # export, exemplars, and /debug/slo; `make prof-smoke` drives batch load
@@ -40,11 +42,13 @@ fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzCSVParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/drift -run '^$$' -fuzz '^FuzzFeedbackJoin$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzHistogramSlot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScoringBody$$' -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test ./internal/core -run '^$$' -bench 'TransformRecord|ScoreBatch' -benchmem
 	$(GO) test ./internal/hv -run '^$$' -bench 'Bundle8Features|HammingD10k' -benchmem
 	$(GO) test ./internal/encode -run '^$$' -bench 'LevelEncodeInto' -benchmem
+	$(GO) test ./internal/serve -run '^$$' -bench 'ParseScoringBody64' -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench 'ScoreConcurrent' -benchtime 20000x -benchmem
 
 obs-smoke:

@@ -191,12 +191,15 @@ func (c *Codebook) EncodeRecord(row []float64) hv.Vector {
 	return out
 }
 
-// EncodeRecordInto encodes one record into dst with zero allocations: each
-// feature codeword is materialized in the scratch's feature buffer (a
-// word-copy plus, for level encoders, in-place bit flips), accumulated,
-// and majority-combined directly into dst. dst is caller-owned and fully
+// EncodeRecordInto encodes one record into dst with zero allocations.
+// Each feature codeword goes straight into the scratch accumulator's
+// pending group: a level codeword is built in the group's own row (a
+// checkpoint word-copy plus XOR flips), and under Majority a binary or
+// constant codeword is counted in place from the encoder, with no copy.
+// The accumulator counts the codewords eight at a time and majority-
+// combines them directly into dst. dst is caller-owned and fully
 // overwritten; s is exclusive to the caller for the duration of the call
-// (one scratch per worker in batch loops). dst must not alias s.Vec().
+// (one scratch per worker in batch loops).
 func (c *Codebook) EncodeRecordInto(row []float64, dst hv.Vector, s *hv.Scratch) {
 	if len(row) < len(c.encs) {
 		panic(fmt.Sprintf("encode: record has %d values for %d features", len(row), len(c.encs)))
@@ -204,15 +207,23 @@ func (c *Codebook) EncodeRecordInto(row []float64, dst hv.Vector, s *hv.Scratch)
 	if s.Dim() != c.dim {
 		panic(fmt.Sprintf("encode: scratch dim %d, codebook dim %d", s.Dim(), c.dim))
 	}
-	fv := s.Vec()
 	acc := s.Acc()
 	acc.Reset()
 	for j, enc := range c.encs {
-		enc.EncodeInto(row[j], fv)
 		if c.mode == BindBundle {
+			fv := acc.Next()
+			enc.EncodeInto(row[j], fv)
 			hv.XorInPlace(fv, c.roles[j])
+			continue
 		}
-		acc.Add(fv)
+		switch e := enc.(type) {
+		case *BinaryEncoder:
+			acc.AddRef(e.codeword(row[j]))
+		case *ConstantEncoder:
+			acc.AddRef(e.v)
+		default:
+			enc.EncodeInto(row[j], acc.Next())
+		}
 	}
 	acc.MajorityInto(c.tie, dst)
 }

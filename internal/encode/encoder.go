@@ -66,10 +66,12 @@ type FeatureEncoder interface {
 // Because the flips form a fixed prefix, the encoder also keeps a
 // checkpoint codeword every checkpointStride flips: the codeword for
 // x = m·checkpointStride, for m = 1…⌊(D/2)/checkpointStride⌋ (the seed is
-// m = 0). EncodeInto copies the nearest checkpoint at or below x and
-// applies fewer than checkpointStride single flips, with the same bits as
-// flipping from the seed. At D = 10,000 the 19 checkpoints take about
-// 24 KB per feature; the flip lists are held as int32 to pay for them.
+// m = 0). EncodeInto copies the checkpoint nearest x, below or above it,
+// and applies at most checkpointStride/2 single flips; a flip is its own
+// inverse, so from a checkpoint above x it undoes the flips past x. The
+// bits are the same as flipping from the seed. At D = 10,000 the 19
+// checkpoints take about 24 KB per feature; the flip lists are held as
+// int32 to pay for them.
 type LevelEncoder struct {
 	dim         int
 	min, max    float64
@@ -109,8 +111,8 @@ func newLevelEncoder(dim int, min, max float64, seed hv.Vector, ones, zeros []in
 	e := &LevelEncoder{dim: dim, min: min, max: max, seed: seed, flipOnes: ones, flipZeros: zeros}
 	cur := seed.Clone()
 	for x := checkpointStride; x <= dim/2; x += checkpointStride {
-		flipAll(cur, ones[(x-checkpointStride)/2:x/2])
-		flipAll(cur, zeros[(x-checkpointStride)/2:x/2])
+		cur.FlipBits(ones[(x-checkpointStride)/2 : x/2])
+		cur.FlipBits(zeros[(x-checkpointStride)/2 : x/2])
 		e.checkpoints = append(e.checkpoints, cur.Clone())
 	}
 	return e
@@ -122,12 +124,6 @@ func int32s(xs []int) []int32 {
 		out[i] = int32(x)
 	}
 	return out
-}
-
-func flipAll(v hv.Vector, positions []int32) {
-	for _, p := range positions {
-		v.FlipBit(int(p))
-	}
 }
 
 // Range returns the fitted [min, max] value range.
@@ -165,20 +161,25 @@ func (e *LevelEncoder) Encode(t float64) hv.Vector {
 }
 
 // EncodeInto writes the hypervector for value t into dst without
-// allocating: a word-copy of the nearest checkpoint at or below the
-// value's flip count, followed by the remaining (fewer than
-// checkpointStride) flips, applied directly in dst.
+// allocating: a word-copy of the checkpoint nearest the value's flip
+// count, followed by the flips between the two (at most
+// checkpointStride/2), XORed into dst's words with no range check per
+// flip. The flip lists hold only positions below D: NewLevelEncoder draws
+// them from the seed and ReadCodebook rejects any other.
 func (e *LevelEncoder) EncodeInto(t float64, dst hv.Vector) {
 	x := e.Flips(t)
-	m := x / checkpointStride
+	m := min((x+checkpointStride/2)/checkpointStride, len(e.checkpoints))
 	if m == 0 {
 		e.seed.CopyInto(dst)
 	} else {
 		e.checkpoints[m-1].CopyInto(dst)
 	}
-	done := m * checkpointStride / 2 // flips the checkpoint took from each list
-	flipAll(dst, e.flipOnes[done:x/2])
-	flipAll(dst, e.flipZeros[done:x-x/2])
+	// The checkpoint flipped the first done positions of each list, x
+	// flips the first x/2 ones and x-x/2 zeros: XOR the difference.
+	done := m * checkpointStride / 2
+	ones, zeros := x/2, x-x/2
+	dst.FlipBits(e.flipOnes[min(done, ones):max(done, ones)])
+	dst.FlipBits(e.flipZeros[min(done, zeros):max(done, zeros)])
 }
 
 // BinaryEncoder is the paper's encoding for yes/no features: a random seed
@@ -215,12 +216,14 @@ func (e *BinaryEncoder) Encode(t float64) hv.Vector {
 }
 
 // EncodeInto writes the codeword for t into dst without allocating.
-func (e *BinaryEncoder) EncodeInto(t float64, dst hv.Vector) {
+func (e *BinaryEncoder) EncodeInto(t float64, dst hv.Vector) { e.codeword(t).CopyInto(dst) }
+
+// codeword returns the encoder's own (shared, read-only) codeword for t.
+func (e *BinaryEncoder) codeword(t float64) hv.Vector {
 	if math.IsNaN(t) || t <= e.midpoint {
-		e.low.CopyInto(dst)
-		return
+		return e.low
 	}
-	e.high.CopyInto(dst)
+	return e.high
 }
 
 // ConstantEncoder always returns the same hypervector; it is what a

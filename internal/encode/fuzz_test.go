@@ -1,34 +1,82 @@
 package encode
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"hdfe/internal/hv"
 	"hdfe/internal/rng"
 )
 
-// fuzzCodebooks fits one codebook per combination mode over a schema that
-// exercises every encoder type: a level encoder (continuous with range), a
-// binary encoder, and a constant encoder (degenerate continuous column).
+// fuzzFeatures is the fuzz schema: 18 features cycling through a level
+// encoder (continuous with range), a binary encoder and a constant encoder
+// (degenerate continuous column).
+const fuzzFeatures = 18
+
+// fuzzCodebooks fits codebooks over the first 3, 16 and 18 features of
+// the fuzz schema, under both combination modes and both tie rules. The
+// record sizes take the carry-save kernel through a partial group alone,
+// one fold with a full pending group, and two folds plus a partial group;
+// the even sizes make exact ties.
 func fuzzCodebooks() []*Codebook {
-	specs := []Spec{
-		{Name: "level", Kind: Continuous},
-		{Name: "binary", Kind: Binary},
-		{Name: "const", Kind: Continuous},
+	specs := make([]Spec, fuzzFeatures)
+	X := make([][]float64, 3)
+	for i := range X {
+		X[i] = make([]float64, fuzzFeatures)
 	}
-	X := [][]float64{{-3, 0, 5}, {7, 1, 5}, {2.5, 1, 5}}
+	for j := range specs {
+		switch j % 3 {
+		case 0:
+			specs[j] = Spec{Name: fmt.Sprintf("level%d", j), Kind: Continuous}
+			X[0][j], X[1][j], X[2][j] = -3, 7, 2.5
+		case 1:
+			specs[j] = Spec{Name: fmt.Sprintf("binary%d", j), Kind: Binary}
+			X[0][j], X[1][j], X[2][j] = 0, 1, 1
+		default:
+			specs[j] = Spec{Name: fmt.Sprintf("const%d", j), Kind: Continuous}
+			X[0][j], X[1][j], X[2][j] = 5, 5, 5
+		}
+	}
 	var cbs []*Codebook
-	for _, mode := range []Mode{Majority, BindBundle} {
-		cbs = append(cbs, Fit(rng.New(11), specs, X, Options{Dim: 192, Mode: mode}))
+	for _, n := range []int{3, 16, fuzzFeatures} {
+		for _, mode := range []Mode{Majority, BindBundle} {
+			for _, tie := range []hv.TieBreak{hv.TieToOne, hv.TieToZero} {
+				cbs = append(cbs, Fit(rng.New(11), specs[:n], X, Options{Dim: 192, Mode: mode, Tie: tie}))
+			}
+		}
 	}
 	return cbs
 }
 
+// naiveRecord is the record encoding computed the direct way: every
+// feature's EncodeFeature codeword (XORed with its role vector under
+// BindBundle), then a per-bit count and the majority rule.
+func naiveRecord(cb *Codebook, row []float64) hv.Vector {
+	n := cb.NumFeatures()
+	counts := make([]int, cb.Dim())
+	for j := 0; j < n; j++ {
+		v := cb.EncodeFeature(j, row[j])
+		if cb.Mode() == BindBundle {
+			hv.XorInPlace(v, cb.roles[j])
+		}
+		for _, b := range v.Ones() {
+			counts[b]++
+		}
+	}
+	out := hv.New(cb.Dim())
+	for b, c := range counts {
+		out.SetBit(b, 2*c > n || (2*c == n && cb.Tie() == hv.TieToOne))
+	}
+	return out
+}
+
 // FuzzEncodeRecordInto feeds arbitrary float bit patterns — including
-// NaN payloads, ±Inf, subnormals and huge magnitudes — through both
-// encode paths: encoding must never panic, and the zero-allocation Into
-// path must stay bit-identical to the legacy value-returning API.
+// NaN payloads, ±Inf, subnormals and huge magnitudes — through the record
+// encoder and checks it against naiveRecord. Feature j reads one of the
+// three inputs, rotated by j bits; every other level feature maps it into
+// the fitted range instead, so mid-range flip counts are covered too.
 func FuzzEncodeRecordInto(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(0))
 	f.Add(math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)))
@@ -37,19 +85,27 @@ func FuzzEncodeRecordInto(f *testing.F) {
 	f.Add(^uint64(0), uint64(1), math.Float64bits(-0.0)) // quiet-NaN payload, subnormal, -0
 	cbs := fuzzCodebooks()
 	f.Fuzz(func(t *testing.T, a, b, c uint64) {
-		row := []float64{math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c)}
-		for _, cb := range cbs {
-			legacy := cb.EncodeRecord(row)
-			dst := hv.New(cb.Dim())
-			s := hv.GetScratch(cb.Dim())
-			cb.EncodeRecordInto(row, dst, s)
-			hv.PutScratch(s)
-			if !dst.Equal(legacy) {
-				t.Fatalf("mode %v: Into path diverged from legacy for row %v (bits %x %x %x)",
-					cb.Mode(), row, a, b, c)
+		row := make([]float64, fuzzFeatures)
+		for j := range row {
+			x := bits.RotateLeft64([3]uint64{a, b, c}[j%3], j)
+			row[j] = math.Float64frombits(x)
+			if j%6 == 3 {
+				row[j] = -3 + 10*float64(x>>11)/(1<<53)
 			}
-			if n := legacy.OnesCount(); n < 0 || n > cb.Dim() {
-				t.Fatalf("mode %v: implausible popcount %d", cb.Mode(), n)
+		}
+		dst := hv.New(cbs[0].Dim())
+		s := hv.GetScratch(cbs[0].Dim())
+		defer hv.PutScratch(s)
+		for _, cb := range cbs {
+			want := naiveRecord(cb, row)
+			cb.EncodeRecordInto(row, dst, s)
+			if !dst.Equal(want) {
+				t.Fatalf("%d features, mode %v, tie %v: EncodeRecordInto diverged from the naive recount for row %v",
+					cb.NumFeatures(), cb.Mode(), cb.Tie(), row[:cb.NumFeatures()])
+			}
+			if !cb.EncodeRecord(row).Equal(want) {
+				t.Fatalf("%d features, mode %v, tie %v: EncodeRecord diverged from the naive recount",
+					cb.NumFeatures(), cb.Mode(), cb.Tie())
 			}
 		}
 	})

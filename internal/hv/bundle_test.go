@@ -113,6 +113,7 @@ func TestAccumulatorPanics(t *testing.T) {
 		func() { NewAccumulator(0) },
 		func() { NewAccumulator(4).Majority(TieToOne) },
 		func() { NewAccumulator(4).Add(New(5)) },
+		func() { NewAccumulator(4).AddRef(New(5)) },
 	}
 	for i, f := range cases {
 		func() {
@@ -126,7 +127,7 @@ func TestAccumulatorPanics(t *testing.T) {
 	}
 }
 
-// TestAccumulatorMatchesNaiveCount checks the bit-sliced counts against a
+// TestAccumulatorMatchesNaiveCount checks the carry-save counts against a
 // per-bit recount at every bundle size up to 70 and around the plane
 // boundaries 256 and 512, for both tie rules, reusing one accumulator
 // across Resets so stale planes would show.
@@ -164,6 +165,50 @@ func TestAccumulatorMatchesNaiveCount(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAccumulatorStreamingReusedBuffer rewrites one buffer before every
+// Add, as EncodeVisits does, mixed with AddRef and Next, and takes the
+// majority at n = 1…20 and 255–257 without resetting. So a pending group,
+// the folded planes and adding on after a majority are all checked
+// against a naive recount.
+func TestAccumulatorStreamingReusedBuffer(t *testing.T) {
+	r := rng.New(8)
+	const d = 130
+	acc := NewAccumulator(d)
+	buf, dst := New(d), New(d)
+	counts := make([]int, d)
+	for n := 1; n <= 257; n++ {
+		Rand(r, d).CopyInto(buf)
+		for b := range counts {
+			if buf.Bit(b) {
+				counts[b]++
+			}
+		}
+		switch n % 3 {
+		case 0:
+			acc.Add(buf)
+		case 1:
+			acc.AddRef(buf.Clone())
+		default:
+			buf.CopyInto(acc.Next())
+		}
+		if n > 20 && n < 255 {
+			continue
+		}
+		for _, tie := range []TieBreak{TieToOne, TieToZero} {
+			acc.MajorityInto(tie, dst)
+			for b, c := range counts {
+				want := 2*c > n || (2*c == n && tie == TieToOne)
+				if dst.Bit(b) != want {
+					t.Fatalf("n=%d tie=%v bit %d: got %v, count %d", n, tie, b, dst.Bit(b), c)
+				}
+			}
+		}
+	}
+	if acc.Count() != 257 {
+		t.Fatalf("Count = %d, want 257", acc.Count())
 	}
 }
 

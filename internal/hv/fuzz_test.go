@@ -6,9 +6,10 @@ import (
 
 // FuzzMajorityInto bundles arbitrary bit patterns at arbitrary (small)
 // dimensionalities and cross-checks three things: MajorityInto never
-// panics on well-formed input, it agrees with the allocating Majority, and
-// both agree with a naive per-bit recount of the inputs. Dimensionalities
-// straddle the 64-bit word boundary so tail-masking bugs surface.
+// panics on well-formed input, it agrees with the allocating Majority and
+// with Bundle, and all agree with a naive per-bit recount of the inputs.
+// Dimensionalities straddle the 64-bit word boundary so tail-masking bugs
+// surface.
 func FuzzMajorityInto(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0xaa}, uint8(3), false)
 	f.Add([]byte{0x01}, uint8(63), true)
@@ -18,6 +19,14 @@ func FuzzMajorityInto(f *testing.F) {
 	f.Add([]byte{0xf0, 0x3c}, uint8(7), false)
 	f.Add([]byte{0x0f, 0x33, 0x55, 0xff}, uint8(7), false)
 	f.Add([]byte{0x01, 0x03, 0x07, 0x0f, 0x1f, 0x3f, 0x7f, 0xff}, uint8(7), false)
+	// Group edges of the carry-save kernel: 7, 8 and 9 one-byte vectors
+	// (a partial group, a full one, one fold plus one pending), then 16
+	// and 17 (a fold plus a full group, two folds plus one).
+	edge := []byte{0x5a, 0xc3, 0x0f, 0xf0, 0x99, 0x66, 0x3c, 0xa5, 0x81, 0x7e, 0x18, 0xe7, 0x24, 0xdb, 0x42, 0xbd, 0x55}
+	for _, n := range []int{7, 8, 9, 16, 17} {
+		f.Add(edge[:n], uint8(7), false)
+		f.Add(edge[:n], uint8(7), true)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, dimSeed uint8, tieToZero bool) {
 		dim := 1 + int(dimSeed)%130 // 1..130: crosses one and two word boundaries
 		bytesPerVec := (dim + 7) / 8
@@ -44,9 +53,17 @@ func FuzzMajorityInto(f *testing.F) {
 			vecs[i] = v
 		}
 
+		// Every way in: a copy, a reference and a buffer built in place.
 		acc := NewAccumulator(dim)
-		for _, v := range vecs {
-			acc.Add(v)
+		for i, v := range vecs {
+			switch i % 3 {
+			case 0:
+				acc.Add(v)
+			case 1:
+				acc.AddRef(v)
+			default:
+				v.CopyInto(acc.Next())
+			}
 		}
 		into := New(dim)
 		acc.MajorityInto(tie, into)

@@ -1,9 +1,8 @@
 // Package hv implements binary hypervectors for hyperdimensional computing
 // (HDC): fixed-dimensionality bit vectors (the paper uses D = 10,000) packed
 // into uint64 words, with the operations the paper's encoder and classifier
-// need — random generation, balanced bit flipping, Hamming distance and
-// majority bundling — plus nearest-neighbour search and an item (cleanup)
-// memory for recalling noisy codewords.
+// need: random generation, balanced bit flipping, Hamming distance and
+// majority bundling.
 package hv
 
 import (
@@ -135,6 +134,18 @@ func (v Vector) SetBit(i int, b bool) {
 func (v Vector) FlipBit(i int) {
 	v.checkIndex(i)
 	v.words[i/wordBits] ^= 1 << (uint(i) % wordBits)
+}
+
+// FlipBits inverts the bits at positions ps. Unlike FlipBit it checks no
+// position against Dim: every position must be below Dim(), or the flip
+// corrupts the tail bits past it or panics. The level encoder's flip
+// lists hold by construction (and are checked when a codebook is loaded),
+// so its codewords pay for no check per flip.
+func (v Vector) FlipBits(ps []int32) {
+	w := v.words
+	for _, p := range ps {
+		w[uint32(p)/wordBits] ^= 1 << (uint32(p) % wordBits)
+	}
 }
 
 func (v Vector) setBit(i int) { v.words[i/wordBits] |= 1 << (uint(i) % wordBits) }

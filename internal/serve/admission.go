@@ -11,12 +11,14 @@ import (
 )
 
 // admission is the overload gate in front of both scoring routes: a
-// record-level in-flight budget that fast-rejects excess load before any
-// decode-side work is spent on it. Shedding here is the whole point of
-// the design — a rejected request costs a counter bump and a tiny JSON
-// body, while an admitted one costs decode, validation and a ~12µs/record
-// encode downstream — so the gate sits ahead of all three. It is also
-// what bounds concurrent encode work.
+// record-level in-flight budget that fast-rejects excess load before
+// validation or encode is spent on it. Shedding here is the whole point
+// of the design — a rejected request costs a counter bump and a tiny JSON
+// body, while an admitted one costs validation and a few µs/record of
+// encode downstream (DESIGN.md §12). /v1/score consults the gate before
+// reading its body; /v1/score/batch must read and parse its body first,
+// because only the body says how many records to admit. It is also what
+// bounds concurrent encode work.
 //
 // The budget counts records, not requests: a /v1/score call holds one
 // unit from admission to response, a /v1/score/batch call holds one per

@@ -429,12 +429,6 @@ func (s *Server) traced(route string, h func(http.ResponseWriter, *http.Request,
 	}
 }
 
-// scoreRequest is the body of POST /v1/score. Features are positional,
-// matching the fitted schema; null means missing.
-type scoreRequest struct {
-	Features []*float64 `json:"features"`
-}
-
 // scoreResponse is the body of a successful POST /v1/score. RequestID
 // is the handle /v1/feedback joins a delayed ground-truth label with.
 // ModelVersion is the version of the model that scored the
@@ -447,11 +441,6 @@ type scoreResponse struct {
 	ModelVersion uint64               `json:"model_version"`
 	Warnings     []string             `json:"warnings,omitempty"`
 	Explain      []audit.Contribution `json:"explain,omitempty"`
-}
-
-// batchScoreRequest is the body of POST /v1/score/batch.
-type batchScoreRequest struct {
-	Records [][]*float64 `json:"records"`
 }
 
 // recordWarnings attaches clamping warnings to a record index.
@@ -506,6 +495,31 @@ func (s *Server) writeError(w http.ResponseWriter, at *obs.ActiveTrace, status i
 	writeJSON(w, status, errorResponse{Error: msg, TraceID: traceIDOf(at), Details: details, Record: record})
 }
 
+// readScoring reads and parses the body of a scoring route, answering 413
+// past the size limit and 400 for a malformed body itself. The caller
+// releases the body once nothing uses its rows.
+func (s *Server) readScoring(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace, batch bool) *scoringBody {
+	b, err := readScoringBody(w, r)
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.writeError(w, at, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit), nil, 0)
+		} else {
+			s.writeError(w, at, http.StatusBadRequest, "reading request body: "+err.Error(), nil, 0)
+		}
+		return nil
+	}
+	if err := b.parse(batch); err != nil {
+		b.release()
+		s.writeError(w, at, http.StatusBadRequest, "malformed request body: "+err.Error(), nil, 0)
+		return nil
+	}
+	return b
+}
+
+// decode reads a JSON request body of a route whose cost is per request,
+// not per record, with encoding/json.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
@@ -546,24 +560,26 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 		s.writeError(w, at, http.StatusBadRequest, err.Error(), nil, 0)
 		return
 	}
-	// Admission before decode, validation, and encode: a shed request
-	// must cost a counter bump and a tiny JSON body, nothing more.
+	// Admission before reading the body, validation, and encode: a shed
+	// request must cost a counter bump and a tiny JSON body, nothing more.
 	if !s.adm.tryAcquire(1) {
 		s.shed(w, at, http.StatusTooManyRequests, ShedQueueFull, "server overloaded")
 		return
 	}
 	defer s.adm.release(1)
-	var req scoreRequest
-	if !s.decode(w, r, at, &req) {
+	body := s.readScoring(w, r, at, false)
+	if body == nil {
 		return
 	}
+	defer body.release()
 	if s.draining.Load() {
 		s.shed(w, at, http.StatusServiceUnavailable, ShedDraining, "server shutting down")
 		return
 	}
 	m := s.active.Load()
+	row := body.rows[0]
 	tValidate := time.Now()
-	row, warnings, err := m.val.Validate(req.Features, nil)
+	warnings, err := m.val.Validate(row)
 	validateDur := time.Since(tValidate)
 	at.Step(obs.StageValidate)
 	if err != nil {
@@ -587,7 +603,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "scoring timed out", TraceID: traceIDOf(at)})
 		return
 	}
-	scores, encDur, distDur := s.scoreRows(m, [][]float64{row}, at)
+	scores, encDur, distDur := s.scoreRows(m, body.rows, at)
 	score := scores[0]
 	at.SetModel(m.info.Version)
 	resp := scoreResponse{RequestID: requestID(at.ID()), Score: score, ModelVersion: m.info.Version, Warnings: warnings}
@@ -619,17 +635,21 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 		return
 	}
 	s.metrics.batchRequests.Add(1)
-	var req batchScoreRequest
-	if !s.decode(w, r, at, &req) {
+	// Unlike /v1/score, the body is read and parsed before admission: the
+	// gate counts records, and only the body says how many.
+	body := s.readScoring(w, r, at, true)
+	if body == nil {
 		return
 	}
-	if len(req.Records) == 0 {
+	defer body.release()
+	rows := body.rows
+	if len(rows) == 0 {
 		s.writeError(w, at, http.StatusBadRequest, "empty records", nil, 0)
 		return
 	}
-	if len(req.Records) > maxBatchRecords {
+	if len(rows) > maxBatchRecords {
 		s.writeError(w, at, http.StatusBadRequest,
-			fmt.Sprintf("%d records exceeds the %d-record batch limit", len(req.Records), maxBatchRecords), nil, 0)
+			fmt.Sprintf("%d records exceeds the %d-record batch limit", len(rows), maxBatchRecords), nil, 0)
 		return
 	}
 	if s.draining.Load() {
@@ -638,7 +658,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 	}
 	// Admission by record count: one oversized batch admits on an idle
 	// server, but concurrent batches cannot stack unbounded encode work.
-	n := int64(len(req.Records))
+	n := int64(len(rows))
 	if !s.adm.tryAcquire(n) {
 		s.shed(w, at, http.StatusTooManyRequests, ShedQueueFull, "server overloaded")
 		return
@@ -646,10 +666,9 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 	defer s.adm.release(n)
 	m := s.active.Load()
 	at.SetModel(m.info.Version)
-	rows := make([][]float64, len(req.Records))
 	var allWarnings []recordWarnings
-	for i, rec := range req.Records {
-		row, warnings, err := m.val.Validate(rec, nil)
+	for i, row := range rows {
+		warnings, err := m.val.Validate(row)
 		if err != nil {
 			var verr *ValidationError
 			if errors.As(err, &verr) {
@@ -659,7 +678,6 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 			}
 			return
 		}
-		rows[i] = row
 		if len(warnings) > 0 {
 			allWarnings = append(allWarnings, recordWarnings{Index: i, Warnings: warnings})
 		}

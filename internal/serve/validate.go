@@ -49,12 +49,11 @@ type featureRange struct {
 //
 //   - arity must match the fitted schema exactly (per-feature names are
 //     reported so clients can see what the model expects);
-//   - null (missing) encodes as the feature's baseline codeword, exactly
-//     like a NaN cell in training data — unless the server was configured
-//     with RejectMissing, in which case it is a per-feature error;
-//   - non-finite values (NaN/±Inf smuggled past JSON) are always errors:
-//     the encoders define NaN behaviour but an explicit NaN in a scoring
-//     request is indistinguishable from a client bug;
+//   - null (missing), which the body parser hands over as NaN, encodes as
+//     the feature's baseline codeword, exactly like a NaN cell in training
+//     data — unless the server was configured with RejectMissing, in which
+//     case it is a per-feature error;
+//   - ±Inf is always an error (JSON cannot carry it, but a Go caller can);
 //   - continuous values outside the fitted [min, max] are legal — the
 //     level encoder clamps them by contract — but each produces a warning
 //     naming the fitted range, since silent clamping hides unit mistakes;
@@ -89,39 +88,32 @@ func (v *Validator) FeatureNames() []string {
 	return names
 }
 
-// Validate checks one record (nil entry = missing) and materializes the
-// float row the encoders consume. On success it returns the row and any
-// clamping warnings; on failure, a *ValidationError listing every bad
-// field. dst is recycled when it has capacity.
-func (v *Validator) Validate(features []*float64, dst []float64) ([]float64, []string, error) {
-	if len(features) != len(v.feats) {
-		return nil, nil, &ValidationError{Fields: []FieldError{{
+// Validate checks one parsed record in place, where NaN marks a missing
+// value, and returns any clamping warnings; on failure, a
+// *ValidationError listing every bad field. It leaves row as it is: the
+// encoders consume it directly.
+func (v *Validator) Validate(row []float64) ([]string, error) {
+	if len(row) != len(v.feats) {
+		return nil, &ValidationError{Fields: []FieldError{{
 			Feature: "(record)",
 			Index:   -1,
 			Message: fmt.Sprintf("got %d features, model expects %d: %s",
-				len(features), len(v.feats), strings.Join(v.FeatureNames(), ", ")),
+				len(row), len(v.feats), strings.Join(v.FeatureNames(), ", ")),
 		}}}
 	}
-	if cap(dst) < len(features) {
-		dst = make([]float64, len(features))
-	}
-	dst = dst[:len(features)]
 	var fields []FieldError
 	var warnings []string
-	for j, p := range features {
+	for j, t := range row {
 		f := v.feats[j]
-		if p == nil {
+		if math.IsNaN(t) {
+			// Encode contract: missing encodes as the baseline codeword.
 			if v.rejectMissing {
 				fields = append(fields, FieldError{Feature: f.spec.Name, Index: j,
 					Message: "missing value rejected by server policy (send a number)"})
-				continue
 			}
-			// Encode contract: missing encodes as the baseline codeword.
-			dst[j] = math.NaN()
 			continue
 		}
-		t := *p
-		if math.IsNaN(t) || math.IsInf(t, 0) {
+		if math.IsInf(t, 0) {
 			fields = append(fields, FieldError{Feature: f.spec.Name, Index: j,
 				Message: fmt.Sprintf("non-finite value %v (use null for missing)", t)})
 			continue
@@ -139,10 +131,9 @@ func (v *Validator) Validate(features []*float64, dst []float64) ([]float64, []s
 				"feature %q value %v outside fitted range [%v, %v]; clamped per encode contract",
 				f.spec.Name, t, f.min, f.max))
 		}
-		dst[j] = t
 	}
 	if len(fields) > 0 {
-		return nil, nil, &ValidationError{Fields: fields}
+		return nil, &ValidationError{Fields: fields}
 	}
-	return dst, warnings, nil
+	return warnings, nil
 }

@@ -23,7 +23,7 @@ func testCodebook(t *testing.T) *encode.Codebook {
 
 func TestValidatorArity(t *testing.T) {
 	v := NewValidator(testCodebook(t), false, false)
-	_, _, err := v.Validate(floats(1), nil)
+	_, err := v.Validate([]float64{1})
 	if err == nil {
 		t.Fatal("short record accepted")
 	}
@@ -39,19 +39,20 @@ func TestValidatorArity(t *testing.T) {
 func TestValidatorMissingPolicy(t *testing.T) {
 	cb := testCodebook(t)
 	lenient := NewValidator(cb, false, false)
-	row, warnings, err := lenient.Validate([]*float64{nil, nil}, nil)
+	missing := []float64{math.NaN(), math.NaN()}
+	warnings, err := lenient.Validate(missing)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(warnings) != 0 {
 		t.Errorf("warnings for missing values: %v", warnings)
 	}
-	if !math.IsNaN(row[0]) || !math.IsNaN(row[1]) {
-		t.Fatalf("missing values materialized as %v, want NaN (encode contract)", row)
+	if !math.IsNaN(missing[0]) || !math.IsNaN(missing[1]) {
+		t.Fatalf("missing values rewritten to %v, want NaN (encode contract)", missing)
 	}
 
 	strict := NewValidator(cb, true, false)
-	_, _, err = strict.Validate([]*float64{nil, nil}, nil)
+	_, err = strict.Validate(missing)
 	verr, ok := err.(*ValidationError)
 	if !ok {
 		t.Fatalf("strict validator returned %v", err)
@@ -64,10 +65,12 @@ func TestValidatorMissingPolicy(t *testing.T) {
 	}
 }
 
+// TestValidatorNonFinite checks that ±Inf is rejected. NaN is how the
+// body parser hands over null, so it means missing (TestValidatorMissingPolicy).
 func TestValidatorNonFinite(t *testing.T) {
 	v := NewValidator(testCodebook(t), false, false)
-	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		_, _, err := v.Validate(floats(bad, 1), nil)
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1)} {
+		_, err := v.Validate([]float64{bad, 1})
 		if err == nil {
 			t.Errorf("value %v accepted", bad)
 		}
@@ -76,7 +79,8 @@ func TestValidatorNonFinite(t *testing.T) {
 
 func TestValidatorClampWarning(t *testing.T) {
 	v := NewValidator(testCodebook(t), false, false)
-	row, warnings, err := v.Validate(floats(200, 1), nil)
+	row := []float64{200, 1}
+	warnings, err := v.Validate(row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +91,7 @@ func TestValidatorClampWarning(t *testing.T) {
 		t.Fatalf("warnings %v, want one naming the fitted range", warnings)
 	}
 	// Binary features carry no range; out-of-coding values warn nothing.
-	_, warnings, err = v.Validate(floats(5, 42), nil)
+	warnings, err = v.Validate([]float64{5, 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +102,7 @@ func TestValidatorClampWarning(t *testing.T) {
 
 func TestValidatorRejectOutOfRange(t *testing.T) {
 	v := NewValidator(testCodebook(t), false, true)
-	_, _, err := v.Validate(floats(200, 1), nil)
+	_, err := v.Validate([]float64{200, 1})
 	verr, ok := err.(*ValidationError)
 	if !ok {
 		t.Fatalf("out-of-range value returned %v, want *ValidationError", err)
@@ -122,40 +126,39 @@ func TestValidatorRejectOutOfRange(t *testing.T) {
 		t.Errorf("message %q does not name the value and range", f.Message)
 	}
 	// In-range values still pass under the strict policy.
-	if _, _, err := v.Validate(floats(5, 1), nil); err != nil {
+	if _, err := v.Validate([]float64{5, 1}); err != nil {
 		t.Fatalf("in-range value rejected: %v", err)
 	}
 }
 
-func TestValidatorRecyclesDst(t *testing.T) {
+// TestValidatorChecksInPlace checks that validation leaves every value,
+// missing and out of range ones included, as the encoders must see it.
+func TestValidatorChecksInPlace(t *testing.T) {
 	v := NewValidator(testCodebook(t), false, false)
-	buf := make([]float64, 2)
-	row, _, err := v.Validate(floats(1, 0), buf)
-	if err != nil {
+	row := []float64{-7, math.NaN()}
+	if _, err := v.Validate(row); err != nil {
 		t.Fatal(err)
 	}
-	if &row[0] != &buf[0] {
-		t.Error("dst with capacity was not recycled")
+	if row[0] != -7 || !math.IsNaN(row[1]) {
+		t.Errorf("row rewritten to %v", row)
 	}
 }
 
 // TestValidatorAgainstDeployment ties the validator to a real fitted
-// deployment: a validated row must score identically whether the missing
-// cell arrives as null or as NaN.
+// deployment: a row parsed from a body with a null cell must validate and
+// score identically to the same row with NaN written directly.
 func TestValidatorAgainstDeployment(t *testing.T) {
 	dep := testDeployment(t, 128)
 	v := NewValidator(dep.Extractor.Codebook(), false, false)
 	if n := len(v.FeatureNames()); n != 8 {
 		t.Fatalf("validator arity %d", n)
 	}
-	feats := make([]*float64, 8)
-	for i := range feats {
-		x := float64(i + 1)
-		feats[i] = &x
+	b := &scoringBody{raw: []byte(`{"features":[1,2,null,4,5,6,7,8]}`)}
+	if err := b.parse(false); err != nil {
+		t.Fatal(err)
 	}
-	feats[2] = nil
-	row, _, err := v.Validate(feats, nil)
-	if err != nil {
+	row := b.rows[0]
+	if _, err := v.Validate(row); err != nil {
 		t.Fatal(err)
 	}
 	direct := make([]float64, 8)
