@@ -85,8 +85,9 @@
 // Overload protection: -max-inflight bounds admitted records; excess
 // load is shed with 429 + Retry-After before any encode work is spent
 // (hdfe_shed_total counts rejections by reason). Clients can tighten the
-// per-request budget with an X-Request-Deadline-Ms header; a record past
-// its deadline when encode would start is shed with 504, never scored.
+// per-request budget with an X-Request-Deadline-Ms header (malformed: 400);
+// on either scoring route, a request past its deadline when encode would
+// start is shed with 504, whole batch included, never scored.
 // -chaos-spec enables the deterministic fault-injection seam
 // (internal/chaos) for soak and failure-drill testing — scoring stalls,
 // artifact-load failures, shadow-queue pressure, and span-export,

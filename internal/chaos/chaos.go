@@ -32,9 +32,9 @@ import (
 type Point uint8
 
 const (
-	// PointScore fires once per /v1/score request, after validation and
-	// at the start of the encode stage, before the deadline check —
-	// models a stalled scoring stage.
+	// PointScore fires once per scoring request on either route, after
+	// validation and at the start of the encode stage, before the
+	// deadline check — models a stalled scoring stage.
 	PointScore Point = iota
 	// PointLoad fires inside model-artifact loads (admin load, SIGHUP
 	// reload) — models a failed or slow disk read.

@@ -14,7 +14,6 @@ import (
 	"hdfe/internal/encode"
 	"hdfe/internal/hv"
 	"hdfe/internal/ml/hamming"
-	"hdfe/internal/parallel"
 )
 
 // Deployment is the complete, shippable state of the pure-HDC clinical
@@ -104,18 +103,7 @@ func (d *Deployment) ScoreBatch(rows [][]float64) []float64 {
 
 // ScoreBatchInto is ScoreBatch writing into dst (allocated if nil/short).
 func (d *Deployment) ScoreBatchInto(rows [][]float64, dst []float64) []float64 {
-	if cap(dst) < len(rows) {
-		dst = make([]float64, len(rows))
-	}
-	dst = dst[:len(rows)]
-	parallel.ForChunked(len(rows), func(lo, hi int) {
-		s := hv.GetScratch(d.Extractor.Dim())
-		defer hv.PutScratch(s)
-		for i := lo; i < hi; i++ {
-			dst[i] = d.scoreWithScratch(rows[i], s)
-		}
-	})
-	return dst
+	return d.ScoreBatchIntoObserved(rows, dst, nil)
 }
 
 // WriteTo serializes the deployment (codebook + prototypes + optional

@@ -19,14 +19,11 @@ type StageObserver interface {
 }
 
 // ScoreBatchIntoObserved is ScoreBatchInto reporting each record's
-// encode and distance time to o. A nil observer takes the untimed path,
+// encode and distance time to o. A nil observer skips the clock reads,
 // so callers can thread one optional hook without branching themselves.
 // The timing overhead is three monotonic clock reads per record —
 // negligible against a 10,000-bit encode.
 func (d *Deployment) ScoreBatchIntoObserved(rows [][]float64, dst []float64, o StageObserver) []float64 {
-	if o == nil {
-		return d.ScoreBatchInto(rows, dst)
-	}
 	if cap(dst) < len(rows) {
 		dst = make([]float64, len(rows))
 	}
@@ -35,6 +32,10 @@ func (d *Deployment) ScoreBatchIntoObserved(rows [][]float64, dst []float64, o S
 		s := hv.GetScratch(d.Extractor.Dim())
 		defer hv.PutScratch(s)
 		for i := lo; i < hi; i++ {
+			if o == nil {
+				dst[i] = d.scoreWithScratch(rows[i], s)
+				continue
+			}
 			rec := s.Rec()
 			start := time.Now()
 			d.Extractor.TransformRecordInto(rows[i], rec, s)

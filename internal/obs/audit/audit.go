@@ -14,12 +14,12 @@
 // tail is detectable too (the chain head recorded elsewhere no longer
 // matches).
 //
-// The writer follows the repo's telemetry invariant, shared with the
-// OTLP exporter and the shadow scorer: Enqueue is a non-blocking
-// select/default send into a bounded queue, all disk I/O happens on one
-// worker goroutine, and overflow or write failure drops the event and
-// counts it (hdfe_audit_dropped_total) — the audit trail is lossy by
-// design because telemetry must never block scoring. Segments rotate by
+// The writer follows the repo's telemetry invariant: Enqueue offers the
+// event to an obs.Handoff, the bounded, lossy queue the OTLP exporter and
+// the shadow scorer use too; all disk I/O happens on its one worker
+// goroutine; and overflow or write failure drops the event and counts it
+// (hdfe_audit_dropped_total) — the audit trail is lossy by design
+// because telemetry must never block scoring. Segments rotate by
 // size, fsync policy is configurable (none, always, or interval), and
 // reopening a directory recovers from a torn final line by truncating
 // it and re-anchoring the chain on the last durable event. The chaos
@@ -28,6 +28,7 @@
 package audit
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -38,6 +39,7 @@ import (
 	"time"
 
 	"hdfe/internal/chaos"
+	"hdfe/internal/obs"
 )
 
 // Outcome classifies what the service did with a request.
@@ -90,8 +92,12 @@ func (o *Outcome) UnmarshalJSON(b []byte) error {
 	return fmt.Errorf("audit: unknown outcome %q", s)
 }
 
-// Stages carries the per-stage timings of one scored request, in
+// Stages carries the per-stage timings of one scored record, in
 // microseconds (matching the latency scale of the serving histograms).
+// They are the request trace's stage times, as /debug/traces shows them:
+// validate covers reading, parsing and validating the body, and encode
+// includes any stall before it. On /v1/score/batch each record carries
+// an even share of its request's times.
 type Stages struct {
 	ValidateUs int64 `json:"validate_us"`
 	EncodeUs   int64 `json:"encode_us"`
@@ -235,8 +241,8 @@ func (c Config) withDefaults() Config {
 type Log struct {
 	cfg Config
 
+	q         *obs.Handoff[Event]
 	events    [numOutcomes]atomic.Uint64
-	dropped   atomic.Uint64
 	rotations atomic.Uint64
 	lastSeq   atomic.Uint64
 	fsyncs    atomic.Uint64
@@ -248,11 +254,6 @@ type Log struct {
 	ringMu sync.Mutex
 	ring   []Event
 	ringN  int // total pushed; ring[(ringN-1)%len] is newest
-
-	mu     sync.RWMutex // guards closed vs. Enqueue, so close(queue) is safe
-	closed bool
-	queue  chan Event
-	done   chan struct{}
 
 	// Worker-goroutine-owned state.
 	f         *os.File
@@ -278,17 +279,13 @@ func Open(cfg Config) (*Log, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("audit: %v", err)
 	}
-	l := &Log{
-		cfg:   cfg,
-		queue: make(chan Event, cfg.QueueSize),
-		done:  make(chan struct{}),
-	}
+	l := &Log{cfg: cfg}
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
 	l.lastSeq.Store(l.seq)
 	l.setHead(l.prev)
-	go l.loop()
+	l.q = obs.NewHandoff(cfg.QueueSize, l.loop)
 	return l, nil
 }
 
@@ -349,17 +346,7 @@ func (l *Log) Enqueue(ev Event) {
 	if l == nil {
 		return
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if l.closed {
-		l.dropped.Add(1)
-		return
-	}
-	select {
-	case l.queue <- ev:
-	default:
-		l.dropped.Add(1)
-	}
+	l.q.Offer(ev)
 }
 
 // Close stops accepting events, drains everything already queued to
@@ -369,21 +356,13 @@ func (l *Log) Close() {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	already := l.closed
-	l.closed = true
-	l.mu.Unlock()
-	if !already {
-		close(l.queue)
-	}
-	<-l.done
+	l.q.Close(context.Background())
 }
 
 // loop is the single writer goroutine: it drains the queue into the
 // chain and applies the fsync policy. Closing the queue drains buffered
 // events before exit, so Close flushes everything accepted.
-func (l *Log) loop() {
-	defer close(l.done)
+func (l *Log) loop(queue <-chan Event) {
 	var tick <-chan time.Time
 	if l.cfg.Fsync == FsyncEvery {
 		t := time.NewTicker(l.cfg.FsyncEvery)
@@ -392,7 +371,7 @@ func (l *Log) loop() {
 	}
 	for {
 		select {
-		case ev, ok := <-l.queue:
+		case ev, ok := <-queue:
 			if !ok {
 				l.sync()
 				l.f.Close()
@@ -498,7 +477,7 @@ func (l *Log) sync() {
 // drop counts one lost event, logging a sampled warning so a dying
 // disk is visible without flooding the log.
 func (l *Log) drop(err error) {
-	n := l.dropped.Add(1)
+	n := l.q.Drop(1)
 	if l.cfg.Logger != nil && (n == 1 || n%1024 == 0) {
 		l.cfg.Logger.Warn("audit event dropped", "err", err, "dropped", n)
 	}
@@ -560,7 +539,7 @@ func (l *Log) Dropped() uint64 {
 	if l == nil {
 		return 0
 	}
-	return l.dropped.Load()
+	return l.q.Dropped()
 }
 
 // Rotations reports how many segment rotations have happened.

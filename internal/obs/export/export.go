@@ -3,12 +3,12 @@
 // protocol structs are hand-rolled, the queue is bounded and lossy, and
 // the worker retries with seeded backoff so chaos runs replay exactly.
 //
-// The design invariant — shared with the shadow scorer — is that the
-// telemetry backend can never slow scoring down: Enqueue is a
-// non-blocking channel send that drops (and counts) spans when the
-// queue is full, the HTTP POSTs happen on one worker goroutine off the
-// hot path, and a failed batch is dropped after bounded retries rather
-// than re-queued. Tail sampling (Sampler) decides which traces are
+// The telemetry backend can never slow scoring down: Enqueue offers the
+// span to an obs.Handoff, the bounded, lossy queue the shadow scorer and
+// the audit writer use too, which drops (and counts) spans when the
+// queue is full; the HTTP POSTs happen on its one worker goroutine off
+// the hot path; and a failed batch is dropped after bounded retries
+// rather than re-queued. Tail sampling (Sampler) decides which traces are
 // worth shipping at all: a head-sampled fraction, plus every slow,
 // error, and shed trace.
 package export
@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -218,32 +217,20 @@ func (c Config) withDefaults() Config {
 // All methods are nil-safe, so a server without an -otlp-endpoint pays
 // one branch per would-be call.
 type Exporter struct {
-	cfg Config
-	src *rng.Source // jitter; worker-goroutine owned
-
-	enqueued atomic.Uint64 // spans accepted into the queue
-	dropped  atomic.Uint64 // spans lost: queue full or batch failed
-	exported atomic.Uint64 // spans acknowledged by the collector
-	batches  atomic.Uint64 // successful POSTs
-	failures atomic.Uint64 // POST attempts that failed (per attempt)
-
-	mu     sync.RWMutex // guards closed vs. Enqueue, so close(queue) is safe
-	closed bool
-	queue  chan Span
-	done   chan struct{}
+	cfg      Config
+	src      *rng.Source        // jitter; worker-goroutine owned
+	q        *obs.Handoff[Span] // drops: queue full, closed, or batch failed
+	exported atomic.Uint64      // spans acknowledged by the collector
+	batches  atomic.Uint64      // successful POSTs
+	failures atomic.Uint64      // POST attempts that failed (per attempt)
 }
 
 // New starts an exporter worker for cfg. cfg.Endpoint must be non-empty;
 // callers that have no endpoint keep a nil *Exporter instead.
 func New(cfg Config) *Exporter {
 	cfg = cfg.withDefaults()
-	e := &Exporter{
-		cfg:   cfg,
-		src:   rng.New(cfg.Seed),
-		queue: make(chan Span, cfg.QueueSize),
-		done:  make(chan struct{}),
-	}
-	go e.loop()
+	e := &Exporter{cfg: cfg, src: rng.New(cfg.Seed)}
+	e.q = obs.NewHandoff(cfg.QueueSize, e.loop)
 	return e
 }
 
@@ -254,18 +241,7 @@ func (e *Exporter) Enqueue(s Span) {
 	if e == nil {
 		return
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		e.dropped.Add(1)
-		return
-	}
-	select {
-	case e.queue <- s:
-		e.enqueued.Add(1)
-	default:
-		e.dropped.Add(1)
-	}
+	e.q.Offer(s)
 }
 
 // Dropped reports spans lost to queue overflow or failed batches.
@@ -273,7 +249,7 @@ func (e *Exporter) Dropped() uint64 {
 	if e == nil {
 		return 0
 	}
-	return e.dropped.Load()
+	return e.q.Dropped()
 }
 
 // Exported reports spans acknowledged by the collector.
@@ -308,25 +284,14 @@ func (e *Exporter) Shutdown(ctx context.Context) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
-	already := e.closed
-	e.closed = true
-	e.mu.Unlock()
-	if !already {
-		close(e.queue)
-	}
-	select {
-	case <-e.done:
-	case <-ctx.Done():
-	}
+	e.q.Close(ctx)
 }
 
 // loop batches queued spans and posts them: a batch goes out when it
 // reaches BatchSize or when FlushInterval elapses with spans waiting.
 // Closing the queue drains it — buffered spans still deliver before ok
 // reports false — so Shutdown flushes everything accepted.
-func (e *Exporter) loop() {
-	defer close(e.done)
+func (e *Exporter) loop(queue <-chan Span) {
 	batch := make([]Span, 0, e.cfg.BatchSize)
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
@@ -339,7 +304,7 @@ func (e *Exporter) loop() {
 		}
 	}
 	for {
-		s, ok := <-e.queue
+		s, ok := <-queue
 		if !ok {
 			flush()
 			return
@@ -349,7 +314,7 @@ func (e *Exporter) loop() {
 	collect:
 		for len(batch) < e.cfg.BatchSize {
 			select {
-			case s, ok := <-e.queue:
+			case s, ok := <-queue:
 				if !ok {
 					break collect
 				}
@@ -375,7 +340,7 @@ func (e *Exporter) post(batch []Span) {
 	body, err := marshal(e.cfg.Service, batch)
 	if err != nil {
 		e.failures.Add(1)
-		e.dropped.Add(uint64(len(batch)))
+		e.q.Drop(uint64(len(batch)))
 		return
 	}
 	for attempt := 0; ; attempt++ {
@@ -386,7 +351,7 @@ func (e *Exporter) post(batch []Span) {
 		}
 		e.failures.Add(1)
 		if attempt >= e.cfg.MaxRetries {
-			e.dropped.Add(uint64(len(batch)))
+			e.q.Drop(uint64(len(batch)))
 			return
 		}
 		backoff := e.cfg.RetryBase << uint(attempt)

@@ -142,15 +142,18 @@ func TestExporterShipsOTLPJSON(t *testing.T) {
 }
 
 // TestExporterBackpressureDrops pins the lossy-queue invariant: with the
-// worker wedged, Enqueue never blocks — overflow is counted and dropped.
+// worker wedged, Enqueue never blocks — overflow is counted and dropped —
+// and once the collector answers again, every span offered is either
+// exported or counted as dropped.
 func TestExporterBackpressureDrops(t *testing.T) {
 	release := make(chan struct{})
+	var unwedge sync.Once
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-release
 	}))
 	defer ts.Close()
+	defer unwedge.Do(func() { close(release) })
 	e := New(Config{Endpoint: ts.URL, QueueSize: 4, BatchSize: 4, FlushInterval: time.Millisecond, Timeout: 5 * time.Second})
-	defer func() { close(release); shutdownWithin(t, e, time.Second) }()
 
 	done := make(chan struct{})
 	go func() {
@@ -167,8 +170,10 @@ func TestExporterBackpressureDrops(t *testing.T) {
 	if e.Dropped() == 0 {
 		t.Error("no spans dropped with a 4-deep queue and 200 enqueues")
 	}
-	if e.enqueued.Load()+e.Dropped() != 200 {
-		t.Errorf("enqueued %d + dropped %d != 200", e.enqueued.Load(), e.Dropped())
+	unwedge.Do(func() { close(release) })
+	shutdownWithin(t, e, 5*time.Second)
+	if e.Exported()+e.Dropped() != 200 {
+		t.Errorf("exported %d + dropped %d != 200 after the drain", e.Exported(), e.Dropped())
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // The scoring pipeline is modelled as four stages:
 //
-//	validate    parse + schema-validate the request body
+//	validate    read, parse + schema-validate the request body
 //	encode      hypervector encoding (TransformRecordInto)
 //	score       Hamming-distance scoring against the class prototypes
 //	respond     response serialization
@@ -16,6 +16,10 @@
 // Histograms, and keeps fixed-size rings of the most recent and slowest
 // finished traces for /debug/traces. Histogram, which hdserve's request
 // latency uses too, reads quantiles with a bounded relative error.
+//
+// Handoff is the one bounded, lossy queue between a handler and the
+// worker goroutines that finish a decision off the scoring path: the
+// shadow scorer, the OTLP span exporter and the audit writer.
 package obs
 
 // Stage identifies one pipeline stage of a scoring request.

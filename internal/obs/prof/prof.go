@@ -15,10 +15,12 @@
 // watchdog captures an out-of-cycle profile, so the evidence is taken at
 // the moment of the anomaly rather than minutes later.
 //
-// A runtime/metrics-backed collector (rtmetrics.go) exports the
-// hdfe_runtime_* Prometheus families (GC pause and scheduler-latency
-// histograms, heap in-use and goal, goroutines, cumulative mutex wait)
-// through the shared obs.PromWriter.
+// ReadRuntime (rtmetrics.go) is the process's one runtime read: a
+// lock-free runtime/metrics snapshot behind the watchdogs, the capture
+// metadata and the hdfe_runtime_* Prometheus families (GC pause and
+// scheduler-latency histograms, heap in-use and goal, goroutines,
+// cumulative mutex wait) that WriteRuntimeProm renders through the
+// shared obs.PromWriter.
 //
 // Everything is in-process and dependency-free by design: only bounded
 // metadata plus the ring's bounded blobs are held. Scoring never waits on

@@ -8,9 +8,8 @@ import (
 	"hdfe/internal/obs"
 )
 
-// Runtime metric names read from runtime/metrics. One shared sample
-// slice is reused per read; the read itself is lock-free on the runtime
-// side (no stop-the-world, unlike runtime.ReadMemStats).
+// Runtime metric names read from runtime/metrics. The read is lock-free
+// on the runtime side and never stops the world.
 const (
 	mGCPauses   = "/gc/pauses:seconds"
 	mSchedLat   = "/sched/latencies:seconds"
@@ -21,6 +20,11 @@ const (
 	mMutexWait  = "/sync/mutex/wait/total:seconds"
 	mGCCycles   = "/gc/cycles/total:gc-cycles"
 )
+
+var runtimeNames = [...]string{
+	mGCPauses, mSchedLat, mGoroutines, mHeapInuse,
+	mHeapGoal, mMemTotal, mMutexWait, mGCCycles,
+}
 
 // promSecondsBounds are the fixed exposition buckets the runtime's
 // fine-grained histograms are folded into: sub-microsecond to one second
@@ -42,33 +46,20 @@ type RuntimeSnapshot struct {
 	SchedLatencies *metrics.Float64Histogram
 }
 
-// Collector reads the runtime metric set and renders the hdfe_runtime_*
-// Prometheus families. Safe for concurrent use is NOT required: the
-// serving layer calls it from one scrape handler at a time, and the
-// watchdog keeps its own collector.
-type Collector struct {
-	samples []metrics.Sample
-}
-
-// NewCollector prepares the sample set.
-func NewCollector() *Collector {
-	names := []string{
-		mGCPauses, mSchedLat, mGoroutines, mHeapInuse,
-		mHeapGoal, mMemTotal, mMutexWait, mGCCycles,
+// ReadRuntime takes one snapshot of the runtime metric set. It reads into
+// fresh samples on every call, so concurrent callers (the scrape path,
+// the watchdog loop, capture metadata) share no state and need no lock,
+// and a snapshot kept for later is never overwritten by the next read.
+// Metrics the runtime does not support (older toolchains) read as zero
+// rather than failing.
+func ReadRuntime() RuntimeSnapshot {
+	samples := make([]metrics.Sample, len(runtimeNames))
+	for i, n := range runtimeNames {
+		samples[i].Name = n
 	}
-	c := &Collector{samples: make([]metrics.Sample, len(names))}
-	for i, n := range names {
-		c.samples[i].Name = n
-	}
-	return c
-}
-
-// Read takes one snapshot. Metrics the runtime does not support (older
-// toolchains) read as zero rather than failing.
-func (c *Collector) Read() RuntimeSnapshot {
-	metrics.Read(c.samples)
+	metrics.Read(samples)
 	var s RuntimeSnapshot
-	for _, smp := range c.samples {
+	for _, smp := range samples {
 		switch smp.Name {
 		case mGCPauses:
 			if smp.Value.Kind() == metrics.KindFloat64Histogram {
@@ -181,9 +172,10 @@ func histogramQuantile(buckets []float64, counts []uint64, q float64) float64 {
 	return buckets[len(buckets)-1]
 }
 
-// WriteProm renders the hdfe_runtime_* families from one fresh snapshot.
-func (c *Collector) WriteProm(p *obs.PromWriter) {
-	s := c.Read()
+// WriteRuntimeProm renders the hdfe_runtime_* families from one fresh
+// snapshot.
+func WriteRuntimeProm(p *obs.PromWriter) {
+	s := ReadRuntime()
 	p.Header("hdfe_runtime_goroutines", "gauge", "Goroutines that currently exist (runtime/metrics).")
 	p.Value("hdfe_runtime_goroutines", float64(s.Goroutines))
 	p.Header("hdfe_runtime_heap_inuse_bytes", "gauge", "Heap memory occupied by live objects and dead objects not yet swept.")
@@ -220,18 +212,4 @@ func gcPauseP99Delta(prev, curr *metrics.Float64Histogram) time.Duration {
 		}
 	}
 	return time.Duration(histogramQuantile(curr.Buckets, counts, 0.99) * float64(time.Second))
-}
-
-// cloneHist deep-copies a runtime histogram's counts so a stored previous
-// snapshot is not aliased by the runtime's internal buffers.
-func cloneHist(h *metrics.Float64Histogram) *metrics.Float64Histogram {
-	if h == nil {
-		return nil
-	}
-	c := &metrics.Float64Histogram{
-		Counts:  make([]uint64, len(h.Counts)),
-		Buckets: h.Buckets,
-	}
-	copy(c.Counts, h.Counts)
-	return c
 }

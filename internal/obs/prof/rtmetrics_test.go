@@ -2,6 +2,7 @@ package prof
 
 import (
 	"math"
+	"runtime"
 	"runtime/metrics"
 	"strings"
 	"testing"
@@ -79,21 +80,30 @@ func TestGCPauseP99Delta(t *testing.T) {
 	}
 }
 
-func TestCloneHist(t *testing.T) {
-	h := &metrics.Float64Histogram{Buckets: []float64{0, 1}, Counts: []uint64{7}}
-	c := cloneHist(h)
-	h.Counts[0] = 99
-	if c.Counts[0] != 7 {
-		t.Fatal("clone aliases source counts")
+// TestReadRuntimeSnapshotsDoNotAlias pins what lets the watchdog keep a
+// window of samples without copying them: every read owns its
+// histograms, so a later read never rewrites an earlier snapshot.
+func TestReadRuntimeSnapshotsDoNotAlias(t *testing.T) {
+	a := ReadRuntime()
+	if a.GCPauses == nil || a.SchedLatencies == nil {
+		t.Fatal("runtime histograms missing from the snapshot")
 	}
-	if cloneHist(nil) != nil {
-		t.Fatal("cloneHist(nil) != nil")
+	before := append([]uint64(nil), a.GCPauses.Counts...)
+	runtime.GC()
+	b := ReadRuntime()
+	if &a.GCPauses.Counts[0] == &b.GCPauses.Counts[0] ||
+		&a.SchedLatencies.Counts[0] == &b.SchedLatencies.Counts[0] {
+		t.Fatal("two reads share histogram counts")
+	}
+	for i, n := range before {
+		if a.GCPauses.Counts[i] != n {
+			t.Fatalf("GC pause count %d changed from %d to %d after a later read", i, n, a.GCPauses.Counts[i])
+		}
 	}
 }
 
-func TestCollectorReadAndWriteProm(t *testing.T) {
-	c := NewCollector()
-	s := c.Read()
+func TestReadRuntimeAndWriteProm(t *testing.T) {
+	s := ReadRuntime()
 	if s.Goroutines <= 0 {
 		t.Fatalf("goroutines = %d", s.Goroutines)
 	}
@@ -102,7 +112,7 @@ func TestCollectorReadAndWriteProm(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	c.WriteProm(obs.NewPromWriter(&sb))
+	WriteRuntimeProm(obs.NewPromWriter(&sb))
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE hdfe_runtime_goroutines gauge",
@@ -117,7 +127,7 @@ func TestCollectorReadAndWriteProm(t *testing.T) {
 		"hdfe_runtime_sched_latencies_seconds_count",
 	} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("WriteProm output missing %q:\n%s", want, out)
+			t.Fatalf("WriteRuntimeProm output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -130,11 +130,6 @@ type Profiler struct {
 	// watchdogs, and /debug/pprof/profile all queue here.
 	cpuMu sync.Mutex
 
-	// metaMu guards the collector used for capture metadata (the
-	// watchdog loop and HTTP-triggered captures read it concurrently).
-	metaMu sync.Mutex
-	coll   *Collector
-
 	captures [len(kindNames)]atomic.Uint64
 	failures atomic.Uint64
 
@@ -157,7 +152,6 @@ func New(cfg Config) *Profiler {
 		ring:   NewRing(cfg.RingSize),
 		ctx:    ctx,
 		cancel: cancel,
-		coll:   NewCollector(),
 	}
 	p.wd = newWatchdogs(p)
 	return p
@@ -278,9 +272,7 @@ func (p *Profiler) runCycle(cycle int) {
 
 // captureMeta stamps the runtime state onto a capture.
 func (p *Profiler) captureMeta(kind, trigger string) CaptureMeta {
-	p.metaMu.Lock()
-	s := p.coll.Read()
-	p.metaMu.Unlock()
+	s := ReadRuntime()
 	return CaptureMeta{
 		Kind:           kind,
 		Trigger:        trigger,
@@ -370,8 +362,7 @@ func (p *Profiler) CaptureSnapshot(kind, trigger string) (CaptureMeta, error) {
 }
 
 // WriteProm renders the profiler's own hdfe_prof_* families (the
-// hdfe_runtime_* families come from a Collector owned by the scrape
-// path, so a scrape never contends with the watchdog loop).
+// hdfe_runtime_* families are WriteRuntimeProm's).
 func (p *Profiler) WriteProm(w *obs.PromWriter) {
 	w.Header("hdfe_prof_captures_total", "counter", "Successful profile captures by kind.")
 	for i, kind := range kindNames {

@@ -67,7 +67,7 @@ type wdSample struct {
 	at         time.Time
 	goroutines int
 	heapInuse  uint64
-	gcPauses   *metrics.Float64Histogram // cumulative, cloned
+	gcPauses   *metrics.Float64Histogram // cumulative; owned by this sample
 }
 
 // WatchdogState is one watchdog's queryable status, served in the
@@ -129,14 +129,12 @@ func (p *Profiler) WatchdogStates() []WatchdogState {
 // tick takes one sample and re-evaluates every watchdog. Runs on the
 // profiler loop goroutine.
 func (w *watchdogs) tick() {
-	w.p.metaMu.Lock()
-	s := w.p.coll.Read()
-	w.p.metaMu.Unlock()
+	s := ReadRuntime()
 	smp := wdSample{
 		at:         time.Now(),
 		goroutines: s.Goroutines,
 		heapInuse:  s.HeapInuseBytes,
-		gcPauses:   cloneHist(s.GCPauses),
+		gcPauses:   s.GCPauses,
 	}
 	if len(w.samples) >= w.cfg.Window {
 		copy(w.samples, w.samples[1:])

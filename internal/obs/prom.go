@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -117,26 +116,4 @@ func (p *PromWriter) HistogramExemplars(name string, bounds []float64, counts []
 	line(len(bounds), "+Inf")
 	p.printf("%s_sum%s %s\n", name, formatLabels(labels), formatValue(sum))
 	p.printf("%s_count%s %d\n", name, formatLabels(labels), cum)
-}
-
-// GoRuntime emits the Go runtime gauge/counter set: goroutines, heap
-// sizes, GC cycle count and cumulative pause time. ReadMemStats causes a
-// brief stop-the-world, which is fine at scrape frequency.
-func (p *PromWriter) GoRuntime() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.Header("go_goroutines", "gauge", "Number of goroutines that currently exist.")
-	p.Value("go_goroutines", float64(runtime.NumGoroutine()))
-	p.Header("go_memstats_heap_alloc_bytes", "gauge", "Heap bytes allocated and still in use.")
-	p.Value("go_memstats_heap_alloc_bytes", float64(ms.HeapAlloc))
-	p.Header("go_memstats_heap_sys_bytes", "gauge", "Heap bytes obtained from the OS.")
-	p.Value("go_memstats_heap_sys_bytes", float64(ms.HeapSys))
-	p.Header("go_memstats_heap_objects", "gauge", "Number of allocated heap objects.")
-	p.Value("go_memstats_heap_objects", float64(ms.HeapObjects))
-	p.Header("go_memstats_next_gc_bytes", "gauge", "Heap size at which the next GC cycle runs.")
-	p.Value("go_memstats_next_gc_bytes", float64(ms.NextGC))
-	p.Header("go_gc_cycles_total", "counter", "Completed GC cycles.")
-	p.Value("go_gc_cycles_total", float64(ms.NumGC))
-	p.Header("go_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.")
-	p.Value("go_gc_pause_seconds_total", float64(ms.PauseTotalNs)/1e9)
 }

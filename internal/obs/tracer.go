@@ -160,6 +160,14 @@ func (a *ActiveTrace) Add(s Stage, d time.Duration) {
 	a.t.Stages[s] += d
 }
 
+// Stage returns the time booked to stage s so far.
+func (a *ActiveTrace) Stage(s Stage) time.Duration {
+	if a == nil {
+		return 0
+	}
+	return a.t.Stages[s]
+}
+
 // SetBatch records how many records the request scored.
 func (a *ActiveTrace) SetBatch(n int) {
 	if a == nil {

@@ -74,7 +74,11 @@ func TestTracerStepAndMark(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	a.Mark() // interval measured elsewhere: must not leak into respond
 	a.Step(StageRespond)
+	validate := a.Stage(StageValidate)
 	tc := a.Finish(200)
+	if validate != tc.Stages[StageValidate] {
+		t.Errorf("Stage(validate) = %v before Finish, trace records %v", validate, tc.Stages[StageValidate])
+	}
 	if tc.Stages[StageValidate] < time.Millisecond {
 		t.Errorf("validate %v, want >= 1ms", tc.Stages[StageValidate])
 	}
@@ -95,6 +99,11 @@ func TestTracerNilSafe(t *testing.T) {
 	a.Add(StageEncode, time.Second)
 	a.Mark()
 	a.SetBatch(3)
+	a.SetShed("deadline")
+	a.SetModel(2)
+	if a.Stage(StageEncode) != 0 {
+		t.Error("nil trace has a stage time")
+	}
 	if a.ID() != 0 {
 		t.Error("nil trace has an ID")
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"time"
 
 	"hdfe/internal/core"
 	"hdfe/internal/obs"
@@ -51,18 +52,19 @@ func explainTopK(contribs []core.FeatureContribution, k int) []audit.Contributio
 
 // auditScored emits the canonical wide event for one scored record:
 // identity, model attribution, the exact inputs and their digest, the
-// score down to its bits, stage timings, and any explain contributions
-// the caller requested. batch is the client's batch size on
-// /v1/score/batch and 0 on /v1/score, where the field is omitted. The nil
-// check keeps a server without an audit log from paying the event
-// construction.
-func (s *Server) auditScored(at *obs.ActiveTrace, m *model, row []float64, resp scoreResponse, stages audit.Stages, batch int) {
+// score down to its bits, the request trace's stage times, and any
+// explain contributions the caller requested. batch is the client's
+// batch size on /v1/score/batch, where each record carries an even share
+// of the stage times, and 0 on /v1/score, where the field is omitted.
+// The nil check keeps a server without an audit log from paying the
+// event construction.
+func (s *Server) auditScored(at *obs.ActiveTrace, m *model, row []float64, resp scoreResponse, batch int) {
 	if s.audit == nil {
 		return
 	}
-	// Copy after the guard: taking &stages directly would make the
-	// parameter escape and cost the disabled path one heap allocation.
-	stg := stages
+	share := func(st obs.Stage) int64 {
+		return (at.Stage(st) / time.Duration(max(batch, 1))).Microseconds()
+	}
 	s.audit.Enqueue(audit.Event{
 		Route:        at.Route(),
 		Outcome:      audit.OutcomeScored,
@@ -76,8 +78,12 @@ func (s *Server) auditScored(at *obs.ActiveTrace, m *model, row []float64, resp 
 		ScoreBits:    math.Float64bits(resp.Score),
 		Prediction:   resp.Prediction,
 		Batch:        batch,
-		Stages:       &stg,
-		Explain:      resp.Explain,
+		Stages: &audit.Stages{
+			ValidateUs: share(obs.StageValidate),
+			EncodeUs:   share(obs.StageEncode),
+			ScoreUs:    share(obs.StageScore),
+		},
+		Explain: resp.Explain,
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"hdfe/internal/chaos"
 	"hdfe/internal/core"
+	"hdfe/internal/obs"
 	"hdfe/internal/obs/audit"
 	"hdfe/internal/synth"
 )
@@ -124,6 +125,13 @@ func TestAuditE2E(t *testing.T) {
 	}
 	wantBits[sr.RequestID] = math.Float64bits(sr.Score)
 
+	// The trace of every request, to check the audited stage times against.
+	traces := map[string]obs.TraceView{}
+	recent, _ := s.tracer.TraceViews()
+	for _, v := range recent {
+		traces[v.TraceID] = v
+	}
+
 	ts.Close()
 	s.Close() // drains and seals the audit log
 
@@ -138,9 +146,10 @@ func TestAuditE2E(t *testing.T) {
 		t.Fatalf("missing error/feedback/swap events: census %v", res.Outcomes)
 	}
 
-	// Every audited score must carry the bits the client saw, the swap
-	// must be on record — once: the boot model is published without a
-	// swap event — and the explained event must carry its top-3.
+	// Every audited score must carry the bits the client saw and its
+	// request trace's stage times (a batch record an even share of them),
+	// the swap must be on record — once: the boot model is published
+	// without a swap event — and the explained event must carry its top-3.
 	swapEvents, sawExplain := 0, false
 	if _, err := audit.Walk(auditDir, func(ev audit.Event) error {
 		switch {
@@ -149,6 +158,13 @@ func TestAuditE2E(t *testing.T) {
 		case ev.Outcome == audit.OutcomeScored:
 			if want, ok := wantBits[ev.RequestID]; !ok || ev.ScoreBits != want {
 				t.Errorf("seq %d: audited bits %#x, client saw %#x", ev.Seq, ev.ScoreBits, want)
+			}
+			tv, ok := traces[ev.TraceID]
+			share := func(stage string) int64 { return int64(tv.Stages[stage] / float64(max(ev.Batch, 1))) }
+			if !ok || ev.Stages == nil || *ev.Stages != (audit.Stages{
+				ValidateUs: share("validate"), EncodeUs: share("encode"), ScoreUs: share("score"),
+			}) {
+				t.Errorf("seq %d: audited stages %+v, trace %s stages %v (batch %d)", ev.Seq, ev.Stages, ev.TraceID, tv.Stages, ev.Batch)
 			}
 			if len(ev.Explain) == 3 {
 				sawExplain = true
@@ -402,9 +418,8 @@ func TestAuditHelpersZeroAllocWhenDisabled(t *testing.T) {
 	m := s.active.Load()
 	row := synth.PimaM(7).X[0]
 	resp := scoreResponse{RequestID: "1", Score: 0.5}
-	stages := audit.Stages{}
 	if allocs := testing.AllocsPerRun(100, func() {
-		s.auditScored(nil, m, row, resp, stages, 1)
+		s.auditScored(nil, m, row, resp, 1)
 		s.auditOutcome(nil, audit.OutcomeShed, "x")
 		s.auditFeedback("1", 1, "matched")
 		s.auditSwap(ModelInfo{}, 0)

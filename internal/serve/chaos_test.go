@@ -14,6 +14,7 @@ import (
 
 	"hdfe/internal/chaos"
 	"hdfe/internal/core"
+	"hdfe/internal/obs"
 	"hdfe/internal/synth"
 )
 
@@ -183,7 +184,7 @@ func TestChaosSlowShadowDropsNotBlocks(t *testing.T) {
 		}
 	}
 
-	if dropped := s.shadow.dropped.Load(); dropped == 0 {
+	if dropped := s.shadow.q.Dropped(); dropped == 0 {
 		t.Error("no shadow batches dropped despite a 50ms stall behind a 1-batch queue")
 	}
 	if scored := s.Metrics().recordsScored.Load(); scored != requests {
@@ -201,9 +202,37 @@ func TestChaosSlowShadowDropsNotBlocks(t *testing.T) {
 	}
 }
 
-// TestDeadlineHeaderTightensBudget pins the client-deadline contract: a
-// header budget smaller than the server timeout is honoured (the request
-// times out at the header's deadline), and a malformed header is a 400.
+// TestShadowSubmitAfterCloseCountsDrop pins the closing edge of the
+// shadow ledger (records compared + batches dropped = records scored): a
+// batch a handler submits after the shadow worker has closed is counted
+// in hdfe_shadow_dropped_batches_total, not lost silently.
+func TestShadowSubmitAfterCloseCountsDrop(t *testing.T) {
+	d := synth.PimaM(7)
+	cand, err := core.BuildDeployment(core.SpecsFor(d.Features), d.X, d.Y, core.Options{Dim: 128, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(testDeployment(t, 128), Config{})
+	if _, err := s.AdoptShadow(cand, "canary"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.Close()
+	s.shadow.submit(d.X[:1], []float64{0.5}, obs.TraceContext{})
+
+	body, _ := scrape(t, ts)
+	match := shadowDroppedSample.FindStringSubmatch(body)
+	if match == nil || match[1] != "1" {
+		t.Fatalf("hdfe_shadow_dropped_batches_total after one submit past close: %v, want 1", match)
+	}
+}
+
+// TestDeadlineHeaderTightensBudget pins the client-deadline contract on
+// both scoring routes: a header budget smaller than the server timeout
+// is honoured (the request times out at the header's deadline, counted
+// as one deadline shed and never scored), and a malformed header is a
+// 400.
 func TestDeadlineHeaderTightensBudget(t *testing.T) {
 	dep := testDeployment(t, 128)
 	inj := chaos.New(1, chaos.Fault{Point: chaos.PointScore, P: 1, Delay: 80 * time.Millisecond})
@@ -212,41 +241,56 @@ func TestDeadlineHeaderTightensBudget(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	row := synth.PimaM(7).X[0]
-	buf, err := json.Marshal(scoreRequest{Features: floats(row...)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := func(deadline string) *http.Response {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/score", bytes.NewReader(buf))
+	row := floats(synth.PimaM(7).X[0]...)
+	for _, route := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/score", scoreRequest{Features: row}},
+		{"/v1/score/batch", batchScoreRequest{Records: [][]*float64{row, row}}},
+	} {
+		buf, err := json.Marshal(route.body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("Content-Type", "application/json")
-		if deadline != "" {
-			req.Header.Set(DeadlineHeader, deadline)
+		post := func(deadline string) *http.Response {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+route.path, bytes.NewReader(buf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/json")
+			if deadline != "" {
+				req.Header.Set(DeadlineHeader, deadline)
+			}
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			return resp
 		}
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
-	}
 
-	// 20ms client budget against an 80ms stall: the header, not the 5s
-	// server timeout, must time the request out.
-	start := time.Now()
-	if resp := post("20"); resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d with a 20ms client deadline under an 80ms stall, want 504", resp.StatusCode)
-	}
-	if took := time.Since(start); took > 2*time.Second {
-		t.Fatalf("504 took %v — the server timeout, not the client deadline, was applied", took)
-	}
-
-	for _, bad := range []string{"0", "-5", "soon", "1.5"} {
-		if resp := post(bad); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("deadline header %q: status %d, want 400", bad, resp.StatusCode)
+		// 20ms client budget against an 80ms stall: the header, not the 5s
+		// server timeout, must time the request out.
+		shed := s.Metrics().ShedCount(ShedDeadline)
+		start := time.Now()
+		if resp := post("20"); resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("%s: status %d with a 20ms client deadline under an 80ms stall, want 504", route.path, resp.StatusCode)
 		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("%s: 504 took %v — the server timeout, not the client deadline, was applied", route.path, took)
+		}
+		if got := s.Metrics().ShedCount(ShedDeadline) - shed; got != 1 {
+			t.Errorf("%s: %d deadline sheds counted for one late request, want 1", route.path, got)
+		}
+
+		for _, bad := range []string{"0", "-5", "soon", "1.5"} {
+			if resp := post(bad); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: deadline header %q: status %d, want 400", route.path, bad, resp.StatusCode)
+			}
+		}
+	}
+	if scored := s.Metrics().recordsScored.Load(); scored != 0 {
+		t.Errorf("%d records scored past their deadline", scored)
 	}
 }

@@ -319,7 +319,7 @@ func (s *Server) promDrift(p *obs.PromWriter) {
 		p.Header("hdfe_shadow_score_delta_mean_abs", "gauge", "Mean |active score - shadow score| over shadow-scored records.")
 		p.Value("hdfe_shadow_score_delta_mean_abs", snap.MeanAbsDelta, "model_version", shVer)
 		p.Header("hdfe_shadow_dropped_batches_total", "counter", "Batches dropped by the lossy shadow queue under overload.")
-		p.Value("hdfe_shadow_dropped_batches_total", float64(s.shadow.dropped.Load()))
+		p.Value("hdfe_shadow_dropped_batches_total", float64(s.shadow.q.Dropped()))
 	}
 }
 

@@ -485,7 +485,7 @@ func TestShadowLedgerAcrossReplacement(t *testing.T) {
 	for _, m := range shadows {
 		compared += m.shadow.snapshot().Records
 	}
-	dropped := s.shadow.dropped.Load()
+	dropped := s.shadow.q.Dropped()
 	t.Logf("%d scored: %d compared, %d dropped", scored.Load(), compared, dropped)
 	if compared+dropped != scored.Load() {
 		t.Errorf("shadow ledger: %d compared + %d dropped != %d scored", compared, dropped, scored.Load())

@@ -7,14 +7,15 @@ import (
 
 	"hdfe/internal/obs"
 	"hdfe/internal/obs/export"
+	"hdfe/internal/obs/prof"
 	"hdfe/internal/obs/slo"
 )
 
 // handleMetricsProm serves the Prometheus text-format exposition: the
 // request, record and shed counters, the request-latency and per-stage
 // histograms (both obs.Histogram, on the same le bounds), the admission
-// gauge, the drift, tracing, SLO, audit and profiler families, Go
-// runtime stats, and build info.
+// gauge, the drift, tracing, SLO, audit and profiler families, the
+// hdfe_runtime_* families, and build info.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	p := obs.NewPromWriter(w)
@@ -63,14 +64,8 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	s.promAudit(p)
 
 	// Continuous profiling counters, then the runtime/metrics families.
-	// The runtime collector is owned by the scrape path (the watchdog loop
-	// keeps its own), serialized across concurrent scrapes.
 	s.profiler.WriteProm(p)
-	s.rtMu.Lock()
-	s.rtColl.WriteProm(p)
-	s.rtMu.Unlock()
-
-	p.GoRuntime()
+	prof.WriteRuntimeProm(p)
 	if err := p.Err(); err != nil {
 		s.logger.Warn("metrics exposition failed", "err", err)
 	}

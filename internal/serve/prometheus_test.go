@@ -19,13 +19,6 @@ import (
 // change for every dashboard scraping this service — this test is the
 // tripwire.
 var promFamilies = []string{
-	"go_gc_cycles_total counter",
-	"go_gc_pause_seconds_total counter",
-	"go_goroutines gauge",
-	"go_memstats_heap_alloc_bytes gauge",
-	"go_memstats_heap_objects gauge",
-	"go_memstats_heap_sys_bytes gauge",
-	"go_memstats_next_gc_bytes gauge",
 	"hdfe_audit_chain_length gauge",
 	"hdfe_audit_dropped_total counter",
 	"hdfe_audit_events_total counter",

@@ -122,6 +122,6 @@ func benchScoreConcurrent(b *testing.B, shadow bool) {
 		s.shadow.close() // drain the queue, so every comparison has run
 		sh := s.shadow.slot.Load()
 		b.ReportMetric(100*float64(sh.shadow.snapshot().Records)/float64(b.N), "shadow-compared-%")
-		b.ReportMetric(float64(s.shadow.dropped.Load()), "shadow-drops")
+		b.ReportMetric(float64(s.shadow.q.Dropped()), "shadow-drops")
 	}
 }

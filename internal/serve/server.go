@@ -24,10 +24,11 @@ import (
 )
 
 // DeadlineHeader is the request header carrying a client-side scoring
-// budget in integer milliseconds. The effective per-request deadline is
-// the smaller of this and the server's RequestTimeout, counted from the
-// handler's start and checked just before encode, so a record past its
-// budget is shed without being encoded.
+// budget in positive integer milliseconds; anything else is a 400. The
+// effective per-request deadline is the smaller of this and the server's
+// RequestTimeout, counted from the handler's start and checked on both
+// scoring routes just before encode, so a request past its budget (a
+// whole batch on /v1/score/batch) is shed with 504 without being encoded.
 const DeadlineHeader = "X-Request-Deadline-Ms"
 
 const (
@@ -50,7 +51,8 @@ type Config struct {
 	// ModelSHA256 is the hex digest of the boot model's artifact bytes
 	// (core.ReadFile computes it).
 	ModelSHA256 string
-	// RequestTimeout bounds one request end to end (default 5s).
+	// RequestTimeout is each scoring request's budget (default 5s), see
+	// DeadlineHeader; it also caps how long a queued shadow batch waits.
 	RequestTimeout time.Duration
 	// ShutdownTimeout bounds the HTTP drain on shutdown (default 10s).
 	ShutdownTimeout time.Duration
@@ -194,8 +196,6 @@ type Server struct {
 	slo      *slo.Engine
 	audit    *audit.Log // nil without Config.Audit
 	profiler *prof.Profiler
-	rtMu     sync.Mutex // serializes rtColl across concurrent scrapes
-	rtColl   *prof.Collector
 	logger   *slog.Logger
 	mux      *http.ServeMux
 }
@@ -263,7 +263,6 @@ func New(dep *core.Deployment, cfg Config) *Server {
 		pc.Version = func() uint64 { return s.active.Load().info.Version }
 	}
 	s.profiler = prof.New(pc)
-	s.rtColl = prof.NewCollector()
 	s.profiler.Start()
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.RetryAfter)
 	s.shadow = newShadowScorer(cfg.ShadowQueue, cfg.RequestTimeout, cfg.Chaos, s.exporter)
@@ -578,9 +577,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 	}
 	m := s.active.Load()
 	row := body.rows[0]
-	tValidate := time.Now()
 	warnings, err := m.val.Validate(row)
-	validateDur := time.Since(tValidate)
 	at.Step(obs.StageValidate)
 	if err != nil {
 		var verr *ValidationError
@@ -591,20 +588,10 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 		}
 		return
 	}
-	// Fault seam: a configured stall lands at the start of the encode
-	// stage and before the deadline check, so a stalled request shows the
-	// stall under encode and is shed without being encoded.
-	_ = s.cfg.Chaos.Inject(chaos.PointScore)
-	at.Step(obs.StageEncode)
-	if time.Since(start) > budget {
-		at.SetShed(ShedDeadline.String())
-		s.metrics.Shed(ShedDeadline)
-		s.auditOutcome(at, audit.OutcomeShed, ShedDeadline.String())
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "scoring timed out", TraceID: traceIDOf(at)})
+	if !s.readyToEncode(w, at, start, budget) {
 		return
 	}
-	scores, encDur, distDur := s.scoreRows(m, body.rows, at)
-	score := scores[0]
+	score := s.scoreRows(m, body.rows, at)[0]
 	at.SetModel(m.info.Version)
 	resp := scoreResponse{RequestID: requestID(at.ID()), Score: score, ModelVersion: m.info.Version, Warnings: warnings}
 	if score >= 0.5 {
@@ -618,11 +605,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 	m.drift.quality.Record(resp.RequestID, resp.Prediction)
 	writeJSON(w, http.StatusOK, resp)
 	at.Step(obs.StageRespond)
-	s.auditScored(at, m, row, resp, audit.Stages{
-		ValidateUs: validateDur.Microseconds(),
-		EncodeUs:   encDur.Microseconds(),
-		ScoreUs:    distDur.Microseconds(),
-	}, 0)
+	s.auditScored(at, m, row, resp, 0)
 }
 
 // handleScoreBatch scores an already-batched request directly through
@@ -634,7 +617,13 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
+	start := time.Now()
 	s.metrics.batchRequests.Add(1)
+	budget, err := s.requestBudget(r)
+	if err != nil {
+		s.writeError(w, at, http.StatusBadRequest, err.Error(), nil, 0)
+		return
+	}
 	// Unlike /v1/score, the body is read and parsed before admission: the
 	// gate counts records, and only the body says how many.
 	body := s.readScoring(w, r, at, true)
@@ -686,7 +675,10 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 		m.drift.observeRow(row)
 	}
 	at.Step(obs.StageValidate)
-	scores, encTotal, distTotal := s.scoreRows(m, rows, at)
+	if !s.readyToEncode(w, at, start, budget) {
+		return
+	}
+	scores := s.scoreRows(m, rows, at)
 	preds := make([]int, len(scores))
 	ids := make([]string, len(scores))
 	for i, sc := range scores {
@@ -702,38 +694,50 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 		ModelVersion: m.info.Version, Warnings: allWarnings,
 	})
 	at.Step(obs.StageRespond)
-	if s.audit != nil {
-		// One audit event per record — each is an independent clinical
-		// decision with its own feedback handle. Encode/score time is the
-		// batch total amortized per record, matching the stage accum.
-		n := int64(len(rows))
-		stages := audit.Stages{
-			EncodeUs: (encTotal / time.Duration(n)).Microseconds(),
-			ScoreUs:  (distTotal / time.Duration(n)).Microseconds(),
-		}
-		for i, row := range rows {
-			sc := scoreResponse{RequestID: ids[i], Score: scores[i], Prediction: preds[i]}
-			s.auditScored(at, m, row, sc, stages, len(rows))
-		}
+	// One audit event per record: each is an independent clinical
+	// decision with its own feedback handle.
+	for i, row := range rows {
+		s.auditScored(at, m, row, scoreResponse{RequestID: ids[i], Score: scores[i], Prediction: preds[i]}, len(rows))
 	}
+}
+
+// readyToEncode is the last step of both scoring routes before encode:
+// the chaos score stall, the stage clock's switch to encode, and the
+// deadline check. A request already past its budget is shed with 504,
+// counted as hdfe_shed_total{reason="deadline"}, audited as one shed
+// event and never encoded; readyToEncode then reports false.
+func (s *Server) readyToEncode(w http.ResponseWriter, at *obs.ActiveTrace, start time.Time, budget time.Duration) bool {
+	// Fault seam: a configured stall lands at the start of the encode
+	// stage and before the deadline check, so a stalled request shows the
+	// stall under encode and is shed without being encoded.
+	_ = s.cfg.Chaos.Inject(chaos.PointScore)
+	at.Step(obs.StageEncode)
+	if time.Since(start) <= budget {
+		return true
+	}
+	at.SetShed(ShedDeadline.String())
+	s.metrics.Shed(ShedDeadline)
+	s.auditOutcome(at, audit.OutcomeShed, ShedDeadline.String())
+	writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "scoring timed out", TraceID: traceIDOf(at)})
+	return false
 }
 
 // scoreRows scores validated rows with m, books the encode and score
 // time on the trace, hands a copy to the shadow comparison and counts the
 // records. Both scoring routes score through it.
-func (s *Server) scoreRows(m *model, rows [][]float64, at *obs.ActiveTrace) (scores []float64, enc, dist time.Duration) {
+func (s *Server) scoreRows(m *model, rows [][]float64, at *obs.ActiveTrace) []float64 {
 	var acc obs.StageAccum
-	scores = m.dep.ScoreBatchIntoObserved(rows, nil, &acc)
+	scores := m.dep.ScoreBatchIntoObserved(rows, nil, &acc)
 	// Every record shares the request's trace context, so a shadow
 	// disagreement on any of them joins this trace.
 	s.shadow.submit(rows, scores, at.Context())
-	enc, dist, _ = acc.Totals()
+	enc, dist, _ := acc.Totals()
 	at.Add(obs.StageEncode, enc)
 	at.Add(obs.StageScore, dist)
 	at.SetBatch(len(rows))
 	at.Mark()
 	s.metrics.recordsScored.Add(uint64(len(rows)))
-	return scores, enc, dist
+	return scores
 }
 
 // requestBudget resolves one request's end-to-end scoring budget: the

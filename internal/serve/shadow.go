@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"context"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,9 +76,10 @@ type shadowBatch struct {
 
 // shadowScorer re-scores validated batches against the shadow model off
 // the hot path: scoring paths submit a copy of each batch and move on,
-// and a single worker goroutine drains the queue. The queue is bounded
-// and lossy — under overload, shadow comparison drops batches (counted
-// in dropped) rather than applying backpressure to live traffic.
+// and a single worker goroutine drains the queue. The queue is an
+// obs.Handoff, bounded and lossy — under overload, shadow comparison
+// drops batches (counted in q.Dropped) rather than applying
+// backpressure to live traffic.
 type shadowScorer struct {
 	// slot is the published shadow model: nil until the first shadow is
 	// installed, never cleared after, so a queued batch always finds one.
@@ -87,33 +88,19 @@ type shadowScorer struct {
 	maxAge   time.Duration    // deadline for queued batches; <= 0 keeps all
 	chaos    *chaos.Injector  // nil in production
 	exporter *export.Exporter // nil without an OTLP endpoint
-	dropped  atomic.Uint64
-
-	mu     sync.RWMutex // guards closed vs. submit, so close(queue) is safe
-	closed bool
-	queue  chan shadowBatch
-	done   chan struct{}
+	q        *obs.Handoff[shadowBatch]
 }
 
-// newShadowScorer starts the shadow worker. queueLen <= 0 defaults to
-// 64. maxAge is the deadline a queued batch must be scored within
+// newShadowScorer starts the shadow worker over a queue of queueLen
+// batches. maxAge is the deadline a queued batch must be scored within
 // (normally the server's RequestTimeout) — a slow shadow model sheds
 // stale comparisons instead of falling ever further behind. inj and exp
 // may be nil; with an exporter, every prediction flip emits an
 // always-exported shadow_disagreement span joined to the request's
 // trace.
 func newShadowScorer(queueLen int, maxAge time.Duration, inj *chaos.Injector, exp *export.Exporter) *shadowScorer {
-	if queueLen <= 0 {
-		queueLen = 64
-	}
-	sh := &shadowScorer{
-		maxAge:   maxAge,
-		chaos:    inj,
-		exporter: exp,
-		queue:    make(chan shadowBatch, queueLen),
-		done:     make(chan struct{}),
-	}
-	go sh.loop()
+	sh := &shadowScorer{maxAge: maxAge, chaos: inj, exporter: exp}
+	sh.q = obs.NewHandoff(queueLen, sh.loop)
 	return sh
 }
 
@@ -135,16 +122,7 @@ func (sh *shadowScorer) submit(rows [][]float64, active []float64, tc obs.TraceC
 	for i, row := range rows {
 		cp.rows[i] = append([]float64(nil), row...)
 	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.closed {
-		return
-	}
-	select {
-	case sh.queue <- cp:
-	default:
-		sh.dropped.Add(1)
-	}
+	sh.q.Offer(cp)
 }
 
 // loop is the shadow worker: it loads whatever shadow model is
@@ -152,17 +130,16 @@ func (sh *shadowScorer) submit(rows [][]float64, active []float64, tc obs.TraceC
 // into that model's stats and score window. The shadow deliberately
 // does not feed input-drift histograms — it sees the exact rows the
 // active model already observed.
-func (sh *shadowScorer) loop() {
-	defer close(sh.done)
+func (sh *shadowScorer) loop(queue <-chan shadowBatch) {
 	var dst []float64
-	for b := range sh.queue {
+	for b := range queue {
 		// Fault seam: a stalled canary. The stall lands before the
 		// staleness check so a chaotic slow shadow sheds exactly like a
 		// genuinely slow one: the queue backs up, submit drops batches,
 		// and the hot path never notices.
 		_ = sh.chaos.Inject(chaos.PointShadow)
 		if sh.maxAge > 0 && time.Since(b.enq) > sh.maxAge {
-			sh.dropped.Add(1)
+			sh.q.Drop(1)
 			continue // deadline shed: nobody is waiting for this comparison
 		}
 		m := sh.slot.Load()
@@ -184,17 +161,6 @@ func (sh *shadowScorer) loop() {
 	}
 }
 
-// close stops the worker after it drains the queue. Safe to call more
-// than once.
-func (sh *shadowScorer) close() {
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		<-sh.done
-		return
-	}
-	sh.closed = true
-	sh.mu.Unlock()
-	close(sh.queue)
-	<-sh.done
-}
+// close stops the worker after it drains the queue; a batch submitted
+// after close is counted as dropped. Safe to call more than once.
+func (sh *shadowScorer) close() { sh.q.Close(context.Background()) }

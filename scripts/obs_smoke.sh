@@ -81,8 +81,7 @@ for name in \
     hdfe_runtime_goroutines \
     hdfe_runtime_heap_inuse_bytes \
     hdfe_runtime_gc_pauses_seconds_bucket \
-    hdfe_runtime_sched_latencies_seconds_bucket \
-    go_goroutines; do
+    hdfe_runtime_sched_latencies_seconds_bucket; do
     if ! grep -q "^$name" "$TMP/metrics.txt"; then
         echo "obs-smoke: /metrics missing $name" >&2
         cat "$TMP/metrics.txt" >&2
