@@ -3,9 +3,10 @@
 # under the race detector; `make fuzz-smoke` gives each fuzz target a short
 # budget, including the scoring-body parser checked against encoding/json;
 # `make bench` tracks the zero-allocation encode/score path, the
-# carry-save bundling and level-codeword kernels under it, the parse of a
-# 64-record batch body, and concurrent single-record /v1/score
-# throughput; `make obs-smoke` boots
+# carry-save bundling of 8 and 16 codewords (the two closed-form
+# majority thresholds), the one-pass prototype distance and the
+# checkpointed level codeword under it, the parse of a 64-record batch
+# body, and concurrent single-record /v1/score throughput; `make obs-smoke` boots
 # hdserve and asserts the /metrics surface; `make trace-smoke` adds a
 # mock OTLP collector and asserts the W3C traceparent round trip, span
 # export, exemplars, and /debug/slo; `make prof-smoke` drives batch load
@@ -46,7 +47,7 @@ fuzz-smoke:
 
 bench:
 	$(GO) test ./internal/core -run '^$$' -bench 'TransformRecord|ScoreBatch' -benchmem
-	$(GO) test ./internal/hv -run '^$$' -bench 'Bundle8Features|HammingD10k' -benchmem
+	$(GO) test ./internal/hv -run '^$$' -bench 'Bundle8Features|Bundle16Features|HammingD10k|HammingPairD10k' -benchmem
 	$(GO) test ./internal/encode -run '^$$' -bench 'LevelEncodeInto' -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench 'ParseScoringBody64' -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench 'ScoreConcurrent' -benchtime 20000x -benchmem

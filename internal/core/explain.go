@@ -53,8 +53,8 @@ func (e *Extractor) ExplainRecord(row []float64) []FeatureContribution {
 // (0.5 = equidistant). This is the "present a score to inform clinicians"
 // use the paper sketches in §III.B.
 func ClassAffinity(record hv.Vector, negProto, posProto hv.Vector) float64 {
-	dNeg := float64(hv.Hamming(record, negProto))
-	dPos := float64(hv.Hamming(record, posProto))
+	n, p := hv.HammingPair(record, negProto, posProto)
+	dNeg, dPos := float64(n), float64(p)
 	if dNeg+dPos == 0 {
 		return 0.5
 	}

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hdfe/internal/parallel"
 )
 
 // countingObserver is a minimal concurrent-safe StageObserver.
@@ -12,12 +14,14 @@ type countingObserver struct {
 	encode   atomic.Int64
 	distance atomic.Int64
 	records  atomic.Int64
+	calls    atomic.Int64
 }
 
-func (o *countingObserver) ObserveRecord(encode, distance time.Duration) {
+func (o *countingObserver) ObserveRecords(n int, encode, distance time.Duration) {
 	o.encode.Add(int64(encode))
 	o.distance.Add(int64(distance))
-	o.records.Add(1)
+	o.records.Add(int64(n))
+	o.calls.Add(1)
 }
 
 // TestScoreBatchObservedBitIdentical pins the stage-observer seam: timing
@@ -53,6 +57,10 @@ func TestScoreBatchObservedBitIdentical(t *testing.T) {
 
 	if n := obs.records.Load(); n != int64(4*5*len(d.X)) {
 		t.Errorf("observer saw %d records, want %d", n, 4*5*len(d.X))
+	}
+	// One report per worker chunk, not per record.
+	if c, most := obs.calls.Load(), int64(4*5*parallel.Workers(len(d.X))); c > most {
+		t.Errorf("observer called %d times, want at most %d (one per chunk)", c, most)
 	}
 	if obs.encode.Load() <= 0 || obs.distance.Load() <= 0 {
 		t.Errorf("observer totals encode=%d distance=%d, want both > 0",

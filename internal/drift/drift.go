@@ -20,16 +20,18 @@
 //     positive rate, and the mean decision margin.
 //
 //   - Delayed-label quality. A Quality tracker remembers recent
-//     predictions in a bounded ring indexed by request ID; ground-truth
+//     predictions in a bounded ring indexed by an integer key that the
+//     caller derives from each prediction's request ID; ground-truth
 //     labels posted later (the clinical follow-up arriving days after
 //     the screening request) join back to their prediction, feeding
 //     online confusion counts, rolling accuracy/F1, and a canary check
 //     against the LOOCV baseline stored in the deployment.
 //
 // Everything here is standard library only. Observation paths are
-// designed for the scoring hot path (atomic adds, no locks on the input
-// monitor; one short mutex hold on the quality ring), while snapshots
-// may allocate freely — they serve /debug/drift and /metrics scrapes.
+// designed for the scoring hot path and take a whole request at a time
+// (atomic adds, no locks on the input monitor; one short mutex hold on
+// the quality ring), while snapshots may allocate freely — they serve
+// /debug/drift and /metrics scrapes.
 package drift
 
 import "math"

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -165,7 +167,7 @@ func TestMonitorMatchingTrafficStaysCalm(t *testing.T) {
 	ref := BuildReference([]string{"glucose"}, train, 0, Baseline{})
 	m := NewMonitor(ref)
 	for i := 0; i < 2000; i++ {
-		m.ObserveRow([]float64{r.NormFloat64()*10 + 100})
+		m.ObserveRows([][]float64{{r.NormFloat64()*10 + 100}})
 	}
 	fd := m.Snapshot()[0]
 	if fd.PSI > 0.1 {
@@ -189,7 +191,7 @@ func TestMonitorDetectsShiftAndClamp(t *testing.T) {
 	m := NewMonitor(ref)
 	for i := 0; i < 1000; i++ {
 		// Glucose +2σ; the second feature stays in distribution.
-		m.ObserveRow([]float64{r.NormFloat64()*10 + 120, r.Float64()})
+		m.ObserveRows([][]float64{{r.NormFloat64()*10 + 120, r.Float64()}})
 	}
 	snap := m.Snapshot()
 	if snap[0].PSI < 0.25 {
@@ -206,8 +208,8 @@ func TestMonitorDetectsShiftAndClamp(t *testing.T) {
 func TestMonitorCountsMissingSeparately(t *testing.T) {
 	ref := BuildReference([]string{"x"}, [][]float64{{1}, {2}, {3}}, 0, Baseline{})
 	m := NewMonitor(ref)
-	m.ObserveRow([]float64{math.NaN()})
-	m.ObserveRow([]float64{2})
+	m.ObserveRows([][]float64{{math.NaN()}})
+	m.ObserveRows([][]float64{{2}})
 	fd := m.Snapshot()[0]
 	if fd.Missing != 1 || fd.Observed != 1 {
 		t.Errorf("missing=%d observed=%d, want 1/1", fd.Missing, fd.Observed)
@@ -250,23 +252,23 @@ func TestQualityJoinAndCanary(t *testing.T) {
 	q := NewQuality(&Baseline{LOOCVAccuracy: 0.9, TrainRecords: 100, PosRate: 0.4},
 		QualityConfig{Capacity: 8, Window: 8, Tolerance: 0.05, MinLabels: 4})
 
-	q.Record("a", 1)
-	q.Record("b", 0)
-	q.Record("c", 1)
-	q.Record("d", 0)
+	const a, b, c, d = 10, 11, 12, 13
+	q.RecordBatch(a, []int{1, 0}) // a, b
+	q.RecordBatch(c, []int{1})
+	q.RecordBatch(d, []int{0})
 
-	if got := q.Feedback("nope", 1); got != Unknown {
-		t.Errorf("unknown id join = %v", got)
+	if got := q.Feedback(99, 1); got != Unknown {
+		t.Errorf("unknown key join = %v", got)
 	}
-	if got := q.Feedback("a", 1); got != Matched { // TP
+	if got := q.Feedback(a, 1); got != Matched { // TP
 		t.Errorf("join a = %v", got)
 	}
-	if got := q.Feedback("a", 0); got != Duplicate {
+	if got := q.Feedback(a, 0); got != Duplicate {
 		t.Errorf("second label for a = %v", got)
 	}
-	q.Feedback("b", 0) // TN
-	q.Feedback("c", 0) // FP
-	q.Feedback("d", 1) // FN
+	q.Feedback(b, 0) // TN
+	q.Feedback(c, 0) // FP
+	q.Feedback(d, 1) // FN
 
 	st := q.Snapshot()
 	if st.Matched != 4 || st.Unknown != 1 || st.Duplicate != 1 {
@@ -294,25 +296,25 @@ func TestQualityJoinAndCanary(t *testing.T) {
 func TestQualityCanaryStates(t *testing.T) {
 	// No baseline: disabled regardless of labels.
 	q := NewQuality(nil, QualityConfig{Capacity: 4, Window: 4, MinLabels: 1})
-	q.Record("x", 1)
-	q.Feedback("x", 1)
+	q.RecordBatch(7, []int{1})
+	q.Feedback(7, 1)
 	if st := q.Snapshot(); st.Canary != CanaryDisabled {
 		t.Errorf("canary without baseline = %v", st.Canary)
 	}
 
 	// Too few labels: pending.
 	q = NewQuality(&Baseline{LOOCVAccuracy: 0.9}, QualityConfig{MinLabels: 10})
-	q.Record("x", 1)
-	q.Feedback("x", 1)
+	q.RecordBatch(7, []int{1})
+	q.Feedback(7, 1)
 	if st := q.Snapshot(); st.Canary != CanaryPending {
 		t.Errorf("canary with 1 label = %v", st.Canary)
 	}
 
 	// Accurate labels: healthy.
 	q = NewQuality(&Baseline{LOOCVAccuracy: 0.9}, QualityConfig{MinLabels: 2})
-	for _, id := range []string{"a", "b", "c"} {
-		q.Record(id, 1)
-		q.Feedback(id, 1)
+	q.RecordBatch(1, []int{1, 1, 1})
+	for key := uint64(1); key <= 3; key++ {
+		q.Feedback(key, 1)
 	}
 	if st := q.Snapshot(); st.Canary != CanaryHealthy {
 		t.Errorf("canary with perfect labels = %v", st.Canary)
@@ -320,20 +322,21 @@ func TestQualityCanaryStates(t *testing.T) {
 }
 
 func TestQualityRingEviction(t *testing.T) {
+	const old, mid, new = 1, 2, 3
 	q := NewQuality(nil, QualityConfig{Capacity: 2, Window: 4})
-	q.Record("old", 1)
-	q.Record("mid", 1)
-	q.Record("new", 1) // evicts "old"
-	if got := q.Feedback("old", 1); got != Unknown {
-		t.Errorf("evicted id join = %v, want unknown", got)
+	q.RecordBatch(old, []int{1})
+	q.RecordBatch(mid, []int{1})
+	q.RecordBatch(new, []int{1}) // evicts old
+	if got := q.Feedback(old, 1); got != Unknown {
+		t.Errorf("evicted key join = %v, want unknown", got)
 	}
-	if got := q.Feedback("new", 1); got != Matched {
-		t.Errorf("fresh id join = %v, want matched", got)
+	if got := q.Feedback(new, 1); got != Matched {
+		t.Errorf("fresh key join = %v, want matched", got)
 	}
-	// Re-recording an ID must reuse its slot, not leak index entries.
-	q.Record("new", 0)
-	if got := q.Feedback("new", 0); got != Matched {
-		t.Errorf("re-recorded id join = %v, want matched", got)
+	// Re-recording a key must reuse its slot, not leak index entries.
+	q.RecordBatch(new, []int{0})
+	if got := q.Feedback(new, 0); got != Matched {
+		t.Errorf("re-recorded key join = %v, want matched", got)
 	}
 	st := q.Snapshot()
 	if st.Cumulative.total() != uint64(st.Matched) {
@@ -345,5 +348,110 @@ func TestQualityNoLabelsIsNaN(t *testing.T) {
 	st := NewQuality(nil, QualityConfig{}).Snapshot()
 	if !math.IsNaN(st.Accuracy) || !math.IsNaN(st.RollingAccuracy) || !math.IsNaN(st.F1) {
 		t.Errorf("metrics with no labels: %+v", st)
+	}
+}
+
+// TestQualityRecordBatchEvictsInOrder records a batch longer than the
+// ring: its keys are consecutive, and the ring keeps the newest Capacity
+// of them in order, so the first ones report unknown and the rest match
+// with their own predictions.
+func TestQualityRecordBatchEvictsInOrder(t *testing.T) {
+	q := NewQuality(nil, QualityConfig{Capacity: 4, Window: 8})
+	q.RecordBatch(100, []int{1, 1, 0, 1, 0, 0})
+	for key, want := range map[uint64]JoinResult{99: Unknown, 100: Unknown, 101: Unknown, 102: Matched, 103: Matched, 104: Matched, 105: Matched, 106: Unknown} {
+		if got := q.Feedback(key, 1); got != want {
+			t.Errorf("key %d: %v, want %v", key, got, want)
+		}
+	}
+	// Labels of 1 on predictions 0, 1, 0, 0.
+	if st := q.Snapshot(); st.Cumulative != (Confusion{TP: 1, FN: 3}) || st.Pending != 0 {
+		t.Errorf("after the batch: confusion %+v, pending %d", st.Cumulative, st.Pending)
+	}
+}
+
+// TestObserveBatchedMatchesOneAtATime feeds the same rows and scores to
+// the input monitor and the score window one at a time and in batches of
+// mixed sizes (including one longer than the window), including missing,
+// out-of-range and short rows, and requires equal snapshots.
+func TestObserveBatchedMatchesOneAtATime(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	train := make([][]float64, 500)
+	for i := range train {
+		train[i] = []float64{r.NormFloat64()*10 + 100, r.Float64(), float64(r.Intn(2))}
+	}
+	ref := BuildReference([]string{"glucose", "u", "flag"}, train, 0, Baseline{})
+	rows := make([][]float64, 300)
+	scores := make([]float64, len(rows))
+	for i := range rows {
+		rows[i] = []float64{r.NormFloat64()*15 + 100, r.Float64()*1.2 - 0.1, float64(r.Intn(3))}
+		switch i % 7 {
+		case 0:
+			rows[i][1] = math.NaN()
+		case 1:
+			rows[i] = rows[i][:2]
+		}
+		scores[i] = r.Float64()
+	}
+	one, batched := NewMonitor(ref), NewMonitor(ref)
+	w1, wb := NewScoreWindow(64), NewScoreWindow(64)
+	for i, row := range rows {
+		one.ObserveRows([][]float64{row})
+		w1.Observe(scores[i])
+	}
+	for lo, k := 0, 0; lo < len(rows); k++ {
+		hi := min(lo+[]int{1, 3, 64, 17, 100}[k%5], len(rows))
+		batched.ObserveRows(rows[lo:hi])
+		wb.Observe(scores[lo:hi]...)
+		lo = hi
+	}
+	if one.Rows() != batched.Rows() {
+		t.Errorf("rows %d one at a time, %d batched", one.Rows(), batched.Rows())
+	}
+	if a, b := one.Snapshot(), batched.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Errorf("monitor snapshots differ:\none at a time %+v\nbatched      %+v", a, b)
+	}
+	if a, b := w1.Snapshot(), wb.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Errorf("score window snapshots differ:\none at a time %+v\nbatched      %+v", a, b)
+	}
+}
+
+// TestObserveConcurrent has several goroutines observe batches at once
+// (run it with -race): every row, score and prediction must be counted
+// exactly once.
+func TestObserveConcurrent(t *testing.T) {
+	const workers, batches, size = 4, 50, 16
+	ref := BuildReference([]string{"x", "y"}, [][]float64{{0, 0}, {10, 1}}, 0, Baseline{})
+	m, w := NewMonitor(ref), NewScoreWindow(0)
+	q := NewQuality(nil, QualityConfig{Capacity: workers * batches * size})
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rows, scores, preds := make([][]float64, size), make([]float64, size), make([]int, size)
+			for b := 0; b < batches; b++ {
+				for i := range rows {
+					rows[i] = []float64{float64(b % 12), math.NaN()}
+					scores[i], preds[i] = float64(i)/size, i%2
+				}
+				m.ObserveRows(rows)
+				w.Observe(scores...)
+				q.RecordBatch(uint64((g*batches+b)*size), preds)
+			}
+		}(g)
+	}
+	wg.Wait()
+	const total = workers * batches * size
+	if m.Rows() != total || w.Snapshot().Total != total {
+		t.Fatalf("rows %d, scores %d, want %d each", m.Rows(), w.Snapshot().Total, total)
+	}
+	snap := m.Snapshot()
+	if snap[0].Observed != total || snap[1].Missing != total {
+		t.Errorf("feature x observed %d, y missing %d, want %d each", snap[0].Observed, snap[1].Missing, total)
+	}
+	for key := uint64(0); key < total; key++ {
+		if got := q.Feedback(key, 1); got != Matched {
+			t.Fatalf("key %d: %v, want matched", key, got)
+		}
 	}
 }

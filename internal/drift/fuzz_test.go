@@ -1,13 +1,12 @@
 package drift
 
 import (
-	"fmt"
 	"testing"
 )
 
 // FuzzFeedbackJoin throws arbitrary interleavings of predictions and
-// feedback labels — including unknown, duplicate, and recycled request
-// IDs — at a small prediction ring and asserts the tracker never panics
+// feedback labels — including unknown, duplicate, and recycled keys — at
+// a small prediction ring and asserts the tracker never panics
 // and never corrupts its counters: every label call is accounted for
 // exactly once, and confusion mass always equals the matched count.
 func FuzzFeedbackJoin(f *testing.F) {
@@ -19,16 +18,16 @@ func FuzzFeedbackJoin(f *testing.F) {
 			QualityConfig{Capacity: 4, Window: 8, MinLabels: 1})
 		var feedbacks, matched, unknown, duplicate uint64
 		for _, op := range ops {
-			// Low 6 bits pick an ID from a tiny space so collisions,
+			// Low 6 bits pick a key from a tiny space so collisions,
 			// evictions and duplicates all happen; the top bit picks
 			// record vs feedback; bit 6 is the prediction/label.
-			id := fmt.Sprintf("req-%d", op&0x3f)
+			key := uint64(op & 0x3f)
 			bit := int(op>>6) & 1
 			if op&0x80 == 0 {
-				q.Record(id, bit)
+				q.RecordBatch(key, []int{bit})
 			} else {
 				feedbacks++
-				switch q.Feedback(id, bit) {
+				switch q.Feedback(key, bit) {
 				case Matched:
 					matched++
 				case Unknown:

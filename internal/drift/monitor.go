@@ -2,62 +2,81 @@ package drift
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 )
 
 // Monitor mirrors a Reference over live traffic: one lock-free atomic
 // histogram per feature plus below-range, above-range, and missing
-// counters. Observation is a handful of atomic adds per feature — cheap
-// enough for the scoring hot path — and snapshots compute PSI and clamp
-// rates on demand, so scrape cost never taxes scoring.
+// counters. A request's rows cost at most one atomic add per touched
+// counter — cheap enough for the scoring hot path — and snapshots compute
+// PSI and clamp rates on demand, so scrape cost never taxes scoring.
 type Monitor struct {
 	ref   *Reference
-	feats []featureCounters
+	cells []atomic.Uint64 // per feature: Bins buckets, then below, above and missing
 	rows  atomic.Uint64
+	local sync.Pool // *[]uint64 shaped like cells: one call's counts
 }
 
-type featureCounters struct {
-	buckets []atomic.Uint64
-	below   atomic.Uint64
-	above   atomic.Uint64
-	missing atomic.Uint64
-}
+// The counters after each feature's buckets, as offsets past the last
+// bucket.
+const (
+	cellBelow = iota
+	cellAbove
+	cellMissing
+	extraCells
+)
 
 // NewMonitor builds a live monitor over the deployment's reference.
 func NewMonitor(ref *Reference) *Monitor {
-	m := &Monitor{ref: ref, feats: make([]featureCounters, len(ref.Features))}
-	for i := range m.feats {
-		m.feats[i].buckets = make([]atomic.Uint64, ref.Bins)
+	n := len(ref.Features) * (ref.Bins + extraCells)
+	m := &Monitor{ref: ref, cells: make([]atomic.Uint64, n)}
+	m.local.New = func() any {
+		c := make([]uint64, n)
+		return &c
 	}
 	return m
 }
 
-// ObserveRow folds one validated request row into the live histograms.
-// NaN cells (missing values passing through under the encode contract)
-// count as missing, not as a position. Rows shorter than the schema are
-// ignored beyond their length (they cannot reach scoring anyway).
-func (m *Monitor) ObserveRow(row []float64) {
-	m.rows.Add(1)
-	n := len(m.feats)
-	if len(row) < n {
-		n = len(row)
+// ObserveRows folds a request's validated rows into the live histograms:
+// it counts them into a private copy of the counters first, then adds
+// each touched counter into the shared ones once. NaN cells (missing
+// values passing through under the encode contract) count as missing,
+// not as a position. Rows shorter than the schema are ignored beyond
+// their length (they cannot reach scoring anyway).
+func (m *Monitor) ObserveRows(rows [][]float64) {
+	lp := m.local.Get().(*[]uint64)
+	local := *lp
+	stride := m.ref.Bins + extraCells
+	for _, row := range rows {
+		for j, v := range row[:min(len(row), len(m.ref.Features))] {
+			local[j*stride+m.cell(j, v)]++
+		}
 	}
-	for j := 0; j < n; j++ {
-		f := &m.feats[j]
-		v := row[j]
-		if math.IsNaN(v) {
-			f.missing.Add(1)
-			continue
+	for i, c := range local {
+		if c != 0 {
+			m.cells[i].Add(c)
+			local[i] = 0
 		}
-		ref := &m.ref.Features[j]
-		switch b := bucketOf(v, ref.Min, ref.Max, m.ref.Bins); {
-		case b < 0:
-			f.below.Add(1)
-		case b >= m.ref.Bins:
-			f.above.Add(1)
-		default:
-			f.buckets[b].Add(1)
-		}
+	}
+	m.local.Put(lp)
+	m.rows.Add(uint64(len(rows)))
+}
+
+// cell returns the offset of value v's counter among feature j's.
+func (m *Monitor) cell(j int, v float64) int {
+	bins := m.ref.Bins
+	if math.IsNaN(v) {
+		return bins + cellMissing
+	}
+	ref := &m.ref.Features[j]
+	switch b := bucketOf(v, ref.Min, ref.Max, bins); {
+	case b < 0:
+		return bins + cellBelow
+	case b >= bins:
+		return bins + cellAbove
+	default:
+		return b
 	}
 }
 
@@ -90,19 +109,19 @@ func (m *Monitor) Rows() uint64 { return m.rows.Load() }
 // out-of-range traffic registers as drift even when the in-range shape
 // still matches.
 func (m *Monitor) Snapshot() []FeatureDrift {
-	out := make([]FeatureDrift, len(m.feats))
-	for j := range m.feats {
-		f := &m.feats[j]
+	out := make([]FeatureDrift, len(m.ref.Features))
+	bins := m.ref.Bins
+	for j := range out {
+		f := m.cells[j*(bins+extraCells) : (j+1)*(bins+extraCells)]
 		ref := &m.ref.Features[j]
-		bins := m.ref.Bins
 		expected := make([]uint64, bins+2)
 		actual := make([]uint64, bins+2)
 		copy(expected[1:], ref.Counts)
-		actual[0] = f.below.Load()
-		actual[bins+1] = f.above.Load()
+		actual[0] = f[bins+cellBelow].Load()
+		actual[bins+1] = f[bins+cellAbove].Load()
 		var observed uint64
 		for b := 0; b < bins; b++ {
-			c := f.buckets[b].Load()
+			c := f[b].Load()
 			actual[b+1] = c
 			observed += c
 		}
@@ -115,7 +134,7 @@ func (m *Monitor) Snapshot() []FeatureDrift {
 			Max:      ref.Max,
 			Below:    below,
 			Above:    above,
-			Missing:  f.missing.Load(),
+			Missing:  f[bins+cellMissing].Load(),
 			Observed: observed,
 			Counts:   actual[1 : bins+1],
 		}

@@ -12,8 +12,8 @@ type JoinResult int
 const (
 	// Matched: the label joined a remembered, not-yet-labeled prediction.
 	Matched JoinResult = iota
-	// Unknown: no remembered prediction carries this request ID (never
-	// seen, or already rotated out of the bounded ring).
+	// Unknown: no remembered prediction carries this key (never seen, or
+	// already rotated out of the bounded ring).
 	Unknown
 	// Duplicate: the prediction was already labeled; the second label is
 	// ignored so confusion counts stay consistent.
@@ -74,7 +74,7 @@ func (c Confusion) f1() float64 {
 
 // predEntry is one remembered prediction in the bounded join ring.
 type predEntry struct {
-	id      string
+	key     uint64
 	pred    uint8
 	valid   bool
 	labeled bool
@@ -85,15 +85,16 @@ type outcome struct{ pred, label uint8 }
 
 // Quality joins delayed ground-truth labels back to recent predictions
 // and maintains online quality statistics. Predictions live in a bounded
-// ring indexed by request ID: remembering a new prediction once the ring
-// is full evicts the oldest, whose ID can no longer be labeled (it
+// ring indexed by an integer key: remembering a new prediction once the
+// ring is full evicts the oldest, whose key can no longer be labeled (it
 // reports Unknown). Labeled outcomes feed cumulative confusion counts
-// and a rolling window used for the canary accuracy.
+// and a rolling window used for the canary accuracy. The caller mints
+// the keys; Quality only needs a request's predictions to take
+// consecutive ones.
 //
-// A single mutex guards all state. Record is a map insert plus a ring
-// write; label joins are rarer still — neither belongs to the encode/
-// score hot path's allocation budget, and contention is negligible next
-// to a 10,000-bit encode.
+// A single mutex guards all state. RecordBatch takes it once for a
+// request's predictions, each an integer-keyed map insert plus a ring
+// write; label joins are rarer still.
 type Quality struct {
 	mu       sync.Mutex
 	baseline Baseline
@@ -101,9 +102,9 @@ type Quality struct {
 	tol      float64
 	minCount uint64
 
-	ring []predEntry
-	byID map[string]int
-	next uint64 // predictions recorded since start
+	ring  []predEntry
+	byKey map[uint64]int
+	next  uint64 // predictions recorded since start
 
 	win     []outcome
 	winNext uint64 // labeled outcomes recorded since start
@@ -149,7 +150,7 @@ func NewQuality(baseline *Baseline, cfg QualityConfig) *Quality {
 		tol:      cfg.Tolerance,
 		minCount: uint64(cfg.MinLabels),
 		ring:     make([]predEntry, cfg.Capacity),
-		byID:     make(map[string]int, cfg.Capacity),
+		byKey:    make(map[uint64]int, cfg.Capacity),
 		win:      make([]outcome, cfg.Window),
 	}
 	if baseline != nil {
@@ -159,41 +160,44 @@ func NewQuality(baseline *Baseline, cfg QualityConfig) *Quality {
 	return q
 }
 
-// Record remembers one prediction under its request ID. Re-recording an
-// ID overwrites the previous entry (the newer prediction wins the join).
-func (q *Quality) Record(id string, pred int) {
-	p := uint8(0)
-	if pred != 0 {
-		p = 1
-	}
+// RecordBatch remembers preds[i] under key first+i, in order, under one
+// lock. Re-recording a key overwrites its entry (the newer prediction
+// wins the join); every other prediction takes the next ring slot,
+// evicting the oldest.
+func (q *Quality) RecordBatch(first uint64, preds []int) {
 	q.mu.Lock()
-	if slot, ok := q.byID[id]; ok {
-		q.ring[slot] = predEntry{id: id, pred: p, valid: true}
-		q.mu.Unlock()
-		return
+	defer q.mu.Unlock()
+	for i, pred := range preds {
+		key, p := first+uint64(i), uint8(0)
+		if pred != 0 {
+			p = 1
+		}
+		if slot, ok := q.byKey[key]; ok {
+			q.ring[slot] = predEntry{key: key, pred: p, valid: true}
+			continue
+		}
+		slot := int(q.next % uint64(len(q.ring)))
+		if old := &q.ring[slot]; old.valid {
+			delete(q.byKey, old.key)
+		}
+		q.ring[slot] = predEntry{key: key, pred: p, valid: true}
+		q.byKey[key] = slot
+		q.next++
 	}
-	slot := int(q.next % uint64(len(q.ring)))
-	if old := &q.ring[slot]; old.valid {
-		delete(q.byID, old.id)
-	}
-	q.ring[slot] = predEntry{id: id, pred: p, valid: true}
-	q.byID[id] = slot
-	q.next++
-	q.mu.Unlock()
 }
 
-// Feedback joins one ground-truth label (0 or 1) to its prediction and
-// folds the outcome into the quality statistics. Labels outside {0, 1}
-// must be rejected by the caller; Feedback normalizes any non-zero label
-// to 1 defensively.
-func (q *Quality) Feedback(id string, label int) JoinResult {
+// Feedback joins one ground-truth label (0 or 1) to the prediction
+// recorded under key and folds the outcome into the quality statistics.
+// Labels outside {0, 1} must be rejected by the caller; Feedback
+// normalizes any non-zero label to 1 defensively.
+func (q *Quality) Feedback(key uint64, label int) JoinResult {
 	l := uint8(0)
 	if label != 0 {
 		l = 1
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	slot, ok := q.byID[id]
+	slot, ok := q.byKey[key]
 	if !ok {
 		q.unknown++
 		return Unknown

@@ -10,12 +10,12 @@ import (
 const scoreBins = 10
 
 // ScoreWindow is a lock-free rolling window of emitted risk scores for
-// prediction-drift monitoring. Writers claim a slot with one atomic add
-// and store the score bits with one atomic store; the window holds the
-// last len(slots) scores. Under heavy concurrency a snapshot may read a
-// slot mid-rotation (seeing the score it is about to replace), which is
-// harmless for a monitoring distribution and keeps the hot path at two
-// uncontended atomics.
+// prediction-drift monitoring. A writer claims the slots of a request's
+// scores with one atomic add and stores each score's bits with one
+// atomic store; the window holds the last len(slots) scores. Under heavy
+// concurrency a snapshot may read a slot mid-rotation (seeing the score
+// it is about to replace), which is harmless for a monitoring
+// distribution and keeps the hot path free of locks.
 type ScoreWindow struct {
 	slots []atomic.Uint64 // math.Float64bits of each score
 	next  atomic.Uint64   // total observations ever
@@ -30,10 +30,17 @@ func NewScoreWindow(n int) *ScoreWindow {
 	return &ScoreWindow{slots: make([]atomic.Uint64, n)}
 }
 
-// Observe records one emitted score.
-func (w *ScoreWindow) Observe(score float64) {
-	i := w.next.Add(1) - 1
-	w.slots[i%uint64(len(w.slots))].Store(math.Float64bits(score))
+// Observe records emitted scores in order, claiming their slots with
+// one atomic add.
+func (w *ScoreWindow) Observe(scores ...float64) {
+	n := uint64(len(w.slots))
+	i := (w.next.Add(uint64(len(scores))) - uint64(len(scores))) % n
+	for _, s := range scores {
+		w.slots[i].Store(math.Float64bits(s))
+		if i++; i == n {
+			i = 0
+		}
+	}
 }
 
 // PredictionStats summarizes the rolling score window.

@@ -127,8 +127,9 @@ func naiveLevel(e *LevelEncoder, x int) hv.Vector {
 // FuzzLevelEncoderFlips checks the level encoder's arithmetic on raw bit
 // patterns: Flips must stay in [0, D/2] and EncodeInto, into a dirty
 // destination, must equal naiveLevel for every input, including NaN (the
-// missing-value baseline rule). D = 1030 has two checkpoints and an odd
-// D/2, so the last flip count is past the last checkpoint.
+// missing-value baseline rule). D = 1030 has an odd D/2 that is no
+// multiple of checkpointStride, so the last flip counts are past the last
+// checkpoint.
 func FuzzLevelEncoderFlips(f *testing.F) {
 	enc := NewLevelEncoder(rng.New(3), 1030, -2, 9)
 	dirty := hv.Rand(rng.New(4), enc.dim)
@@ -136,8 +137,8 @@ func FuzzLevelEncoderFlips(f *testing.F) {
 	f.Add(math.Float64bits(math.Inf(1)))
 	f.Add(math.Float64bits(-2.0))
 	f.Add(math.Float64bits(9.0))
-	f.Add(math.Float64bits(-2 + 11*256.0/515)) // x = 256, the first checkpoint
-	f.Add(math.Float64bits(-2 + 11*511.0/515)) // x = 511, one short of the second
+	f.Add(math.Float64bits(-2 + 11*float64(checkpointStride)/515))     // the first checkpoint
+	f.Add(math.Float64bits(-2 + 11*float64(2*checkpointStride-1)/515)) // one short of the second
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		v := math.Float64frombits(bits)
 		x := enc.Flips(v)
@@ -161,8 +162,8 @@ func FuzzLevelEncoderFlips(f *testing.F) {
 func TestLevelEncoderCheckpointSweep(t *testing.T) {
 	const dim = 1030
 	e := NewLevelEncoder(rng.New(17), dim, 0, dim/2)
-	if len(e.checkpoints) != 2 {
-		t.Fatalf("%d checkpoints at D = %d, want 2", len(e.checkpoints), dim)
+	if want := dim / 2 / checkpointStride; len(e.checkpoints) != want {
+		t.Fatalf("%d checkpoints at D = %d, want %d", len(e.checkpoints), dim, want)
 	}
 	dst := hv.Rand(rng.New(18), dim)
 	for x := 0; x <= dim/2; x++ {

@@ -49,9 +49,11 @@ const groupSize = 8
 // count in registers, and that count is added into bit-sliced count
 // planes (plane k holds bit k of every position's folded count). Majority
 // counts the pending group with the same tree, adds the planes to it in
-// registers and compares the total with the threshold. So a bundle of at
-// most eight vectors (one Pima record) never touches a plane, and the
-// empty slots of a partial group all read one shared zero row.
+// registers and compares the total with the threshold; where the
+// threshold is 4 or 8 (a record of 8 or 16 codewords under TieToOne) the
+// comparison is an OR of the count's high bits. So a bundle of at most
+// eight vectors (one Pima record) never touches a plane, and the empty
+// slots of a partial group all read one shared zero row.
 //
 // The group's rows and the ⌈log2(n+1)⌉ planes for n folded vectors are
 // allocated on demand and kept across Reset, so a reused accumulator does
@@ -228,17 +230,47 @@ func (a *Accumulator) MajorityInto(tie TieBreak, dst Vector) {
 	if tie == TieToOne {
 		need = (a.total + 1) / 2
 	}
-	// count >= need iff count − need does not borrow. Each position's
-	// borrow is found bit by bit from the bottom, as the count's bits come
-	// out of the ripple add of group and planes; m(k) is all ones where
-	// bit k of need is set.
-	m := func(k int) uint64 { return -uint64(need >> k & 1) }
-	m0, m1, m2, m3 := m(0), m(1), m(2), m(3)
 	nw := len(a.zero)
 	g := &a.group
 	x0, x1, x2, x3 := g[0][:nw], g[1][:nw], g[2][:nw], g[3][:nw]
 	x4, x5, x6, x7 := g[4][:nw], g[5][:nw], g[6][:nw], g[7][:nw]
 	out := dst.words[:nw]
+	// A power-of-two need 2^j is met iff some bit of the count at or
+	// above bit j is set, so no borrow is computed. The two thresholds a
+	// record takes under TieToOne get their own loops: 8 codewords need 4
+	// (one pending group), 16 need 8 (one folded group plus a pending
+	// one). need 4 implies used == 0 and need 8 implies used == 4; the
+	// checks say so.
+	switch {
+	case need == 4 && a.used == 0:
+		// c2|c3 of count8 is v0|v1, the carries out of its last adder.
+		for w := range out {
+			s0, t0 := csa(x0[w], x1[w], x2[w])
+			s1, t1 := csa(x3[w], x4[w], x5[w])
+			s2, t2 := csa(x6[w], x7[w], s0)
+			u, v0 := csa(t0, t1, t2)
+			out[w] = v0 | u&(s1&s2)
+		}
+		return
+	case need == 8 && a.used == 4:
+		// The count is planes + group, at most 16: bit 3 or bit 4 of the
+		// sum is set iff p3, c3 or the carry k into bit 3 is.
+		p0, p1, p2, p3 := a.planes[0][:nw], a.planes[1][:nw], a.planes[2][:nw], a.planes[3][:nw]
+		for w := range out {
+			c0, c1, c2, c3 := count8(x0[w], x1[w], x2[w], x3[w], x4[w], x5[w], x6[w], x7[w])
+			k := p0[w] & c0
+			_, k = csa(p1[w], c1, k)
+			_, k = csa(p2[w], c2, k)
+			out[w] = p3[w] | c3 | k
+		}
+		return
+	}
+	// Any other need: count >= need iff count − need does not borrow.
+	// Each position's borrow is found bit by bit from the bottom, as the
+	// count's bits come out of the ripple add of group and planes; m(k) is
+	// all ones where bit k of need is set.
+	m := func(k int) uint64 { return -uint64(need >> k & 1) }
+	m0, m1, m2, m3 := m(0), m(1), m(2), m(3)
 	if a.used == 0 {
 		// Every vector is in the pending group: its count is the count.
 		for w := range out {

@@ -21,9 +21,16 @@ func FuzzMajorityInto(f *testing.F) {
 	f.Add([]byte{0x01, 0x03, 0x07, 0x0f, 0x1f, 0x3f, 0x7f, 0xff}, uint8(7), false)
 	// Group edges of the carry-save kernel: 7, 8 and 9 one-byte vectors
 	// (a partial group, a full one, one fold plus one pending), then 16
-	// and 17 (a fold plus a full group, two folds plus one).
-	edge := []byte{0x5a, 0xc3, 0x0f, 0xf0, 0x99, 0x66, 0x3c, 0xa5, 0x81, 0x7e, 0x18, 0xe7, 0x24, 0xdb, 0x42, 0xbd, 0x55}
-	for _, n := range []int{7, 8, 9, 16, 17} {
+	// and 17 (a fold plus a full group, two folds plus one). With 1, 2,
+	// 3, 4, 15, 31 and 32 they also put every power-of-two need (1, 2, 4,
+	// 8, 16) and its neighbours under both tie rules, so the closed-form
+	// loops (need 4 with no fold, need 8 with one) and the borrow chain
+	// around them all run in the plain test.
+	edge := []byte{
+		0x5a, 0xc3, 0x0f, 0xf0, 0x99, 0x66, 0x3c, 0xa5, 0x81, 0x7e, 0x18, 0xe7, 0x24, 0xdb, 0x42, 0xbd,
+		0x55, 0xaa, 0x01, 0xfe, 0x33, 0xcc, 0x0c, 0xc0, 0x17, 0xe8, 0x6a, 0x95, 0x2d, 0xd2, 0x71, 0x8e,
+	}
+	for _, n := range []int{1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32} {
 		f.Add(edge[:n], uint8(7), false)
 		f.Add(edge[:n], uint8(7), true)
 	}

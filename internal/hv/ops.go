@@ -18,6 +18,19 @@ func Hamming(a, b Vector) int {
 	return d
 }
 
+// HammingPair returns Hamming(a, b) and Hamming(a, c) from one pass over
+// a: a record's distances to both class prototypes.
+func HammingPair(a, b, c Vector) (ab, ac int) {
+	checkSameDim(a, b)
+	checkSameDim(a, c)
+	bw, cw := b.words[:len(a.words)], c.words[:len(a.words)]
+	for i, w := range a.words {
+		ab += bits.OnesCount64(w ^ bw[i])
+		ac += bits.OnesCount64(w ^ cw[i])
+	}
+	return ab, ac
+}
+
 // NormalizedHamming returns Hamming(a,b)/D in [0,1]; 0.5 is the expected
 // distance between independent random hypervectors ("orthogonal" in HDC).
 func NormalizedHamming(a, b Vector) float64 {

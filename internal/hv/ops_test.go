@@ -31,6 +31,29 @@ func TestHammingPanicsOnDimMismatch(t *testing.T) {
 	Hamming(New(10), New(11))
 }
 
+// HammingPair must give exactly the two Hamming distances, across word
+// boundaries, and panic on a dimension mismatch on either side.
+func TestHammingPairMatchesHamming(t *testing.T) {
+	r := rng.New(2)
+	for _, d := range []int{1, 63, 64, 65, 130, 10000} {
+		a, b, c := Rand(r, d), Rand(r, d), Rand(r, d)
+		ab, ac := HammingPair(a, b, c)
+		if ab != Hamming(a, b) || ac != Hamming(a, c) {
+			t.Fatalf("D = %d: HammingPair = (%d, %d), Hamming = (%d, %d)", d, ab, ac, Hamming(a, b), Hamming(a, c))
+		}
+	}
+	for _, vs := range [][3]Vector{{New(10), New(11), New(10)}, {New(10), New(10), New(11)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic on dim mismatch")
+				}
+			}()
+			HammingPair(vs[0], vs[1], vs[2])
+		}()
+	}
+}
+
 // Hamming distance is a metric: symmetric, zero iff equal, triangle
 // inequality.
 func TestHammingMetricProperties(t *testing.T) {

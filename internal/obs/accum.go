@@ -17,12 +17,12 @@ type StageAccum struct {
 	records  atomic.Int64
 }
 
-// ObserveRecord folds one record's encode and distance time into the
+// ObserveRecords folds n records' encode and distance time into the
 // accumulator.
-func (a *StageAccum) ObserveRecord(encode, distance time.Duration) {
+func (a *StageAccum) ObserveRecords(n int, encode, distance time.Duration) {
 	a.encode.Add(int64(encode))
 	a.distance.Add(int64(distance))
-	a.records.Add(1)
+	a.records.Add(int64(n))
 }
 
 // Reset zeroes the accumulator for reuse.

@@ -189,13 +189,13 @@ func TestStageAccum(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				acc.ObserveRecord(2*time.Microsecond, time.Microsecond)
+				acc.ObserveRecords(3, 6*time.Microsecond, 3*time.Microsecond)
 			}
 		}()
 	}
 	wg.Wait()
 	enc, dist, n := acc.Totals()
-	if n != 400 || enc != 800*time.Microsecond || dist != 400*time.Microsecond {
+	if n != 1200 || enc != 2400*time.Microsecond || dist != 1200*time.Microsecond {
 		t.Errorf("totals enc=%v dist=%v n=%d", enc, dist, n)
 	}
 	acc.Reset()

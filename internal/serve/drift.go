@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 
 	"hdfe/internal/drift"
@@ -63,10 +64,11 @@ func newDriftState(ref *drift.Reference, modelVersion uint64, logger *slog.Logge
 	return d
 }
 
-// observeRow folds one validated request row into the input histograms.
-func (d *driftState) observeRow(row []float64) {
+// observeRows folds a request's validated rows into the input
+// histograms.
+func (d *driftState) observeRows(rows [][]float64) {
 	if d.monitor != nil {
-		d.monitor.ObserveRow(row)
+		d.monitor.ObserveRows(rows)
 	}
 }
 
@@ -220,7 +222,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	quality := s.active.Load().drift.quality
 	resp := feedbackResponse{Results: make([]feedbackResult, len(items))}
 	for i, it := range items {
-		res := quality.Feedback(it.RequestID, *it.Label)
+		res := quality.Feedback(requestKey(it.RequestID), *it.Label)
 		resp.Results[i] = feedbackResult{RequestID: it.RequestID, Status: res.String()}
 		s.auditFeedback(it.RequestID, *it.Label, res.String())
 		switch res {
@@ -332,4 +334,55 @@ func requestID(id uint64) string { return strconv.FormatUint(id, 10) }
 // batchRequestID renders one record's request_id within a batch.
 func batchRequestID(id uint64, index int) string {
 	return strconv.FormatUint(id, 10) + "-" + strconv.Itoa(index)
+}
+
+// Each request_id maps to one drift.Quality key: the trace sequence
+// shifted up by keyShift bits, then the keyBatch flag on a batch record's
+// key with the record's index below it. So a batch's keys are consecutive
+// and "<seq>" never shares a key with "<seq>-0".
+const (
+	keyBatch = 1 << 12
+	keyShift = 13
+)
+
+// A batch record's index must fit below keyBatch.
+var _ [keyBatch - maxBatchRecords]struct{}
+
+// scoreKey is the quality key of /v1/score request seq.
+func scoreKey(seq uint64) uint64 { return seq << keyShift }
+
+// batchKey is the quality key of record 0 of /v1/score/batch request
+// seq; record i takes batchKey(seq)+i.
+func batchKey(seq uint64) uint64 { return seq<<keyShift | keyBatch }
+
+// unmintedKey is no request's key: only batch keys have index bits.
+const unmintedKey = 1
+
+// requestKey returns the quality key of a request_id written the way the
+// scoring routes write it: "<seq>" or "<seq>-<i>", in decimal with no
+// sign and no leading zero, i below maxBatchRecords. Any other string
+// gets unmintedKey, so its label joins nothing and counts as unknown.
+func requestKey(id string) uint64 {
+	seqText, indexText, batch := strings.Cut(id, "-")
+	seq, ok := canonicalUint(seqText)
+	if !ok || seq >= 1<<(64-keyShift) {
+		return unmintedKey
+	}
+	if !batch {
+		return scoreKey(seq)
+	}
+	i, ok := canonicalUint(indexText)
+	if !ok || i >= maxBatchRecords {
+		return unmintedKey
+	}
+	return batchKey(seq) + i
+}
+
+// canonicalUint parses s as strconv.FormatUint writes a uint64.
+func canonicalUint(s string) (uint64, bool) {
+	if s == "" || s[0] == '0' && len(s) > 1 {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(s, 10, 64)
+	return v, err == nil
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -275,6 +278,151 @@ func TestBatchRequestIDsAlign(t *testing.T) {
 	}
 	if fr.Matched != 3 {
 		t.Fatalf("matched %d of 3 batch request IDs: %+v", fr.Matched, fr)
+	}
+}
+
+// TestFeedbackCanonicalRequestIDs pins the request_id grammar of
+// /v1/feedback: the IDs both scoring routes hand out join their own
+// predictions, and every other spelling of them reports unknown.
+func TestFeedbackCanonicalRequestIDs(t *testing.T) {
+	_, ts, _ := driftServer(t, Config{})
+	d := synth.PimaM(7)
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequest{Features: floats(d.X[0]...)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("score status %d: %s", resp.StatusCode, body)
+	}
+	var sr scoreResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	recs := [][]*float64{floats(d.X[1]...), floats(d.X[2]...)}
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/score/batch", batchScoreRequest{Records: recs})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+	if ct, cl := resp.Header.Get("Content-Type"), resp.Header.Get("Content-Length"); ct != "application/json" || cl != strconv.Itoa(len(body)) {
+		t.Errorf("batch response Content-Type %q, Content-Length %q for %d bytes", ct, cl, len(body))
+	}
+	var br batchScoreResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	single, batch := sr.RequestID, strings.TrimSuffix(br.RequestIDs[0], "-0")
+	if br.RequestIDs[0] != batch+"-0" || br.RequestIDs[1] != batch+"-1" {
+		t.Fatalf("batch request IDs %q", br.RequestIDs)
+	}
+	noncanonical := []string{
+		"0" + single, "+" + single, single + "-", single + "-0", batch,
+		batch + "-01", batch + "-+1", batch + "-4096", batch + "-1-0", " " + single, single + " ",
+		"18446744073709551616", "x",
+	}
+	zero := 0
+	var items []feedbackItem
+	for _, id := range noncanonical {
+		items = append(items, feedbackItem{RequestID: id, Label: &zero})
+	}
+	for _, id := range []string{single, br.RequestIDs[0], br.RequestIDs[1]} {
+		items = append(items, feedbackItem{RequestID: id, Label: &zero})
+	}
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/feedback", feedbackRequest{Items: items})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("feedback status %d: %s", resp.StatusCode, body)
+	}
+	var fr feedbackResponse
+	if err := json.Unmarshal(body, &fr); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range fr.Results {
+		want := "unknown"
+		if i >= len(noncanonical) {
+			want = "matched"
+		}
+		if res.Status != want || res.RequestID != items[i].RequestID {
+			t.Errorf("request_id %q: %+v, want %s", items[i].RequestID, res, want)
+		}
+	}
+	if fr.Unknown != len(noncanonical) || fr.Matched != 3 {
+		t.Errorf("feedback response %+v", fr)
+	}
+}
+
+// TestRequestKey pins the request_id to quality key mapping at its
+// edges: the largest sequence that fits, the last batch index, and
+// distinct keys for "<seq>" and "<seq>-0".
+func TestRequestKey(t *testing.T) {
+	for _, seq := range []uint64{1, 7, 12345, 1<<(64-keyShift) - 1} {
+		if got := requestKey(requestID(seq)); got != scoreKey(seq) {
+			t.Errorf("requestKey(%q) = %#x, want %#x", requestID(seq), got, scoreKey(seq))
+		}
+		for _, i := range []int{0, 1, maxBatchRecords - 1} {
+			id := batchRequestID(seq, i)
+			if got, want := requestKey(id), batchKey(seq)+uint64(i); got != want {
+				t.Errorf("requestKey(%q) = %#x, want %#x", id, got, want)
+			}
+		}
+		if scoreKey(seq) == batchKey(seq) || scoreKey(seq) == unmintedKey || batchKey(seq) == unmintedKey {
+			t.Errorf("seq %d: keys collide", seq)
+		}
+	}
+	if got := requestKey(requestID(1 << (64 - keyShift))); got != unmintedKey {
+		t.Errorf("a sequence past the key space maps to %#x, want unmintedKey", got)
+	}
+}
+
+// TestAppendBatchResponseMatchesEncoder is the differential check of the
+// batch body writer: for random responses, including tiny, subnormal and
+// huge scores and warnings that need escaping, appendBatchResponse must
+// write exactly what json.NewEncoder writes for batchScoreResponse.
+func TestAppendBatchResponseMatchesEncoder(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	texts := []string{"glucose clamped", `<script>&"quoted"\`, "ümlaut ✓", "tab\tnew\nline", "\u2028\u2029", "bad \xff utf-8", ""}
+	score := func() float64 {
+		switch r.Intn(9) {
+		case 0:
+			return float64(r.Intn(3)) / 2 // 0, 0.5, 1
+		case 1:
+			return r.Float64() * 1e-6 // 'e' form, e-07 and below
+		case 2:
+			return math.Float64frombits(r.Uint64() >> 12) // subnormal
+		case 3:
+			return math.Ldexp(r.Float64(), r.Intn(140)-20) // up to and past 1e21
+		case 4:
+			return -r.Float64()
+		case 5:
+			return math.Copysign(0, -1)
+		default:
+			return r.Float64()
+		}
+	}
+	var b []byte
+	for n := 0; n < 20000; n++ {
+		k := 1 + r.Intn(20)
+		seq := r.Uint64() >> r.Intn(64)
+		scores, preds, ids := make([]float64, k), make([]int, k), make([]string, k)
+		for i := range scores {
+			scores[i], preds[i], ids[i] = score(), r.Intn(2), batchRequestID(seq, i)
+		}
+		var warnings []recordWarnings
+		for i := 0; i < k; i++ {
+			if r.Intn(8) == 0 {
+				ws := make([]string, 1+r.Intn(2))
+				for j := range ws {
+					ws[j] = texts[r.Intn(len(texts))]
+				}
+				warnings = append(warnings, recordWarnings{Index: i, Warnings: ws})
+			}
+		}
+		version := r.Uint64() >> r.Intn(64)
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(batchScoreResponse{
+			RequestIDs: ids, Scores: scores, Predictions: preds, ModelVersion: version, Warnings: warnings,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		b = appendBatchResponse(b[:0], seq, scores, preds, version, warnings)
+		if !bytes.Equal(b, want.Bytes()) {
+			t.Fatalf("response %d differs:\n got %s\nwant %s", n, b, want.Bytes())
+		}
 	}
 }
 

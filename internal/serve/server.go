@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -448,8 +449,9 @@ type recordWarnings struct {
 	Warnings []string `json:"warnings"`
 }
 
-// batchScoreResponse is the body of a successful POST /v1/score/batch.
-// RequestIDs carries one feedback handle per record, aligned with Scores.
+// batchScoreResponse is the body of a successful POST /v1/score/batch,
+// which appendBatchResponse writes without reflection. RequestIDs
+// carries one feedback handle per record, aligned with Scores.
 type batchScoreResponse struct {
 	RequestIDs   []string         `json:"request_ids"`
 	Scores       []float64        `json:"scores"`
@@ -600,9 +602,9 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 	if explainK > 0 {
 		resp.Explain = explainTopK(m.dep.Extractor.ExplainRecord(row), explainK)
 	}
-	m.drift.observeRow(row)
+	m.drift.observeRows(body.rows)
 	m.drift.scores.Observe(score)
-	m.drift.quality.Record(resp.RequestID, resp.Prediction)
+	m.drift.quality.RecordBatch(scoreKey(at.ID()), []int{resp.Prediction})
 	writeJSON(w, http.StatusOK, resp)
 	at.Step(obs.StageRespond)
 	s.auditScored(at, m, row, resp, 0)
@@ -671,34 +673,91 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 			allWarnings = append(allWarnings, recordWarnings{Index: i, Warnings: warnings})
 		}
 	}
-	for _, row := range rows {
-		m.drift.observeRow(row)
-	}
+	m.drift.observeRows(rows)
 	at.Step(obs.StageValidate)
 	if !s.readyToEncode(w, at, start, budget) {
 		return
 	}
 	scores := s.scoreRows(m, rows, at)
 	preds := make([]int, len(scores))
-	ids := make([]string, len(scores))
 	for i, sc := range scores {
 		if sc >= 0.5 {
 			preds[i] = 1
 		}
-		ids[i] = batchRequestID(at.ID(), i)
-		m.drift.scores.Observe(sc)
-		m.drift.quality.Record(ids[i], preds[i])
 	}
-	writeJSON(w, http.StatusOK, batchScoreResponse{
-		RequestIDs: ids, Scores: scores, Predictions: preds,
-		ModelVersion: m.info.Version, Warnings: allWarnings,
-	})
+	seq := at.ID()
+	m.drift.scores.Observe(scores...)
+	m.drift.quality.RecordBatch(batchKey(seq), preds)
+	// The rows were parsed out of the body's buffer, so the response is
+	// built in it.
+	body.raw = appendBatchResponse(body.raw[:0], seq, scores, preds, m.info.Version, allWarnings)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body.raw)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body.raw) // the client is gone if this fails; nothing to do
 	at.Step(obs.StageRespond)
 	// One audit event per record: each is an independent clinical
 	// decision with its own feedback handle.
-	for i, row := range rows {
-		s.auditScored(at, m, row, scoreResponse{RequestID: ids[i], Score: scores[i], Prediction: preds[i]}, len(rows))
+	if s.audit != nil {
+		for i, row := range rows {
+			s.auditScored(at, m, row, scoreResponse{RequestID: batchRequestID(seq, i), Score: scores[i], Prediction: preds[i]}, len(rows))
+		}
 	}
+}
+
+// appendBatchResponse appends to b the body of a successful
+// /v1/score/batch: byte for byte what json.NewEncoder(w).Encode writes
+// for the batchScoreResponse of request seq, without reflection and
+// without building its request ID strings. scores is not empty, and
+// every score is finite (ClassAffinity lies in [0, 1]).
+func appendBatchResponse(b []byte, seq uint64, scores []float64, preds []int, version uint64, warnings []recordWarnings) []byte {
+	b = append(b, `{"request_ids":[`...)
+	for i := range scores {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(strconv.AppendUint(append(b, '"'), seq, 10), '-')
+		b = append(strconv.AppendInt(b, int64(i), 10), '"')
+	}
+	b = append(b, `],"scores":[`...)
+	for i, sc := range scores {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONFloat(b, sc)
+	}
+	b = append(b, `],"predictions":[`...)
+	for i, p := range preds {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(p), 10)
+	}
+	b = strconv.AppendUint(append(b, `],"model_version":`...), version, 10)
+	if len(warnings) > 0 {
+		// Rare (clamped values only), so encoding/json writes them, with
+		// its string escaping.
+		wj, _ := json.Marshal(warnings)
+		b = append(append(b, `,"warnings":`...), wj...)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21 up with a one-digit
+// exponent written without its leading zero (e-07 as e-7).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // readyToEncode is the last step of both scoring routes before encode:

@@ -145,9 +145,9 @@ func (sh *shadowScorer) loop(queue <-chan shadowBatch) {
 		m := sh.slot.Load()
 		dst = m.dep.ScoreBatchInto(b.rows, dst)
 		now := time.Now()
+		m.drift.scores.Observe(dst...)
 		for i, sc := range dst {
 			m.shadow.observe(b.active[i], sc)
-			m.drift.scores.Observe(sc)
 			// A prediction flip is exactly what tail sampling exists to
 			// keep, but the keep/drop decision happened when the request
 			// finished — before this comparison ran. So disagreements are
