@@ -15,7 +15,6 @@ import (
 	"hdfe/internal/core"
 	"hdfe/internal/dataset"
 	"hdfe/internal/eval"
-	"hdfe/internal/hv"
 	"hdfe/internal/ml"
 	"hdfe/internal/ml/boost"
 	"hdfe/internal/ml/forest"
@@ -273,19 +272,5 @@ func BenchmarkHybridPipeline90_10(b *testing.B) {
 		if _, err := eval.TrainTest(factory, d.X, d.Y, train, test); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// ------------------------- hv micro-kernels at paper scale
-
-func BenchmarkBundlePatient(b *testing.B) {
-	r := rng.New(1)
-	vs := make([]hv.Vector, 16) // Sylhet's 16 features
-	for i := range vs {
-		vs[i] = hv.Rand(r, 10000)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		hv.Bundle(vs, hv.TieToOne)
 	}
 }

@@ -11,13 +11,11 @@
 // reproduce the paper's configuration (D = 10,000, 10-fold CV, 10 NN
 // trials, full ensembles).
 //
-// The runtime experiment additionally reports the encode path's per-record
-// time and allocations for the legacy (value-returning) API against the
-// destination-passing Into API, which recycles buffers and should sit near
-// zero allocations per record, plus a serving stage split attributing
-// per-record scoring cost to hypervector encoding vs Hamming-distance
-// scoring (the same split hdserve exports at /metrics). The end-to-end
-// serving benchmark is the separate hdperf module (see BENCHMARK.json).
+// The runtime experiment prints the paper's §III fit-time table and the
+// NN epoch comparison, single-shot; the root package's BenchmarkFit* and
+// BenchmarkNNEpoch* repeat the same fits under b.N. Per-layer encode and
+// distance costs, and the end-to-end serving benchmark, are the separate
+// hdperf module's (see BENCHMARK.json; `--trace 1` adds the layers).
 package main
 
 import (

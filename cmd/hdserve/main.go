@@ -90,8 +90,9 @@
 // start is shed with 504, whole batch included, never scored.
 // -chaos-spec enables the deterministic fault-injection seam
 // (internal/chaos) for soak and failure-drill testing — scoring stalls,
-// artifact-load failures, shadow-queue pressure, and span-export,
-// profile-capture and audit-write faults.
+// shadow-queue pressure, and profile-capture and audit-write faults.
+// A failed artifact load or span export needs no seam: point the server
+// at a corrupt artifact or at a collector that answers 5xx or stalls.
 //
 // Model observability: the server monitors input drift (per-feature PSI
 // against the training reference stored in the deployment), prediction
@@ -147,7 +148,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr          = fs.String("addr", ":8080", "listen address")
 		maxInFlight   = fs.Int("max-inflight", 1024, "admitted-record budget; excess load is shed with 429 (negative disables)")
 		retryAfter    = fs.Duration("retry-after", time.Second, "Retry-After hint on 429/503 shed responses")
-		chaosSpec     = fs.String("chaos-spec", "", "fault-injection spec, e.g. \"score:p=0.1,delay=5ms;load:err=disk gone\" (empty = chaos disabled)")
+		chaosSpec     = fs.String("chaos-spec", "", "fault-injection spec, e.g. \"score:p=0.1,delay=5ms;audit:err=disk gone\" (empty = chaos disabled)")
 		chaosSeed     = fs.Uint64("chaos-seed", 1, "seed for the deterministic chaos injector")
 		timeout       = fs.Duration("timeout", 5*time.Second, "per-request timeout")
 		rejectMissing = fs.Bool("reject-missing", false, "reject null feature values instead of encoding them as missing")
@@ -242,9 +243,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		resumed, _ := auditLog.Chain()
 		logger.Info("audit trail enabled",
 			"dir", *auditDir, "fsync", *auditFsync,
-			"resumed_seq", auditLog.LastSeq())
+			"resumed_seq", resumed)
 	}
 
 	// On the flag surface a zero interval means "off"; in prof.Config zero

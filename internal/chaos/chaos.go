@@ -1,13 +1,16 @@
 // Package chaos is the fault-injection seam for the hdfe serving stack.
 //
 // An Injector holds a set of Faults, each bound to a named injection
-// Point that serving code consults at the moments worth breaking:
-// single-record scoring, model-artifact loads, the shadow-scoring worker,
-// span export, profile captures and audit writes. A consultation draws
-// from a deterministic rng.Source (seeded at construction, see
-// internal/rng), so a chaos run replays bit for bit given the same
-// consultation order — which is what lets the regression suite assert
-// exact shed counts instead of flaky probabilistic ones.
+// Point that serving code consults at the moments worth breaking and
+// that no test can break from outside: the scoring stage, the
+// shadow-scoring worker, profile captures and audit writes. (A failed
+// artifact load or span export needs no point: a missing or corrupt
+// artifact, or a collector that answers 5xx or stalls, fails the same
+// code for real.) A consultation draws from a deterministic rng.Source
+// (seeded at construction, see internal/rng), so a chaos run replays bit
+// for bit given the same consultation order — which is what lets the
+// regression suite assert exact shed counts instead of flaky
+// probabilistic ones.
 //
 // Production builds pay nothing: the zero configuration is a nil
 // *Injector, and every method is nil-safe, so an uninstrumented server
@@ -36,17 +39,9 @@ const (
 	// validation and at the start of the encode stage, before the
 	// deadline check — models a stalled scoring stage.
 	PointScore Point = iota
-	// PointLoad fires inside model-artifact loads (admin load, SIGHUP
-	// reload) — models a failed or slow disk read.
-	PointLoad
 	// PointShadow fires in the shadow worker before it re-scores a
 	// batch — models a slow canary backing up the lossy queue.
 	PointShadow
-	// PointExport fires in the span exporter before each OTLP POST —
-	// models a stalled or failing tracing backend. Scoring must never
-	// notice: the export queue is lossy and the worker is off the hot
-	// path, which the trace regression suite asserts.
-	PointExport
 	// PointProf fires in the continuous profiler before each profile
 	// capture — models a capture failure (a concurrent profiler holding
 	// the CPU profile slot, an exhausted ring). Scoring must never
@@ -63,7 +58,7 @@ const (
 	numPoints
 )
 
-var pointNames = [numPoints]string{"score", "load", "shadow", "export", "prof", "audit"}
+var pointNames = [numPoints]string{"score", "shadow", "prof", "audit"}
 
 // String returns the point's spec name.
 func (p Point) String() string {
@@ -80,7 +75,7 @@ func ParsePoint(s string) (Point, error) {
 			return Point(i), nil
 		}
 	}
-	return 0, fmt.Errorf("chaos: unknown injection point %q (want score|load|shadow|export|prof|audit)", s)
+	return 0, fmt.Errorf("chaos: unknown injection point %q (want score|shadow|prof|audit)", s)
 }
 
 // Fault is one configured failure mode at a Point. Each consultation of
@@ -120,11 +115,11 @@ func New(seed uint64, faults ...Fault) *Injector {
 //
 //	point:key=val,key=val;point:key=val...
 //
-// where point is score|load|shadow|export|prof|audit and keys are p
+// where point is score|shadow|prof|audit and keys are p
 // (probability, default 1), delay and jitter (Go durations, default 0),
 // and err (an error message; the consultation fails with it). Example:
 //
-//	score:p=0.2,delay=5ms,jitter=20ms;load:err=injected disk failure
+//	score:p=0.2,delay=5ms,jitter=20ms;audit:err=injected disk failure
 //
 // An empty spec returns a nil injector — chaos disabled.
 func Parse(spec string, seed uint64) (*Injector, error) {

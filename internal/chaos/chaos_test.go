@@ -32,22 +32,22 @@ func TestParseEmptySpecDisables(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	in, err := Parse("score:p=0.5,delay=5ms,jitter=10ms; load:err=disk gone ;shadow:delay=1ms", 7)
+	in, err := Parse("score:p=0.5,delay=5ms,jitter=10ms; audit:err=disk gone ;shadow:delay=1ms", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(in.faults[PointScore]) != 1 || len(in.faults[PointLoad]) != 1 || len(in.faults[PointShadow]) != 1 {
+	if len(in.faults[PointScore]) != 1 || len(in.faults[PointAudit]) != 1 || len(in.faults[PointShadow]) != 1 {
 		t.Fatalf("fault placement: %+v", in.faults)
 	}
 	f := in.faults[PointScore][0]
 	if f.P != 0.5 || f.Delay != 5*time.Millisecond || f.Jitter != 10*time.Millisecond {
 		t.Fatalf("score fault %+v", f)
 	}
-	if got := in.faults[PointLoad][0].Err; got != "disk gone" {
-		t.Fatalf("load err %q", got)
+	if got := in.faults[PointAudit][0].Err; got != "disk gone" {
+		t.Fatalf("audit err %q", got)
 	}
 	s := in.String()
-	for _, want := range []string{"score:p=0.5", "load:p=1", "err=disk gone", "shadow:p=1,delay=1ms"} {
+	for _, want := range []string{"score:p=0.5", "audit:p=1", "err=disk gone", "shadow:p=1,delay=1ms"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() %q missing %q", s, want)
 		}
@@ -59,13 +59,15 @@ func TestParseErrors(t *testing.T) {
 		"warp:delay=1ms",      // unknown point
 		"batch:delay=1ms",     // retired point name
 		"http:delay=1ms",      // retired point name
+		"load:err=disk gone",  // retired point name
+		"export:delay=500ms",  // retired point name
 		"score",               // no colon
 		"score:delay",         // no key=val
 		"score:p=high",        // bad float
 		"score:delay=fast",    // bad duration
 		"score:jitter=-1ms",   // negative jitter
 		"score:speed=11",      // unknown key
-		"load:err=",           // empty error message
+		"audit:err=",          // empty error message
 		"score:delay=-5ms",    // negative delay
 		"score:p=1;;warp:p=1", // bad clause after empty one
 		"score:jitter=oops",   // bad jitter duration
@@ -79,12 +81,12 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestInjectErrorAndCount(t *testing.T) {
-	in := New(42, Fault{Point: PointLoad, P: 1, Err: "boom"})
-	err := in.Inject(PointLoad)
+	in := New(42, Fault{Point: PointAudit, P: 1, Err: "boom"})
+	err := in.Inject(PointAudit)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("Inject = %v", err)
 	}
-	if got := in.Fired(PointLoad); got != 1 {
+	if got := in.Fired(PointAudit); got != 1 {
 		t.Fatalf("Fired = %d", got)
 	}
 	// Other points stay silent.

@@ -98,15 +98,6 @@ func (e *Extractor) Transform(X [][]float64) []hv.Vector {
 	return e.cb.EncodeAll(X)
 }
 
-// TransformInto encodes rows into dst (grown if nil/short, vectors reused
-// in place), with one encode scratch per worker. This is the batch serving
-// primitive: steady-state calls with a recycled dst allocate nothing
-// beyond the worker fan-out.
-func (e *Extractor) TransformInto(X [][]float64, dst []hv.Vector) []hv.Vector {
-	e.mustFit()
-	return e.cb.EncodeAllInto(X, dst)
-}
-
 // TransformFloats encodes rows into 0/1 float matrices for downstream ML
 // models (the paper's hybrid representation).
 func (e *Extractor) TransformFloats(X [][]float64) [][]float64 {

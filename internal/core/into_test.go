@@ -53,34 +53,6 @@ func TestTransformRecordIntoMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestTransformIntoMatchesTransform checks the batch path (fresh and
-// recycled dst) against the legacy batch result.
-func TestTransformIntoMatchesTransform(t *testing.T) {
-	d := synth.PimaR(42)
-	ext := NewExtractor(Options{Dim: 1500, Seed: 3})
-	if err := ext.FitDataset(d); err != nil {
-		t.Fatal(err)
-	}
-	want := ext.Transform(d.X)
-	dst := ext.TransformInto(d.X, nil)
-	for i := range want {
-		if !dst[i].Equal(want[i]) {
-			t.Fatalf("row %d: batch Into differs", i)
-		}
-	}
-	// Recycled call: same backing storage, same bits.
-	w0 := dst[0].Words()
-	dst = ext.TransformInto(d.X, dst)
-	if &dst[0].Words()[0] != &w0[0] {
-		t.Fatal("TransformInto reallocated a reusable destination vector")
-	}
-	for i := range want {
-		if !dst[i].Equal(want[i]) {
-			t.Fatalf("row %d: recycled batch Into differs", i)
-		}
-	}
-}
-
 // TestTransformRecordIntoZeroAllocs is the allocation-regression guard for
 // the tentpole: steady-state encoding of one record through the Into path
 // must not allocate at all.
@@ -157,25 +129,9 @@ func BenchmarkTransformRecordLegacy(b *testing.B) {
 	}
 }
 
-// BenchmarkTransformRecordBatchInto encodes the whole cohort into a
-// recycled destination slice (per-worker scratch, reused vectors).
-func BenchmarkTransformRecordBatchInto(b *testing.B) {
-	d := synth.PimaR(42)
-	ext := NewExtractor(Options{Dim: 10000, Seed: 1})
-	if err := ext.FitDataset(d); err != nil {
-		b.Fatal(err)
-	}
-	dst := ext.TransformInto(d.X, nil) // pre-size so the loop is steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = ext.TransformInto(d.X, dst)
-	}
-}
-
-// BenchmarkTransformRecordBatchLegacy is the same batch encode through the
-// legacy API, which allocates every result vector on every pass.
-func BenchmarkTransformRecordBatchLegacy(b *testing.B) {
+// BenchmarkTransformRecordBatch encodes the whole cohort through
+// Transform: one scratch per worker, one fresh result vector per record.
+func BenchmarkTransformRecordBatch(b *testing.B) {
 	d := synth.PimaR(42)
 	ext := NewExtractor(Options{Dim: 10000, Seed: 1})
 	if err := ext.FitDataset(d); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hdfe/internal/hv"
+	"hdfe/internal/rng"
 )
 
 func fittedExtractor(t *testing.T, dim int) *Extractor {
@@ -100,6 +101,100 @@ func TestPrototypesPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// noisyCopies returns n copies of v, each with flips distinct random
+// bits flipped.
+func noisyCopies(r *rng.Source, v hv.Vector, n, flips int) []hv.Vector {
+	out := make([]hv.Vector, n)
+	for i := range out {
+		out[i] = v.Clone()
+		for _, b := range r.Perm(v.Dim())[:flips] {
+			out[i].FlipBit(b)
+		}
+	}
+	return out
+}
+
+// TestPrototypeIsBundleOfClass pins what the served model is: each class
+// prototype is the majority bundle of that class's records.
+func TestPrototypeIsBundleOfClass(t *testing.T) {
+	r := rng.New(2)
+	class0 := noisyCopies(r, hv.Rand(r, 500), 10, 30)
+	class1 := noisyCopies(r, hv.Rand(r, 500), 10, 30)
+	var vs []hv.Vector
+	var y []int
+	for i := range class0 {
+		vs = append(vs, class0[i], class1[i])
+		y = append(y, 0, 1)
+	}
+	neg, pos := Prototypes(vs, y, hv.TieToOne)
+	if !neg.Equal(hv.Bundle(class0, hv.TieToOne)) || !pos.Equal(hv.Bundle(class1, hv.TieToOne)) {
+		t.Fatal("class prototype != majority bundle of class members")
+	}
+}
+
+// TestPrototypeDenoises: the bundle of many noisy copies sits closer to
+// the clean vector than a typical copy does.
+func TestPrototypeDenoises(t *testing.T) {
+	r := rng.New(3)
+	const d = 4000
+	clean := hv.Rand(r, d)
+	vs := noisyCopies(r, clean, 21, d/4)
+	y := make([]int, len(vs))
+	for i := range y {
+		y[i] = 1
+	}
+	// One unrelated negative so both classes exist.
+	vs = append(vs, hv.Rand(r, d))
+	y = append(y, 0)
+	_, pos := Prototypes(vs, y, hv.TieToOne)
+	if hv.Hamming(pos, clean) >= hv.Hamming(vs[0], clean) {
+		t.Fatalf("prototype at %d from clean, copy at %d — bundling failed to denoise",
+			hv.Hamming(pos, clean), hv.Hamming(vs[0], clean))
+	}
+}
+
+// TestClassAffinityNearestPrototypeRule pins the rule the served model
+// and ablation D label by: ClassAffinity(v, neg, pos) >= 0.5 exactly
+// when v is no farther from pos than from neg (ties to the positive
+// class), including equal distances, a record equal to both prototypes,
+// and distances one apart at the largest swept dimensionality.
+func TestClassAffinityNearestPrototypeRule(t *testing.T) {
+	r := rng.New(11)
+	check := func(v, neg, pos hv.Vector) {
+		t.Helper()
+		got := ClassAffinity(v, neg, pos) >= 0.5
+		if want := hv.Hamming(v, pos) <= hv.Hamming(v, neg); got != want {
+			t.Fatalf("D=%d dNeg=%d dPos=%d: affinity %v, nearest-prototype rule says positive=%v",
+				v.Dim(), hv.Hamming(v, neg), hv.Hamming(v, pos), ClassAffinity(v, neg, pos), want)
+		}
+	}
+	for _, dim := range []int{1, 7, 64, 1000, 10000, 20000} {
+		for trial := 0; trial < 50; trial++ {
+			check(hv.Rand(r, dim), hv.Rand(r, dim), hv.Rand(r, dim))
+		}
+		v := hv.Rand(r, dim)
+		check(v, v, v) // equal to both prototypes
+		// Equal and one-apart distances: pos and neg flip disjoint bit
+		// sets of v of sizes k and k-1, k and k, k and k+1.
+		for _, k := range []int{1, dim / 4, dim/2 - 1} {
+			for _, dk := range []int{-1, 0, 1} {
+				if k < 1 || 2*k+dk > dim || k+dk < 0 {
+					continue
+				}
+				perm := r.Perm(dim)
+				pos, neg := v.Clone(), v.Clone()
+				for _, b := range perm[:k] {
+					pos.FlipBit(b)
+				}
+				for _, b := range perm[k : 2*k+dk] {
+					neg.FlipBit(b)
+				}
+				check(v, neg, pos)
+			}
+		}
 	}
 }
 

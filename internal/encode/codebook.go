@@ -229,61 +229,35 @@ func (c *Codebook) EncodeRecordInto(row []float64, dst hv.Vector, s *hv.Scratch)
 }
 
 // EncodeAll encodes every row of X in parallel and returns the patient
-// hypervectors in row order.
+// hypervectors in row order. Each worker reuses one scratch (feature
+// buffer + accumulator) across all rows of its chunk.
 func (c *Codebook) EncodeAll(X [][]float64) []hv.Vector {
-	return c.EncodeAllInto(X, nil)
-}
-
-// EncodeAllInto encodes every row of X in parallel into dst, reusing one
-// scratch (feature buffer + accumulator) per worker across all rows of its
-// chunk. dst is grown if nil/short; dst vectors of the right
-// dimensionality are reused in place, so steady-state batch encoding into
-// a recycled dst allocates nothing beyond the worker fan-out.
-func (c *Codebook) EncodeAllInto(X [][]float64, dst []hv.Vector) []hv.Vector {
-	if cap(dst) < len(X) {
-		grown := make([]hv.Vector, len(X))
-		copy(grown, dst[:cap(dst)])
-		dst = grown
-	}
-	dst = dst[:len(X)]
+	out := make([]hv.Vector, len(X))
 	parallel.ForChunked(len(X), func(lo, hi int) {
 		s := hv.GetScratch(c.dim)
 		defer hv.PutScratch(s)
 		for i := lo; i < hi; i++ {
-			if dst[i].Dim() != c.dim {
-				dst[i] = hv.New(c.dim)
-			}
-			c.EncodeRecordInto(X[i], dst[i], s)
+			out[i] = hv.New(c.dim)
+			c.EncodeRecordInto(X[i], out[i], s)
 		}
 	})
-	return dst
+	return out
 }
 
 // EncodeAllFloats encodes every row and converts each hypervector to a 0/1
-// float64 row — the input format the hybrid HDC+ML models consume.
+// float64 row — the input format the hybrid HDC+ML models consume. Each
+// worker encodes into its scratch's record buffer and expands to floats,
+// so no per-row hypervector is allocated.
 func (c *Codebook) EncodeAllFloats(X [][]float64) [][]float64 {
-	return c.EncodeAllFloatsInto(X, nil)
-}
-
-// EncodeAllFloatsInto is EncodeAllFloats with caller-recycled row storage:
-// rows of dst with capacity c.Dim() are reused in place. Each worker
-// encodes into its scratch's record buffer and expands to floats, so no
-// per-row hypervector is allocated.
-func (c *Codebook) EncodeAllFloatsInto(X [][]float64, dst [][]float64) [][]float64 {
-	if cap(dst) < len(X) {
-		grown := make([][]float64, len(X))
-		copy(grown, dst[:cap(dst)])
-		dst = grown
-	}
-	dst = dst[:len(X)]
+	out := make([][]float64, len(X))
 	parallel.ForChunked(len(X), func(lo, hi int) {
 		s := hv.GetScratch(c.dim)
 		defer hv.PutScratch(s)
 		rec := s.Rec()
 		for i := lo; i < hi; i++ {
 			c.EncodeRecordInto(X[i], rec, s)
-			dst[i] = rec.Floats(dst[i])
+			out[i] = rec.Floats(nil)
 		}
 	})
-	return dst
+	return out
 }

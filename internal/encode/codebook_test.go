@@ -121,14 +121,19 @@ func TestEncodeAllMatchesEncodeRecord(t *testing.T) {
 
 func TestEncodeAllFloats(t *testing.T) {
 	cb := Fit(rng.New(8), pimaLikeSchema(), pimaLikeRows(), Options{Dim: 512})
-	F := cb.EncodeAllFloats(pimaLikeRows())
+	rows := pimaLikeRows()
+	F := cb.EncodeAllFloats(rows)
 	if len(F) != 4 || len(F[0]) != 512 {
 		t.Fatalf("EncodeAllFloats shape = %dx%d", len(F), len(F[0]))
 	}
-	for _, row := range F {
-		for _, v := range row {
+	for i, row := range F {
+		want := cb.EncodeRecord(rows[i]).Floats(nil)
+		for j, v := range row {
 			if v != 0 && v != 1 {
 				t.Fatalf("non-binary float %v", v)
+			}
+			if v != want[j] {
+				t.Fatalf("row %d col %d: %v, EncodeRecord gives %v", i, j, v, want[j])
 			}
 		}
 	}

@@ -98,37 +98,3 @@ func TestEncodeRecordIntoMatchesEncodeRecord(t *testing.T) {
 		}
 	}
 }
-
-func TestEncodeAllIntoReusesDst(t *testing.T) {
-	specs := []Spec{{"a", Continuous}, {"b", Binary}}
-	X := [][]float64{{1, 0}, {5, 1}, {3, 0}, {2, 1}}
-	cb := Fit(rng.New(4), specs, X, Options{Dim: 300})
-	want := cb.EncodeAll(X)
-	dst := cb.EncodeAllInto(X, nil)
-	for i := range want {
-		if !dst[i].Equal(want[i]) {
-			t.Fatalf("row %d mismatch", i)
-		}
-	}
-	// Second call must reuse the same backing vectors.
-	words0 := dst[0].Words()
-	dst2 := cb.EncodeAllInto(X, dst)
-	if &dst2[0].Words()[0] != &words0[0] {
-		t.Fatal("EncodeAllInto reallocated a reusable dst vector")
-	}
-
-	fwant := cb.EncodeAllFloats(X)
-	fdst := cb.EncodeAllFloatsInto(X, nil)
-	for i := range fwant {
-		for j := range fwant[i] {
-			if fdst[i][j] != fwant[i][j] {
-				t.Fatalf("float row %d col %d mismatch", i, j)
-			}
-		}
-	}
-	frow0 := fdst[0]
-	fdst2 := cb.EncodeAllFloatsInto(X, fdst)
-	if &fdst2[0][0] != &frow0[0] {
-		t.Fatal("EncodeAllFloatsInto reallocated a reusable row")
-	}
-}

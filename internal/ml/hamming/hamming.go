@@ -1,7 +1,8 @@
 // Package hamming implements the paper's pure-HDC classifier (§II.C): a
 // record hypervector is labeled with the class of its nearest neighbour
 // under Hamming distance, validated with leave-one-out cross-validation.
-// Prototype is the class-centroid variant the ablations compare against.
+// The class-prototype classifier the ablations compare it with is the
+// served model itself (core.Prototypes and core.ClassAffinity).
 package hamming
 
 import (

@@ -244,12 +244,15 @@ type Log struct {
 	q         *obs.Handoff[Event]
 	events    [numOutcomes]atomic.Uint64
 	rotations atomic.Uint64
-	lastSeq   atomic.Uint64
 	fsyncs    atomic.Uint64
 	fsyncNs   atomic.Uint64
 
-	headMu sync.Mutex
-	head   string
+	// chainMu publishes the last durable line's sequence number and
+	// hash as one pair, so no reader sees one event's seq with
+	// another's hash.
+	chainMu   sync.Mutex
+	chainSeq  uint64
+	chainHead string
 
 	ringMu sync.Mutex
 	ring   []Event
@@ -283,15 +286,15 @@ func Open(cfg Config) (*Log, error) {
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
-	l.lastSeq.Store(l.seq)
-	l.setHead(l.prev)
+	l.publish(l.seq, l.prev)
 	l.q = obs.NewHandoff(cfg.QueueSize, l.loop)
 	return l, nil
 }
 
 // recover scans existing segments, truncates a torn tail in the newest
 // one, and adopts the last durable line's hash and sequence number as
-// the chain anchor. The active segment is left open for append.
+// the chain anchor. The active segment is left open in append mode, so
+// every write lands at its current end.
 func (l *Log) recover() error {
 	segs, err := segments(l.cfg.Dir)
 	if err != nil {
@@ -322,17 +325,13 @@ func (l *Log) recover() error {
 		}
 	}
 	path := segPath(l.cfg.Dir, l.seg)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("audit: %v", err)
 	}
 	if err := f.Truncate(l.size); err != nil {
 		f.Close()
 		return fmt.Errorf("audit: truncate torn tail: %v", err)
-	}
-	if _, err := f.Seek(l.size, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("audit: %v", err)
 	}
 	l.f = f
 	return nil
@@ -420,10 +419,12 @@ func (l *Log) write(ev Event) {
 		}
 	}
 	if n, err := l.f.Write(line); err != nil {
-		// A partial write would fuse this torn line with the next
-		// event; truncating back restores the append invariant. If even
-		// that fails the segment is unusable — wedge the writer so
-		// every later event drops instead of corrupting the chain.
+		// A short write (full disk, file-size limit) would fuse this
+		// torn line with the next event; truncating back restores the
+		// append invariant, and append mode puts the next line at the
+		// new end. If even that fails the segment is unusable — wedge
+		// the writer so every later event drops instead of corrupting
+		// the chain.
 		if n > 0 && l.f.Truncate(l.size) != nil {
 			l.wedged = true
 		}
@@ -433,8 +434,7 @@ func (l *Log) write(ev Event) {
 	l.size += int64(len(line))
 	l.seq = ev.Seq
 	l.prev = h
-	l.lastSeq.Store(ev.Seq)
-	l.setHead(h)
+	l.publish(ev.Seq, h)
 	if int(ev.Outcome) < int(numOutcomes) {
 		l.events[ev.Outcome].Add(1)
 	}
@@ -449,7 +449,7 @@ func (l *Log) rotate() error {
 	l.sync()
 	l.f.Close()
 	l.seg++
-	f, err := os.OpenFile(segPath(l.cfg.Dir, l.seg), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(segPath(l.cfg.Dir, l.seg), os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		l.wedged = true
 		return err
@@ -483,10 +483,10 @@ func (l *Log) drop(err error) {
 	}
 }
 
-func (l *Log) setHead(h string) {
-	l.headMu.Lock()
-	l.head = h
-	l.headMu.Unlock()
+func (l *Log) publish(seq uint64, head string) {
+	l.chainMu.Lock()
+	l.chainSeq, l.chainHead = seq, head
+	l.chainMu.Unlock()
 }
 
 // push records ev in the recent-events ring for /debug/audit.
@@ -550,23 +550,16 @@ func (l *Log) Rotations() uint64 {
 	return l.rotations.Load()
 }
 
-// LastSeq reports the chain length: the sequence number of the last
-// durable event (0 when empty).
-func (l *Log) LastSeq() uint64 {
+// Chain reports the chain length and head as one pair: the sequence
+// number of the last durable event (0 when empty) and that line's hash.
+// Nil-safe.
+func (l *Log) Chain() (seq uint64, head string) {
 	if l == nil {
-		return 0
+		return 0, ""
 	}
-	return l.lastSeq.Load()
-}
-
-// Head reports the chain head: the hash of the last durable line.
-func (l *Log) Head() string {
-	if l == nil {
-		return ""
-	}
-	l.headMu.Lock()
-	defer l.headMu.Unlock()
-	return l.head
+	l.chainMu.Lock()
+	defer l.chainMu.Unlock()
+	return l.chainSeq, l.chainHead
 }
 
 // FsyncCount reports completed fsyncs.

@@ -1,6 +1,8 @@
 package audit
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -63,8 +65,8 @@ func TestWriteVerifyRoundTrip(t *testing.T) {
 	if res.Outcomes["scored"] != n || res.Outcomes["shed"] != 1 || res.Outcomes["ok"] != 1 {
 		t.Fatalf("outcome census %v", res.Outcomes)
 	}
-	if res.Head == "" || res.Head != l.Head() {
-		t.Fatalf("head %q vs log head %q", res.Head, l.Head())
+	if seq, head := l.Chain(); res.Head == "" || res.Head != head || seq != res.LastSeq {
+		t.Fatalf("chain %d/%q vs log chain %d/%q", res.LastSeq, res.Head, seq, head)
 	}
 	if got := l.Events(OutcomeScored); got != n {
 		t.Fatalf("Events(scored) = %d, want %d", got, n)
@@ -139,11 +141,11 @@ func TestReopenResumesChain(t *testing.T) {
 		l.Enqueue(scoredEvent(i))
 	}
 	l.Close()
-	head1 := l.Head()
+	_, head1 := l.Chain()
 
 	l2 := openT(t, Config{Dir: dir})
-	if l2.LastSeq() != 5 || l2.Head() != head1 {
-		t.Fatalf("reopen anchored at seq %d head %s, want 5 %s", l2.LastSeq(), l2.Head(), head1)
+	if seq, head := l2.Chain(); seq != 5 || head != head1 {
+		t.Fatalf("reopen anchored at seq %d head %s, want 5 %s", seq, head, head1)
 	}
 	for i := 5; i < 10; i++ {
 		l2.Enqueue(scoredEvent(i))
@@ -156,6 +158,79 @@ func TestReopenResumesChain(t *testing.T) {
 	}
 	if res.Events != 10 || res.LastSeq != 10 {
 		t.Fatalf("chain has %d events last seq %d, want 10/10", res.Events, res.LastSeq)
+	}
+}
+
+// TestChainPairConsistent pins that Chain publishes the sequence number
+// and head as one pair: a reader polling it while the worker writes only
+// ever sees a pair that some line of the chain holds (or the empty
+// chain's 0 and "").
+func TestChainPairConsistent(t *testing.T) {
+	const events = 20000
+	dir := t.TempDir()
+	l := openT(t, Config{Dir: dir, QueueSize: events})
+	type pair struct {
+		seq  uint64
+		head string
+	}
+	seen := map[pair]bool{}
+	done := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			seq, head := l.Chain()
+			seen[pair{seq, head}] = true
+		}
+	}()
+	for i := 0; i < events; i++ {
+		l.Enqueue(Event{Route: "score", Outcome: OutcomeScored, Prediction: i % 2})
+	}
+	l.Close()
+	close(done)
+	<-polled
+	if l.Dropped() != 0 {
+		t.Fatalf("%d events dropped behind a %d-event queue", l.Dropped(), events)
+	}
+
+	heads := map[uint64]string{0: ""}
+	segs, err := segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sg := range segs {
+		data, err := os.ReadFile(sg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
+			var env envelope
+			var ev Event
+			if err := json.Unmarshal(line, &env); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(env.E, &ev); err != nil {
+				t.Fatal(err)
+			}
+			heads[ev.Seq] = env.H
+		}
+	}
+	if len(heads) != events+1 {
+		t.Fatalf("chain holds %d lines, want %d", len(heads)-1, events)
+	}
+	torn := 0
+	for p := range seen {
+		if h, ok := heads[p.seq]; !ok || h != p.head {
+			torn++
+		}
+	}
+	if torn > 0 {
+		t.Fatalf("%d of %d polled (seq, head) pairs match no line of the chain", torn, len(seen))
 	}
 }
 
@@ -175,7 +250,7 @@ func TestReopenTruncatesTornTail(t *testing.T) {
 				l.Enqueue(scoredEvent(i))
 			}
 			l.Close()
-			goodHead := l.Head()
+			_, goodHead := l.Chain()
 
 			path := segPath(dir, 1)
 			data, err := os.ReadFile(path)
@@ -194,8 +269,8 @@ func TestReopenTruncatesTornTail(t *testing.T) {
 			}
 
 			l2 := openT(t, Config{Dir: dir})
-			if l2.LastSeq() != 8 || l2.Head() != goodHead {
-				t.Fatalf("recovered at seq %d head %s, want 8 %s", l2.LastSeq(), l2.Head(), goodHead)
+			if seq, head := l2.Chain(); seq != 8 || head != goodHead {
+				t.Fatalf("recovered at seq %d head %s, want 8 %s", seq, head, goodHead)
 			}
 			l2.Enqueue(scoredEvent(8))
 			l2.Close()
@@ -228,8 +303,8 @@ func TestReopenEmptyNewestSegmentAnchorsOnPrevious(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2 := openT(t, Config{Dir: dir})
-	if l2.LastSeq() == 0 || l2.Head() == "" {
-		t.Fatalf("recovery restarted at genesis (seq %d)", l2.LastSeq())
+	if seq, head := l2.Chain(); seq == 0 || head == "" {
+		t.Fatalf("recovery restarted at genesis (seq %d)", seq)
 	}
 	l2.Enqueue(scoredEvent(99))
 	l2.Close()
@@ -375,7 +450,7 @@ func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Enqueue(scoredEvent(1))
 	l.Close()
-	if l.Dropped() != 0 || l.LastSeq() != 0 || l.Head() != "" || l.Dir() != "" ||
+	if seq, head := l.Chain(); l.Dropped() != 0 || seq != 0 || head != "" || l.Dir() != "" ||
 		l.Events(OutcomeScored) != 0 || l.Rotations() != 0 ||
 		l.FsyncCount() != 0 || l.FsyncSeconds() != 0 || l.Recent() != nil {
 		t.Fatal("nil Log accessors must return zero values")

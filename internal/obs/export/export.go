@@ -1,7 +1,8 @@
 // Package export ships finished traces to an OTLP/HTTP collector as
 // OTLP/JSON span batches, in the repo's dependency-free style: the
 // protocol structs are hand-rolled, the queue is bounded and lossy, and
-// the worker retries with seeded backoff so chaos runs replay exactly.
+// the worker retries with seeded backoff so retry schedules replay
+// exactly.
 //
 // The telemetry backend can never slow scoring down: Enqueue offers the
 // span to an obs.Handoff, the bounded, lossy queue the shadow scorer and
@@ -22,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hdfe/internal/chaos"
 	"hdfe/internal/obs"
 	"hdfe/internal/rng"
 )
@@ -179,8 +179,6 @@ type Config struct {
 	// Seed seeds the backoff jitter (default 1) so retry schedules
 	// replay deterministically.
 	Seed uint64
-	// Chaos is the fault-injection seam, consulted before every POST.
-	Chaos *chaos.Injector
 }
 
 func (c Config) withDefaults() Config {
@@ -360,12 +358,9 @@ func (e *Exporter) post(batch []Span) {
 	}
 }
 
-// tryPost is one POST attempt, with the chaos export seam ahead of the
-// network so stalls and failures are injectable without a collector.
+// tryPost is one POST attempt: a transport error, a non-2xx answer or
+// an attempt past Timeout fails it.
 func (e *Exporter) tryPost(body []byte) bool {
-	if err := e.cfg.Chaos.Inject(chaos.PointExport); err != nil {
-		return false
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), e.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.cfg.Endpoint, bytes.NewReader(body))

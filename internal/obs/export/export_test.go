@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"hdfe/internal/chaos"
 	"hdfe/internal/obs"
 )
 
@@ -224,25 +223,6 @@ func TestExporterRecovers(t *testing.T) {
 	}
 	if e.Failures() != 1 {
 		t.Errorf("failures=%d, want exactly 1", e.Failures())
-	}
-}
-
-// TestExporterChaosFailure pins the export chaos point: an injected
-// error fails attempts without any network involvement.
-func TestExporterChaosFailure(t *testing.T) {
-	inj, err := chaos.Parse("export:err=collector down", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(Config{Endpoint: "http://127.0.0.1:0/never-dialed", Chaos: inj,
-		BatchSize: 4, FlushInterval: time.Millisecond, MaxRetries: 1, RetryBase: time.Millisecond})
-	e.Enqueue(testSpan("chaotic", 1))
-	shutdownWithin(t, e, time.Second)
-	if e.Dropped() != 1 || e.Exported() != 0 {
-		t.Errorf("dropped=%d exported=%d, want 1/0", e.Dropped(), e.Exported())
-	}
-	if inj.Fired(chaos.PointExport) == 0 {
-		t.Error("export chaos point never consulted")
 	}
 }
 

@@ -38,11 +38,10 @@ func (p *PromWriter) Header(name, typ, help string) {
 	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value per the exposition format. One
+// shared instance serves every scrape (a strings.Replacer is safe for
+// concurrent use); a scrape writes thousands of label values.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
 // formatLabels renders k/v pairs as {k1="v1",k2="v2"} (empty for none).
 func formatLabels(labels []string) string {
@@ -57,7 +56,7 @@ func formatLabels(labels []string) string {
 		}
 		b.WriteString(labels[i])
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[i+1]))
+		labelEscaper.WriteString(&b, labels[i+1])
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
@@ -103,7 +102,7 @@ func (p *PromWriter) HistogramExemplars(name string, bounds []float64, counts []
 		suffix := ""
 		if i < len(ex) && ex[i] != nil {
 			suffix = fmt.Sprintf(" # {trace_id=\"%s\"} %s %.3f",
-				escapeLabel(ex[i].TraceID), formatValue(ex[i].Value),
+				labelEscaper.Replace(ex[i].TraceID), formatValue(ex[i].Value),
 				float64(ex[i].Ts.UnixMilli())/1e3)
 		}
 		p.printf("%s_bucket%s %d%s\n", name, formatLabels(append(labels, "le", le)), cum, suffix)

@@ -149,11 +149,12 @@ type auditDebug struct {
 
 // handleAuditDebug serves the audit writer's live state.
 func (s *Server) handleAuditDebug(w http.ResponseWriter, r *http.Request) {
+	seq, head := s.audit.Chain()
 	resp := auditDebug{
 		Enabled:   s.audit != nil,
 		Dir:       s.audit.Dir(),
-		LastSeq:   s.audit.LastSeq(),
-		ChainHead: s.audit.Head(),
+		LastSeq:   seq,
+		ChainHead: head,
 		Events:    make(map[string]uint64, len(audit.Outcomes)),
 		Dropped:   s.audit.Dropped(),
 		Rotations: s.audit.Rotations(),
@@ -179,7 +180,8 @@ func (s *Server) promAudit(p *obs.PromWriter) {
 	p.Header("hdfe_audit_rotations_total", "counter", "Audit segment rotations.")
 	p.Value("hdfe_audit_rotations_total", float64(a.Rotations()))
 	p.Header("hdfe_audit_chain_length", "gauge", "Sequence number of the last durable audit event.")
-	p.Value("hdfe_audit_chain_length", float64(a.LastSeq()))
+	seq, _ := a.Chain()
+	p.Value("hdfe_audit_chain_length", float64(seq))
 	p.Header("hdfe_audit_fsyncs_total", "counter", "Completed fsyncs of the active audit segment.")
 	p.Value("hdfe_audit_fsyncs_total", float64(a.FsyncCount()))
 	p.Header("hdfe_audit_fsync_seconds_total", "counter", "Total time spent fsyncing audit segments.")

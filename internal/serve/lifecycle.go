@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"hdfe/internal/chaos"
 	"hdfe/internal/core"
 )
 
@@ -154,13 +153,10 @@ func (s *Server) ReloadModel() (ModelInfo, error) {
 }
 
 // load reads and schema-checks an artifact, returning an adopted,
-// unpublished model. The chaos seam can fail the read — a load failure,
-// injected or real, must leave the serving state untouched (the current
-// model keeps serving; the chaos regression suite pins this).
+// unpublished model. A failed load — a missing, truncated or corrupt
+// artifact — must leave the serving state untouched (the current model
+// keeps serving; TestChaosLoadFailureKeepsServing pins this).
 func (s *Server) load(path, name string) (*model, error) {
-	if err := s.cfg.Chaos.Inject(chaos.PointLoad); err != nil {
-		return nil, err
-	}
 	dep, sha, err := core.ReadFile(path)
 	if err != nil {
 		return nil, err

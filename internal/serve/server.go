@@ -236,7 +236,6 @@ func New(dep *core.Deployment, cfg Config) *Server {
 			Service:   "hdserve",
 			QueueSize: cfg.ExportQueue,
 			Seed:      cfg.TraceSeed,
-			Chaos:     cfg.Chaos,
 		})
 	}
 	// Slow-trace cutoff for tail sampling: the live p99 latency — any

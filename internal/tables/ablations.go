@@ -16,7 +16,7 @@ import (
 // the paper's informal dimensionality exploration (§II: "we didn't see
 // much improvement by using larger vectors"), the record-combination rule
 // (majority vs bind-and-bundle), the tie-break rule, and the 1-NN Hamming
-// model vs the classic HDC class-prototype classifier.
+// model vs the classic HDC class-prototype classifier hdserve serves.
 type AblationResult struct {
 	Dims        []int
 	DimAccuracy map[string][]float64 // dataset -> accuracy per dim
@@ -98,7 +98,10 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	return res, nil
 }
 
-// prototypeLOO evaluates the class-prototype classifier leave-one-out.
+// prototypeLOO evaluates the served model leave-one-out: per fold,
+// core.Prototypes bundles the other records into class prototypes and
+// the held-out record is positive when core.ClassAffinity >= 0.5 — the
+// same two functions behind BuildDeployment and Deployment.Score.
 func prototypeLOO(vs []hv.Vector, y []int) metrics.Confusion {
 	pred := make([]int, len(vs))
 	for i := range vs {
@@ -110,8 +113,10 @@ func prototypeLOO(vs []hv.Vector, y []int) metrics.Confusion {
 				labels = append(labels, y[j])
 			}
 		}
-		p := hamming.FitPrototype(train, labels, hv.TieToOne)
-		pred[i] = p.Predict(vs[i])
+		neg, pos := core.Prototypes(train, labels, hv.TieToOne)
+		if core.ClassAffinity(vs[i], neg, pos) >= 0.5 {
+			pred[i] = 1
+		}
 	}
 	return metrics.NewConfusion(y, pred)
 }
