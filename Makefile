@@ -4,9 +4,11 @@
 # budget, including the scoring-body parser checked against encoding/json;
 # `make bench` tracks the zero-allocation encode/score path, the
 # carry-save bundling of 8 and 16 codewords (the two closed-form
-# majority thresholds), the one-pass prototype distance and the
-# checkpointed level codeword under it, the parse of a 64-record batch
-# body, and concurrent single-record /v1/score throughput; `make obs-smoke` boots
+# majority thresholds) and the Hamming and one-pass prototype
+# distances (each an AVX2 block kernel with a Go tail on amd64, the Go
+# loop alone elsewhere), the checkpointed level codeword, the parse of a
+# 64-record batch body, and concurrent single-record /v1/score
+# throughput; `make obs-smoke` boots
 # hdserve and asserts the /metrics surface; `make trace-smoke` adds a
 # mock OTLP collector and asserts the W3C traceparent round trip, span
 # export, exemplars, and /debug/slo; `make prof-smoke` drives batch load

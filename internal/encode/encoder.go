@@ -145,14 +145,16 @@ func (e *LevelEncoder) Flips(t float64) int {
 	if e.max == e.min {
 		return 0
 	}
-	x := int(math.Round(float64(e.dim) * (t - e.min) / (2 * (e.max - e.min))))
-	if x < 0 {
+	// Clamp before converting: past the int range (or at +Inf, when the
+	// product overflows) the conversion is platform-defined.
+	x := math.Round(float64(e.dim) * (t - e.min) / (2 * (e.max - e.min)))
+	if !(x > 0) {
 		return 0
 	}
-	if x > e.dim/2 {
+	if x >= float64(e.dim/2) {
 		return e.dim / 2
 	}
-	return x
+	return int(x)
 }
 
 // Encode returns the hypervector for value t.

@@ -74,21 +74,27 @@ func TestLevelEncoderMonotonicity(t *testing.T) {
 // TestLevelEncoderClampBounds pins the encoding's boundary geometry:
 // below-min is the seed, above-max is the orthogonal max codeword, and
 // NaN (missing) encodes as the baseline seed per the package contract.
+// The far values include ones whose flip count is past the int range, or
+// overflows to ±Inf, before it is clamped.
 func TestLevelEncoderClampBounds(t *testing.T) {
 	r := rng.New(9)
 	const dim = 512
 	e := NewLevelEncoder(r, dim, -3, 17)
 
 	seed := e.Encode(-3)
-	if hv.Hamming(seed, e.Encode(-1e12)) != 0 {
-		t.Error("far-below-min value does not encode as the seed")
+	for _, below := range []float64{-1e12, -1e300, -math.MaxFloat64, math.Inf(-1)} {
+		if hv.Hamming(seed, e.Encode(below)) != 0 {
+			t.Errorf("far-below-min value %g does not encode as the seed", below)
+		}
 	}
 	if hv.Hamming(seed, e.Encode(math.NaN())) != 0 {
 		t.Error("NaN does not encode as the baseline seed")
 	}
 	top := e.Encode(17)
-	if hv.Hamming(top, e.Encode(1e12)) != 0 {
-		t.Error("far-above-max value does not encode as the max codeword")
+	for _, above := range []float64{1e12, 1e300, math.MaxFloat64, math.Inf(1)} {
+		if hv.Hamming(top, e.Encode(above)) != 0 {
+			t.Errorf("far-above-max value %g does not encode as the max codeword", above)
+		}
 	}
 	if got := hv.Hamming(seed, top); got != dim/2 {
 		t.Errorf("H(min, max) = %d, want D/2 = %d (orthogonal)", got, dim/2)

@@ -1,7 +1,5 @@
 package hv
 
-import "math/bits"
-
 // DistancesSerial computes Hamming(query, pool[i]) for all i into dst
 // (allocated if nil/short) on the calling goroutine only. Use it with a
 // per-worker dst inside loops that are already parallel — leave-one-out
@@ -12,14 +10,8 @@ func DistancesSerial(query Vector, pool []Vector, dst []int) []int {
 		dst = make([]int, len(pool))
 	}
 	dst = dst[:len(pool)]
-	qw := query.words
 	for i, p := range pool {
-		checkSameDim(query, p)
-		d := 0
-		for k, x := range qw {
-			d += bits.OnesCount64(x ^ p.words[k])
-		}
-		dst[i] = d
+		dst[i] = Hamming(query, p)
 	}
 	return dst
 }

@@ -55,6 +55,14 @@ const groupSize = 8
 // eight vectors (one Pima record) never touches a plane, and the empty
 // slots of a partial group all read one shared zero row.
 //
+// On an amd64 CPU with AVX2 (checked once, from CPUID, at start-up) the
+// first fold and the two OR thresholds run as assembly over whole 256-bit
+// blocks, four words to an instruction, and the Go loop finishes the last
+// one to three words; elsewhere the Go loop covers every word. Later
+// folds and every other threshold are Go-only. Both paths give the same
+// bits: TestAccumulatorMatchesNaiveCount and FuzzMajorityInto check each
+// against a per-bit recount at widths with whole blocks and a tail.
+//
 // The group's rows and the ⌈log2(n+1)⌉ planes for n folded vectors are
 // allocated on demand and kept across Reset, so a reused accumulator does
 // not allocate.
@@ -166,7 +174,7 @@ func (a *Accumulator) fold() {
 		}
 		a.used = 4
 		p0, p1, p2, p3 := a.planes[0][:nw], a.planes[1][:nw], a.planes[2][:nw], a.planes[3][:nw]
-		for w := range p0 {
+		for w := count8Blocks(p0, p1, p2, p3, g); w < nw; w++ {
 			p0[w], p1[w], p2[w], p3[w] = count8(x0[w], x1[w], x2[w], x3[w], x4[w], x5[w], x6[w], x7[w])
 		}
 	} else {
@@ -244,7 +252,7 @@ func (a *Accumulator) MajorityInto(tie TieBreak, dst Vector) {
 	switch {
 	case need == 4 && a.used == 0:
 		// c2|c3 of count8 is v0|v1, the carries out of its last adder.
-		for w := range out {
+		for w := majority8Blocks(out, g); w < nw; w++ {
 			s0, t0 := csa(x0[w], x1[w], x2[w])
 			s1, t1 := csa(x3[w], x4[w], x5[w])
 			s2, t2 := csa(x6[w], x7[w], s0)
@@ -256,7 +264,7 @@ func (a *Accumulator) MajorityInto(tie TieBreak, dst Vector) {
 		// The count is planes + group, at most 16: bit 3 or bit 4 of the
 		// sum is set iff p3, c3 or the carry k into bit 3 is.
 		p0, p1, p2, p3 := a.planes[0][:nw], a.planes[1][:nw], a.planes[2][:nw], a.planes[3][:nw]
-		for w := range out {
+		for w := majority16Blocks(out, p0, p1, p2, p3, g); w < nw; w++ {
 			c0, c1, c2, c3 := count8(x0[w], x1[w], x2[w], x3[w], x4[w], x5[w], x6[w], x7[w])
 			k := p0[w] & c0
 			_, k = csa(p1[w], c1, k)

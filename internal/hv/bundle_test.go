@@ -130,38 +130,41 @@ func TestAccumulatorPanics(t *testing.T) {
 // TestAccumulatorMatchesNaiveCount checks the carry-save counts against a
 // per-bit recount at every bundle size up to 70 and around the plane
 // boundaries 256 and 512, for both tie rules, reusing one accumulator
-// across Resets so stale planes would show.
+// across Resets so stale planes would show. The widths are under one
+// 256-bit block (130 bits), one block plus a word (257) and 39 blocks
+// plus a word (10,000), so the block kernels and the Go tail both count.
 func TestAccumulatorMatchesNaiveCount(t *testing.T) {
 	r := rng.New(5)
-	const d = 130
-	pool := make([]Vector, 513)
-	for i := range pool {
-		pool[i] = Rand(r, d)
-	}
-	counts := make([]int, d)
-	acc := NewAccumulator(d)
-	dst := New(d)
-	sizes := []int{255, 256, 257, 511, 512, 513, 3, 1}
-	for n := 1; n <= 70; n++ {
-		sizes = append(sizes, n)
-	}
-	for _, n := range sizes {
-		acc.Reset()
-		clear(counts)
-		for _, v := range pool[:n] {
-			acc.Add(v)
-			for b := 0; b < d; b++ {
-				if v.Bit(b) {
-					counts[b]++
+	for _, d := range []int{130, 257, 10000} {
+		pool := make([]Vector, 513)
+		for i := range pool {
+			pool[i] = Rand(r, d)
+		}
+		counts := make([]int, d)
+		acc := NewAccumulator(d)
+		dst := New(d)
+		sizes := []int{255, 256, 257, 511, 512, 513, 3, 1}
+		for n := 1; n <= 70; n++ {
+			sizes = append(sizes, n)
+		}
+		for _, n := range sizes {
+			acc.Reset()
+			clear(counts)
+			for _, v := range pool[:n] {
+				acc.Add(v)
+				for b := 0; b < d; b++ {
+					if v.Bit(b) {
+						counts[b]++
+					}
 				}
 			}
-		}
-		for _, tie := range []TieBreak{TieToOne, TieToZero} {
-			acc.MajorityInto(tie, dst)
-			for b, c := range counts {
-				want := 2*c > n || (2*c == n && tie == TieToOne)
-				if dst.Bit(b) != want {
-					t.Fatalf("n=%d tie=%v bit %d: got %v, count %d", n, tie, b, dst.Bit(b), c)
+			for _, tie := range []TieBreak{TieToOne, TieToZero} {
+				acc.MajorityInto(tie, dst)
+				for b, c := range counts {
+					want := 2*c > n || (2*c == n && tie == TieToOne)
+					if dst.Bit(b) != want {
+						t.Fatalf("d=%d n=%d tie=%v bit %d: got %v, count %d", d, n, tie, b, dst.Bit(b), c)
+					}
 				}
 			}
 		}

@@ -2,6 +2,8 @@ package hv
 
 import (
 	"testing"
+
+	"hdfe/internal/rng"
 )
 
 // FuzzMajorityInto bundles arbitrary bit patterns at arbitrary (small)
@@ -9,16 +11,16 @@ import (
 // panics on well-formed input, it agrees with the allocating Majority and
 // with Bundle, and all agree with a naive per-bit recount of the inputs.
 // Dimensionalities straddle the 64-bit word boundary so tail-masking bugs
-// surface.
+// surface, and reach past the 256-bit blocks of the AVX2 kernels.
 func FuzzMajorityInto(f *testing.F) {
-	f.Add([]byte{0xff, 0x00, 0xaa}, uint8(3), false)
-	f.Add([]byte{0x01}, uint8(63), true)
-	f.Add([]byte{0xde, 0xad, 0xbe, 0xef, 0x42, 0x42, 0x42, 0x42, 0x99}, uint8(65), false)
+	f.Add([]byte{0xff, 0x00, 0xaa}, uint16(3), false)
+	f.Add([]byte{0x01}, uint16(63), true)
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef, 0x42, 0x42, 0x42, 0x42, 0x99}, uint16(65), false)
 	// Even counts at dimension 8 (one byte per vector), so the plain test
 	// run checks exact ties against the TieToOne rule.
-	f.Add([]byte{0xf0, 0x3c}, uint8(7), false)
-	f.Add([]byte{0x0f, 0x33, 0x55, 0xff}, uint8(7), false)
-	f.Add([]byte{0x01, 0x03, 0x07, 0x0f, 0x1f, 0x3f, 0x7f, 0xff}, uint8(7), false)
+	f.Add([]byte{0xf0, 0x3c}, uint16(7), false)
+	f.Add([]byte{0x0f, 0x33, 0x55, 0xff}, uint16(7), false)
+	f.Add([]byte{0x01, 0x03, 0x07, 0x0f, 0x1f, 0x3f, 0x7f, 0xff}, uint16(7), false)
 	// Group edges of the carry-save kernel: 7, 8 and 9 one-byte vectors
 	// (a partial group, a full one, one fold plus one pending), then 16
 	// and 17 (a fold plus a full group, two folds plus one). With 1, 2,
@@ -31,11 +33,23 @@ func FuzzMajorityInto(f *testing.F) {
 		0x55, 0xaa, 0x01, 0xfe, 0x33, 0xcc, 0x0c, 0xc0, 0x17, 0xe8, 0x6a, 0x95, 0x2d, 0xd2, 0x71, 0x8e,
 	}
 	for _, n := range []int{1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32} {
-		f.Add(edge[:n], uint8(7), false)
-		f.Add(edge[:n], uint8(7), true)
+		f.Add(edge[:n], uint16(7), false)
+		f.Add(edge[:n], uint16(7), true)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, dimSeed uint8, tieToZero bool) {
-		dim := 1 + int(dimSeed)%130 // 1..130: crosses one and two word boundaries
+	// The record bundles of 8 and 16 codewords and their neighbours at 257
+	// bits (33 bytes a vector): one 256-bit block for the kernels, one word
+	// for the Go tail.
+	r := rng.New(11)
+	random := make([]byte, 16*33)
+	for i := range random {
+		random[i] = byte(r.Uint64())
+	}
+	for _, n := range []int{7, 8, 15, 16} {
+		f.Add(random[:n*33], uint16(256), false)
+		f.Add(random[:n*33], uint16(256), true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, dimSeed uint16, tieToZero bool) {
+		dim := 1 + int(dimSeed)%640 // 1..640: word boundaries, and up to two 256-bit blocks plus a tail
 		bytesPerVec := (dim + 7) / 8
 		n := len(data) / bytesPerVec
 		if n == 0 {

@@ -9,11 +9,18 @@ import (
 
 // Hamming returns the Hamming distance between a and b: the number of bit
 // positions at which they differ. This is the paper's classification metric.
+//
+// On an amd64 CPU with AVX2 the whole 256-bit blocks are counted in
+// assembly, by the nibble-table VPSHUFB popcount summed with VPSADBW
+// (Muła, Kurz and Lemire 2018), and the Go loop counts the last words;
+// elsewhere the Go loop counts them all. HammingPair does the same for
+// its two distances.
 func Hamming(a, b Vector) int {
 	checkSameDim(a, b)
-	d := 0
-	for i, w := range a.words {
-		d += bits.OnesCount64(w ^ b.words[i])
+	k, d := hammingBlocks(a.words, b.words)
+	bw := b.words[k:len(a.words)]
+	for i, w := range a.words[k:] {
+		d += bits.OnesCount64(w ^ bw[i])
 	}
 	return d
 }
@@ -23,8 +30,9 @@ func Hamming(a, b Vector) int {
 func HammingPair(a, b, c Vector) (ab, ac int) {
 	checkSameDim(a, b)
 	checkSameDim(a, c)
-	bw, cw := b.words[:len(a.words)], c.words[:len(a.words)]
-	for i, w := range a.words {
+	k, ab, ac := hammingPairBlocks(a.words, b.words, c.words)
+	bw, cw := b.words[k:len(a.words)], c.words[k:len(a.words)]
+	for i, w := range a.words[k:] {
 		ab += bits.OnesCount64(w ^ bw[i])
 		ac += bits.OnesCount64(w ^ cw[i])
 	}

@@ -31,15 +31,16 @@ func TestHammingPanicsOnDimMismatch(t *testing.T) {
 	Hamming(New(10), New(11))
 }
 
-// HammingPair must give exactly the two Hamming distances, across word
-// boundaries, and panic on a dimension mismatch on either side.
+// HammingPair must give exactly the two per-bit distances, across word
+// boundaries, at whole 256-bit blocks and at blocks plus a tail, and
+// panic on a dimension mismatch on either side.
 func TestHammingPairMatchesHamming(t *testing.T) {
 	r := rng.New(2)
-	for _, d := range []int{1, 63, 64, 65, 130, 10000} {
+	for _, d := range []int{1, 63, 64, 65, 130, 256, 257, 10000} {
 		a, b, c := Rand(r, d), Rand(r, d), Rand(r, d)
 		ab, ac := HammingPair(a, b, c)
-		if ab != Hamming(a, b) || ac != Hamming(a, c) {
-			t.Fatalf("D = %d: HammingPair = (%d, %d), Hamming = (%d, %d)", d, ab, ac, Hamming(a, b), Hamming(a, c))
+		if wab, wac := naiveHamming(a, b), naiveHamming(a, c); ab != wab || ac != wac {
+			t.Fatalf("D = %d: HammingPair = (%d, %d), per-bit counts (%d, %d)", d, ab, ac, wab, wac)
 		}
 	}
 	for _, vs := range [][3]Vector{{New(10), New(11), New(10)}, {New(10), New(10), New(11)}} {

@@ -37,20 +37,28 @@ func TestHammingIsAMetric(t *testing.T) {
 	}
 }
 
-// TestHammingMatchesBitDefinition cross-checks the word-popcount
-// implementation against a naive per-bit count on random pairs.
+// naiveHamming counts the differing bits of a and b one position at a
+// time: the oracle for the word and block popcounts.
+func naiveHamming(a, b Vector) int {
+	d := 0
+	for i := 0; i < a.Dim(); i++ {
+		if a.Bit(i) != b.Bit(i) {
+			d++
+		}
+	}
+	return d
+}
+
+// TestHammingMatchesBitDefinition cross-checks the popcount against a
+// naive per-bit count on random pairs, at widths below one 256-bit block,
+// at whole blocks, and at blocks plus a tail (257 bits is 5 words, 10,000
+// bits 157).
 func TestHammingMatchesBitDefinition(t *testing.T) {
 	r := rng.New(7)
-	for _, dim := range []int{5, 64, 130, 999} {
+	for _, dim := range []int{5, 64, 130, 256, 257, 999, 10000} {
 		for trial := 0; trial < 50; trial++ {
 			a, b := Rand(r, dim), Rand(r, dim)
-			naive := 0
-			for i := 0; i < dim; i++ {
-				if a.Bit(i) != b.Bit(i) {
-					naive++
-				}
-			}
-			if got := Hamming(a, b); got != naive {
+			if got, naive := Hamming(a, b), naiveHamming(a, b); got != naive {
 				t.Fatalf("dim %d: Hamming %d, per-bit count %d", dim, got, naive)
 			}
 		}
