@@ -7,8 +7,10 @@
 # majority thresholds) and the Hamming and one-pass prototype
 # distances (each an AVX2 block kernel with a Go tail on amd64, the Go
 # loop alone elsewhere), the checkpointed level codeword, the parse of a
-# 64-record batch body, and concurrent single-record /v1/score
-# throughput; `make obs-smoke` boots
+# 64-record batch body, concurrent single-record /v1/score throughput,
+# and closed-loop 64-record /v1/score/batch throughput and latency with
+# 1 and 2 clients, each batch scored on its handler goroutine;
+# `make obs-smoke` boots
 # hdserve and asserts the /metrics surface; `make trace-smoke` adds a
 # mock OTLP collector and asserts the W3C traceparent round trip, span
 # export, exemplars, and /debug/slo; `make prof-smoke` drives batch load
@@ -53,6 +55,7 @@ bench:
 	$(GO) test ./internal/encode -run '^$$' -bench 'LevelEncodeInto' -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench 'ParseScoringBody64' -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench 'ScoreConcurrent' -benchtime 20000x -benchmem
+	$(GO) test ./internal/serve -run '^$$' -bench 'ScoreBatchRoute' -benchtime 4000x -benchmem
 
 obs-smoke:
 	sh scripts/obs_smoke.sh

@@ -14,6 +14,7 @@ import (
 	"hdfe/internal/encode"
 	"hdfe/internal/hv"
 	"hdfe/internal/ml/hamming"
+	"hdfe/internal/parallel"
 )
 
 // Deployment is the complete, shippable state of the pure-HDC clinical
@@ -94,16 +95,26 @@ func (d *Deployment) scoreWithScratch(row []float64, s *hv.Scratch) float64 {
 }
 
 // ScoreBatch scores many patient records at once, fanning rows out across
-// workers with one encode scratch per worker. It is the serving primitive
-// for bulk traffic: steady-state throughput allocates only the returned
-// slice (use ScoreBatchInto to recycle that too). Safe for concurrent use.
+// workers with one encode scratch per worker. It is for offline bulk
+// scoring, where one caller owns every CPU: steady-state throughput
+// allocates only the returned slice (use ScoreBatchInto to recycle that
+// too). A server scores each request with ScoreBatchIntoObserved instead,
+// on its handler goroutine. Safe for concurrent use.
 func (d *Deployment) ScoreBatch(rows [][]float64) []float64 {
 	return d.ScoreBatchInto(rows, nil)
 }
 
 // ScoreBatchInto is ScoreBatch writing into dst (allocated if nil/short).
+// Each worker scores its contiguous chunk with ScoreBatchIntoObserved.
 func (d *Deployment) ScoreBatchInto(rows [][]float64, dst []float64) []float64 {
-	return d.ScoreBatchIntoObserved(rows, dst, nil)
+	if cap(dst) < len(rows) {
+		dst = make([]float64, len(rows))
+	}
+	dst = dst[:len(rows)]
+	parallel.ForChunked(len(rows), func(lo, hi int) {
+		d.ScoreBatchIntoObserved(rows[lo:hi], dst[lo:hi], nil)
+	})
+	return dst
 }
 
 // WriteTo serializes the deployment (codebook + prototypes + optional

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"hdfe/internal/parallel"
 )
 
 // countingObserver is a minimal concurrent-safe StageObserver.
@@ -58,9 +56,10 @@ func TestScoreBatchObservedBitIdentical(t *testing.T) {
 	if n := obs.records.Load(); n != int64(4*5*len(d.X)) {
 		t.Errorf("observer saw %d records, want %d", n, 4*5*len(d.X))
 	}
-	// One report per worker chunk, not per record.
-	if c, most := obs.calls.Load(), int64(4*5*parallel.Workers(len(d.X))); c > most {
-		t.Errorf("observer called %d times, want at most %d (one per chunk)", c, most)
+	// One report per call, not per record: the rows are scored on the
+	// calling goroutine.
+	if c := obs.calls.Load(); c != 4*5 {
+		t.Errorf("observer called %d times, want %d (one per call)", c, 4*5)
 	}
 	if obs.encode.Load() <= 0 || obs.distance.Load() <= 0 {
 		t.Errorf("observer totals encode=%d distance=%d, want both > 0",

@@ -252,23 +252,23 @@ func TestQualityJoinAndCanary(t *testing.T) {
 	q := NewQuality(&Baseline{LOOCVAccuracy: 0.9, TrainRecords: 100, PosRate: 0.4},
 		QualityConfig{Capacity: 8, Window: 8, Tolerance: 0.05, MinLabels: 4})
 
-	const a, b, c, d = 10, 11, 12, 13
-	q.RecordBatch(a, []int{1, 0}) // a, b
+	const ab, c, d = 10, 12, 13
+	q.RecordBatch(ab, []int{1, 0}) // a, b
 	q.RecordBatch(c, []int{1})
 	q.RecordBatch(d, []int{0})
 
-	if got := q.Feedback(99, 1); got != Unknown {
+	if got := q.Feedback(99, 0, 1); got != Unknown {
 		t.Errorf("unknown key join = %v", got)
 	}
-	if got := q.Feedback(a, 1); got != Matched { // TP
+	if got := q.Feedback(ab, 0, 1); got != Matched { // TP
 		t.Errorf("join a = %v", got)
 	}
-	if got := q.Feedback(a, 0); got != Duplicate {
+	if got := q.Feedback(ab, 0, 0); got != Duplicate {
 		t.Errorf("second label for a = %v", got)
 	}
-	q.Feedback(b, 0) // TN
-	q.Feedback(c, 0) // FP
-	q.Feedback(d, 1) // FN
+	q.Feedback(ab, 1, 0) // TN
+	q.Feedback(c, 0, 0)  // FP
+	q.Feedback(d, 0, 1)  // FN
 
 	st := q.Snapshot()
 	if st.Matched != 4 || st.Unknown != 1 || st.Duplicate != 1 {
@@ -297,7 +297,7 @@ func TestQualityCanaryStates(t *testing.T) {
 	// No baseline: disabled regardless of labels.
 	q := NewQuality(nil, QualityConfig{Capacity: 4, Window: 4, MinLabels: 1})
 	q.RecordBatch(7, []int{1})
-	q.Feedback(7, 1)
+	q.Feedback(7, 0, 1)
 	if st := q.Snapshot(); st.Canary != CanaryDisabled {
 		t.Errorf("canary without baseline = %v", st.Canary)
 	}
@@ -305,7 +305,7 @@ func TestQualityCanaryStates(t *testing.T) {
 	// Too few labels: pending.
 	q = NewQuality(&Baseline{LOOCVAccuracy: 0.9}, QualityConfig{MinLabels: 10})
 	q.RecordBatch(7, []int{1})
-	q.Feedback(7, 1)
+	q.Feedback(7, 0, 1)
 	if st := q.Snapshot(); st.Canary != CanaryPending {
 		t.Errorf("canary with 1 label = %v", st.Canary)
 	}
@@ -313,8 +313,8 @@ func TestQualityCanaryStates(t *testing.T) {
 	// Accurate labels: healthy.
 	q = NewQuality(&Baseline{LOOCVAccuracy: 0.9}, QualityConfig{MinLabels: 2})
 	q.RecordBatch(1, []int{1, 1, 1})
-	for key := uint64(1); key <= 3; key++ {
-		q.Feedback(key, 1)
+	for i := 0; i < 3; i++ {
+		q.Feedback(1, i, 1)
 	}
 	if st := q.Snapshot(); st.Canary != CanaryHealthy {
 		t.Errorf("canary with perfect labels = %v", st.Canary)
@@ -327,15 +327,16 @@ func TestQualityRingEviction(t *testing.T) {
 	q.RecordBatch(old, []int{1})
 	q.RecordBatch(mid, []int{1})
 	q.RecordBatch(new, []int{1}) // evicts old
-	if got := q.Feedback(old, 1); got != Unknown {
+	if got := q.Feedback(old, 0, 1); got != Unknown {
 		t.Errorf("evicted key join = %v, want unknown", got)
 	}
-	if got := q.Feedback(new, 1); got != Matched {
+	if got := q.Feedback(new, 0, 1); got != Matched {
 		t.Errorf("fresh key join = %v, want matched", got)
 	}
-	// Re-recording a key must reuse its slot, not leak index entries.
+	// Re-recording a key replaces its prediction: the newer one joins,
+	// and the labeled older one leaves no index entry behind.
 	q.RecordBatch(new, []int{0})
-	if got := q.Feedback(new, 0); got != Matched {
+	if got := q.Feedback(new, 0, 0); got != Matched {
 		t.Errorf("re-recorded key join = %v, want matched", got)
 	}
 	st := q.Snapshot()
@@ -352,15 +353,21 @@ func TestQualityNoLabelsIsNaN(t *testing.T) {
 }
 
 // TestQualityRecordBatchEvictsInOrder records a batch longer than the
-// ring: its keys are consecutive, and the ring keeps the newest Capacity
-// of them in order, so the first ones report unknown and the rest match
-// with their own predictions.
+// ring: the ring keeps the newest Capacity of its predictions in order,
+// so the first ones report unknown and the rest match with their own
+// predictions.
 func TestQualityRecordBatchEvictsInOrder(t *testing.T) {
 	q := NewQuality(nil, QualityConfig{Capacity: 4, Window: 8})
 	q.RecordBatch(100, []int{1, 1, 0, 1, 0, 0})
-	for key, want := range map[uint64]JoinResult{99: Unknown, 100: Unknown, 101: Unknown, 102: Matched, 103: Matched, 104: Matched, 105: Matched, 106: Unknown} {
-		if got := q.Feedback(key, 1); got != want {
-			t.Errorf("key %d: %v, want %v", key, got, want)
+	if got := q.Feedback(99, 0, 1); got != Unknown {
+		t.Errorf("request 99: %v, want unknown", got)
+	}
+	if got := q.Feedback(100, -1, 1); got != Unknown {
+		t.Errorf("prediction -1: %v, want unknown", got)
+	}
+	for i, want := range []JoinResult{Unknown, Unknown, Matched, Matched, Matched, Matched, Unknown} {
+		if got := q.Feedback(100, i, 1); got != want {
+			t.Errorf("prediction %d: %v, want %v", i, got, want)
 		}
 	}
 	// Labels of 1 on predictions 0, 1, 0, 0.
@@ -436,7 +443,7 @@ func TestObserveConcurrent(t *testing.T) {
 				}
 				m.ObserveRows(rows)
 				w.Observe(scores...)
-				q.RecordBatch(uint64((g*batches+b)*size), preds)
+				q.RecordBatch(uint64(g*batches+b), preds)
 			}
 		}(g)
 	}
@@ -449,9 +456,11 @@ func TestObserveConcurrent(t *testing.T) {
 	if snap[0].Observed != total || snap[1].Missing != total {
 		t.Errorf("feature x observed %d, y missing %d, want %d each", snap[0].Observed, snap[1].Missing, total)
 	}
-	for key := uint64(0); key < total; key++ {
-		if got := q.Feedback(key, 1); got != Matched {
-			t.Fatalf("key %d: %v, want matched", key, got)
+	for req := uint64(0); req < workers*batches; req++ {
+		for i := 0; i < size; i++ {
+			if got := q.Feedback(req, i, 1); got != Matched {
+				t.Fatalf("request %d prediction %d: %v, want matched", req, i, got)
+			}
 		}
 	}
 }

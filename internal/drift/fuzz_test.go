@@ -27,7 +27,7 @@ func FuzzFeedbackJoin(f *testing.F) {
 				q.RecordBatch(key, []int{bit})
 			} else {
 				feedbacks++
-				switch q.Feedback(key, bit) {
+				switch q.Feedback(key, 0, bit) {
 				case Matched:
 					matched++
 				case Unknown:

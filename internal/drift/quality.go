@@ -72,12 +72,23 @@ func (c Confusion) f1() float64 {
 	return 2 * float64(c.TP) / float64(denom)
 }
 
-// predEntry is one remembered prediction in the bounded join ring.
+// predEntry is one remembered prediction in the bounded join ring. last
+// marks a request's last prediction, whose eviction retires the request's
+// index entry.
 type predEntry struct {
-	key     uint64
+	req     uint64
 	pred    uint8
 	valid   bool
 	labeled bool
+	last    bool
+}
+
+// reqEntry indexes one request's n predictions: prediction i is number
+// first+i of those recorded since start, in ring slot (first+i) mod
+// Capacity until it is evicted.
+type reqEntry struct {
+	first uint64
+	n     int
 }
 
 // outcome is one labeled prediction in the rolling quality window.
@@ -85,16 +96,18 @@ type outcome struct{ pred, label uint8 }
 
 // Quality joins delayed ground-truth labels back to recent predictions
 // and maintains online quality statistics. Predictions live in a bounded
-// ring indexed by an integer key: remembering a new prediction once the
-// ring is full evicts the oldest, whose key can no longer be labeled (it
-// reports Unknown). Labeled outcomes feed cumulative confusion counts
-// and a rolling window used for the canary accuracy. The caller mints
-// the keys; Quality only needs a request's predictions to take
-// consecutive ones.
+// ring, each named by its request's integer key and its index within the
+// request: remembering a new prediction once the ring is full evicts the
+// oldest, which can no longer be labeled (it reports Unknown). Labeled
+// outcomes feed cumulative confusion counts and a rolling window used for
+// the canary accuracy. The caller mints the request keys.
 //
-// A single mutex guards all state. RecordBatch takes it once for a
-// request's predictions, each an integer-keyed map insert plus a ring
-// write; label joins are rarer still.
+// The join index is kept per request, not per prediction: one map entry
+// per RecordBatch call points at the ring slot of the request's first
+// prediction, and prediction i sits i slots on unless it has been
+// evicted. A single mutex guards all state. RecordBatch takes it once
+// for a request and makes one map insert, plus one delete for each
+// request whose last prediction it evicts; label joins are rarer still.
 type Quality struct {
 	mu       sync.Mutex
 	baseline Baseline
@@ -103,7 +116,7 @@ type Quality struct {
 	minCount uint64
 
 	ring  []predEntry
-	byKey map[uint64]int
+	byReq map[uint64]reqEntry
 	next  uint64 // predictions recorded since start
 
 	win     []outcome
@@ -150,7 +163,7 @@ func NewQuality(baseline *Baseline, cfg QualityConfig) *Quality {
 		tol:      cfg.Tolerance,
 		minCount: uint64(cfg.MinLabels),
 		ring:     make([]predEntry, cfg.Capacity),
-		byKey:    make(map[uint64]int, cfg.Capacity),
+		byReq:    make(map[uint64]reqEntry),
 		win:      make([]outcome, cfg.Window),
 	}
 	if baseline != nil {
@@ -160,49 +173,65 @@ func NewQuality(baseline *Baseline, cfg QualityConfig) *Quality {
 	return q
 }
 
-// RecordBatch remembers preds[i] under key first+i, in order, under one
-// lock. Re-recording a key overwrites its entry (the newer prediction
-// wins the join); every other prediction takes the next ring slot,
-// evicting the oldest.
-func (q *Quality) RecordBatch(first uint64, preds []int) {
+// RecordBatch remembers preds as the predictions of request req, in
+// order, under one lock: prediction i takes the next ring slot, evicting
+// the oldest. Re-recording a request replaces it: the newer predictions
+// win the join, and the older ones still in the ring are neither
+// joinable nor pending. Recording no predictions does nothing.
+func (q *Quality) RecordBatch(req uint64, preds []int) {
+	if len(preds) == 0 {
+		return
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for i, pred := range preds {
-		key, p := first+uint64(i), uint8(0)
+	size := uint64(len(q.ring))
+	if old, ok := q.byReq[req]; ok {
+		for seq := max(old.first, q.oldest()); seq < old.first+uint64(old.n); seq++ {
+			q.ring[seq%size].valid = false
+		}
+	}
+	q.byReq[req] = reqEntry{first: q.next, n: len(preds)}
+	for _, pred := range preds {
+		e := &q.ring[q.next%size]
+		if e.valid && e.last {
+			delete(q.byReq, e.req)
+		}
+		*e = predEntry{req: req, valid: true}
 		if pred != 0 {
-			p = 1
+			e.pred = 1
 		}
-		if slot, ok := q.byKey[key]; ok {
-			q.ring[slot] = predEntry{key: key, pred: p, valid: true}
-			continue
-		}
-		slot := int(q.next % uint64(len(q.ring)))
-		if old := &q.ring[slot]; old.valid {
-			delete(q.byKey, old.key)
-		}
-		q.ring[slot] = predEntry{key: key, pred: p, valid: true}
-		q.byKey[key] = slot
 		q.next++
 	}
+	q.ring[(q.next-1)%size].last = true
 }
 
-// Feedback joins one ground-truth label (0 or 1) to the prediction
-// recorded under key and folds the outcome into the quality statistics.
-// Labels outside {0, 1} must be rejected by the caller; Feedback
-// normalizes any non-zero label to 1 defensively.
-func (q *Quality) Feedback(key uint64, label int) JoinResult {
+// oldest is the number of the oldest prediction still in the ring.
+func (q *Quality) oldest() uint64 {
+	if q.next < uint64(len(q.ring)) {
+		return 0
+	}
+	return q.next - uint64(len(q.ring))
+}
+
+// Feedback joins one ground-truth label (0 or 1) to prediction i of
+// request req and folds the outcome into the quality statistics. An
+// index outside the request's predictions reports Unknown. Labels
+// outside {0, 1} must be rejected by the caller; Feedback normalizes any
+// non-zero label to 1 defensively.
+func (q *Quality) Feedback(req uint64, i int, label int) JoinResult {
 	l := uint8(0)
 	if label != 0 {
 		l = 1
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	slot, ok := q.byKey[key]
-	if !ok {
+	r, ok := q.byReq[req]
+	seq := r.first + uint64(i)
+	if !ok || i < 0 || i >= r.n || seq < q.oldest() {
 		q.unknown++
 		return Unknown
 	}
-	e := &q.ring[slot]
+	e := &q.ring[seq%uint64(len(q.ring))]
 	if e.labeled {
 		q.duplicate++
 		return Duplicate
@@ -297,17 +326,11 @@ func (q *Quality) Snapshot() QualityStats {
 	} else {
 		st.BaselineAccuracy = math.NaN()
 	}
-	recorded := q.next
-	if recorded > uint64(len(q.ring)) {
-		recorded = uint64(len(q.ring))
-	}
-	var labeledInRing uint64
-	for i := uint64(0); i < recorded; i++ {
-		if q.ring[i].valid && q.ring[i].labeled {
-			labeledInRing++
+	for _, e := range q.ring {
+		if e.valid && !e.labeled {
+			st.Pending++
 		}
 	}
-	st.Pending = recorded - labeledInRing
 
 	n := q.winNext
 	if n > uint64(len(q.win)) {

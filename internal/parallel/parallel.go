@@ -1,7 +1,11 @@
 // Package parallel provides small, allocation-light helpers for data-parallel
-// loops. The batch encoders, the models and the cross-validation harness
-// fan work out across GOMAXPROCS workers in fixed contiguous chunks, which
-// keeps per-item overhead negligible and memory access patterns sequential.
+// loops. Offline bulk work fans out across GOMAXPROCS workers in fixed
+// contiguous chunks, which keeps per-item overhead negligible and memory
+// access patterns sequential: the codebook's batch encoders, the fit's
+// leave-one-out, the models, the cross-validation harness and
+// core.Deployment.ScoreBatch. Serving paths do not: a server's
+// parallelism comes from its concurrent requests, so each request is
+// scored on its own goroutine.
 package parallel
 
 import (

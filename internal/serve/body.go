@@ -23,8 +23,10 @@ import (
 // So a key matches its field case-insensitively under Unicode folding,
 // after unescaping; a repeated key replaces the earlier value; null may
 // stand for the body, an array or a value; and bytes after the first
-// complete value are ignored. FuzzScoringBody checks this against
-// encoding/json.
+// complete value are ignored. A number's value is built as its digits
+// are scanned, with strconv.ParseFloat only for literals too long or with
+// an exponent part (see number). FuzzScoringBody checks all of this
+// against encoding/json.
 
 // Buffers larger than these go back to the garbage collector, not to
 // bodyPool, so one large body cannot pin its memory. A 64-record batch
@@ -234,26 +236,57 @@ func (p *bodyParser) numbers() (bool, error) {
 	}
 }
 
-// number parses one JSON number with strconv.ParseFloat, as encoding/json
-// does; a number out of float64 range is an error there too.
+// maxExactDigits is the most digits a plain decimal may have for number
+// to compute its value itself: below 10^15 its digits are an exact
+// float64, and so is 10^k for its k <= 15 fraction digits.
+const maxExactDigits = 15
+
+// pow10 holds the exact powers of ten number divides by.
+var pow10 = [maxExactDigits + 1]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// number parses one JSON number, building its value while it checks the
+// grammar. A literal with no exponent part and at most maxExactDigits
+// digits is m / 10^k for its digits m and its k fraction digits: both
+// operands are exact and IEEE division rounds once, so that is the
+// correctly rounded value strconv.ParseFloat returns (Clinger's fast
+// path). A leading '-' negates the quotient, so -0 stays -0. Every other
+// literal goes to strconv.ParseFloat, as in encoding/json; a number out
+// of float64 range is an error there too.
 func (p *bodyParser) number() (float64, error) {
 	b, start := p.buf, p.pos
-	p.consume('-')
+	neg := p.consume('-')
+	var m uint64
+	var nd int
 	switch {
 	case p.consume('0'):
+		nd = 1
 	case p.pos < len(b) && '1' <= b[p.pos] && b[p.pos] <= '9':
-		p.digits()
+		m, nd = p.digits(0, 0)
 	default:
 		return 0, p.errAt("a number")
 	}
-	if p.consume('.') && !p.digits() {
-		return 0, p.errAt("a digit")
-	}
-	if p.consume('e') || p.consume('E') {
-		_ = p.consume('+') || p.consume('-')
-		if !p.digits() {
+	frac := 0
+	if p.consume('.') {
+		whole := nd
+		if m, nd = p.digits(m, nd); nd == whole {
 			return 0, p.errAt("a digit")
 		}
+		frac = nd - whole
+	}
+	exact := nd <= maxExactDigits
+	if p.consume('e') || p.consume('E') {
+		exact = false
+		_ = p.consume('+') || p.consume('-')
+		if _, n := p.digits(0, 0); n == 0 {
+			return 0, p.errAt("a digit")
+		}
+	}
+	if exact {
+		f := float64(m) / pow10[frac]
+		if neg {
+			f = -f
+		}
+		return f, nil
 	}
 	lit := b[start:p.pos]
 	f, err := strconv.ParseFloat(string(lit), 64)
@@ -263,13 +296,19 @@ func (p *bodyParser) number() (float64, error) {
 	return f, nil
 }
 
-// digits skips a run of decimal digits and reports whether there was one.
-func (p *bodyParser) digits() bool {
-	start := p.pos
-	for p.pos < len(p.buf) && '0' <= p.buf[p.pos] && p.buf[p.pos] <= '9' {
-		p.pos++
+// digits scans a run of decimal digits onto m, a number of nd digits so
+// far, and returns both with the run appended. m wraps past 19 digits;
+// number reads it only up to maxExactDigits.
+func (p *bodyParser) digits(m uint64, nd int) (uint64, int) {
+	for ; p.pos < len(p.buf); p.pos++ {
+		c := p.buf[p.pos] - '0'
+		if c > 9 {
+			break
+		}
+		m = m*10 + uint64(c)
+		nd++
 	}
-	return p.pos > start
+	return m, nd
 }
 
 // key parses an object key and fails unless, unescaped, it matches field

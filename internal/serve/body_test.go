@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -121,6 +122,46 @@ var scoringBodyCases = []string{
 	`{"features\":[1]}`, "{\"fe\x01atures\":[1]}", `{"features\q":[1]}`,
 }
 
+// numberEdgeLiterals sit at the edges of number's exact fast path: signed
+// zeros, short decimals with trailing zeros, 15 digits (the most it takes),
+// 16 and more (1e-15 written out among them), and exponent parts, which
+// always go to strconv.ParseFloat.
+var numberEdgeLiterals = []string{
+	"0", "-0", "0.0", "-0.0",
+	"33.6", "0.627", "1.500",
+	"123456789012345", "0.123456789012345",
+	"1234567890123456", "9007199254740993", "0.30000000000000004",
+	"0.000000000000001",
+	"1e5", "1E+2", "2.5e-3",
+}
+
+// TestNumberEdgesMatchParseFloat pins every edge literal, alone and
+// negated, to strconv.ParseFloat's Float64bits on both routes;
+// FuzzScoringBody seeds them against encoding/json.
+func TestNumberEdgesMatchParseFloat(t *testing.T) {
+	for _, lit := range numberEdgeLiterals {
+		for _, lit := range []string{lit, "-" + strings.TrimPrefix(lit, "-")} {
+			want, err := strconv.ParseFloat(lit, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, batch := range []bool{false, true} {
+				body := []byte(`{"features":[` + lit + `]}`)
+				if batch {
+					body = []byte(`{"records":[[` + lit + `]]}`)
+				}
+				b := &scoringBody{raw: body}
+				if err := b.parse(batch); err != nil {
+					t.Fatalf("%s: %v", body, err)
+				}
+				if got := b.rows[0][0]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: %v (%#x), strconv.ParseFloat %v (%#x)", body, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
 // TestScoringBodyMatchesEncodingJSON pins the hand-picked bodies: each is
 // accepted or rejected on both routes exactly as encoding/json does.
 func TestScoringBodyMatchesEncodingJSON(t *testing.T) {
@@ -137,6 +178,10 @@ func FuzzScoringBody(f *testing.F) {
 	for _, body := range scoringBodyCases {
 		f.Add([]byte(body), false)
 		f.Add([]byte(body), true)
+	}
+	for _, lit := range numberEdgeLiterals {
+		f.Add([]byte(`{"features":[`+lit+`]}`), false)
+		f.Add([]byte(`{"records":[[`+lit+`]]}`), true)
 	}
 	f.Fuzz(func(t *testing.T, body []byte, batch bool) {
 		checkAgainstJSON(t, body, batch)

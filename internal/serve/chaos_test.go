@@ -82,6 +82,38 @@ func TestChaosStalledStageShedsDeadlines(t *testing.T) {
 	}
 }
 
+// TestShedBatchLeavesDriftUnobserved stalls the score stage past the
+// request budget on both routes: a 504 single record and a 504
+// three-record batch are scored by neither route, so neither may feed
+// the input-drift histograms.
+func TestShedBatchLeavesDriftUnobserved(t *testing.T) {
+	dep := testDeployment(t, 128)
+	inj := chaos.New(1, chaos.Fault{Point: chaos.PointScore, P: 1, Delay: 100 * time.Millisecond})
+	s := New(dep, Config{RequestTimeout: 25 * time.Millisecond, Chaos: inj})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	d := synth.PimaM(7)
+	for _, route := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/score", scoreRequest{Features: floats(d.X[0]...)}},
+		{"/v1/score/batch", batchScoreRequest{Records: [][]*float64{floats(d.X[1]...), floats(d.X[2]...), floats(d.X[3]...)}}},
+	} {
+		if resp, body := postJSON(t, ts.Client(), ts.URL+route.path, route.body); resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status %d under a stalled stage, want 504: %s", route.path, resp.StatusCode, body)
+		}
+		if rows := s.active.Load().drift.monitor.Rows(); rows != 0 {
+			t.Errorf("%s: a shed request left %d rows observed, want 0", route.path, rows)
+		}
+	}
+	if scored := s.Metrics().recordsScored.Load(); scored != 0 {
+		t.Errorf("%d records scored past their deadline", scored)
+	}
+}
+
 // TestChaosLoadFailureKeepsServing pins the reload failure mode: an
 // artifact that fails to read mid-swap (here truncated on disk after
 // boot) must leave the old model serving, bit-identical, with no model

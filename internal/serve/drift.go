@@ -222,7 +222,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	quality := s.active.Load().drift.quality
 	resp := feedbackResponse{Results: make([]feedbackResult, len(items))}
 	for i, it := range items {
-		res := quality.Feedback(requestKey(it.RequestID), *it.Label)
+		key, index := requestKey(it.RequestID)
+		res := quality.Feedback(key, index, *it.Label)
 		resp.Results[i] = feedbackResult{RequestID: it.RequestID, Status: res.String()}
 		s.auditFeedback(it.RequestID, *it.Label, res.String())
 		switch res {
@@ -336,46 +337,36 @@ func batchRequestID(id uint64, index int) string {
 	return strconv.FormatUint(id, 10) + "-" + strconv.Itoa(index)
 }
 
-// Each request_id maps to one drift.Quality key: the trace sequence
-// shifted up by keyShift bits, then the keyBatch flag on a batch record's
-// key with the record's index below it. So a batch's keys are consecutive
-// and "<seq>" never shares a key with "<seq>-0".
-const (
-	keyBatch = 1 << 12
-	keyShift = 13
-)
+// qualityKey is the drift.Quality request key of scoring request seq:
+// 2·seq on /v1/score, 2·seq+1 on /v1/score/batch, whose record i is the
+// request's prediction i. So "<seq>" and "<seq>-0" never name one
+// prediction.
+func qualityKey(seq uint64, batch bool) uint64 {
+	if batch {
+		return seq<<1 | 1
+	}
+	return seq << 1
+}
 
-// A batch record's index must fit below keyBatch.
-var _ [keyBatch - maxBatchRecords]struct{}
-
-// scoreKey is the quality key of /v1/score request seq.
-func scoreKey(seq uint64) uint64 { return seq << keyShift }
-
-// batchKey is the quality key of record 0 of /v1/score/batch request
-// seq; record i takes batchKey(seq)+i.
-func batchKey(seq uint64) uint64 { return seq<<keyShift | keyBatch }
-
-// unmintedKey is no request's key: only batch keys have index bits.
-const unmintedKey = 1
-
-// requestKey returns the quality key of a request_id written the way the
-// scoring routes write it: "<seq>" or "<seq>-<i>", in decimal with no
-// sign and no leading zero, i below maxBatchRecords. Any other string
-// gets unmintedKey, so its label joins nothing and counts as unknown.
-func requestKey(id string) uint64 {
+// requestKey returns the quality request key and prediction index of a
+// request_id written the way the scoring routes write it: "<seq>" or
+// "<seq>-<i>", in decimal with no sign and no leading zero, i below
+// maxBatchRecords. Any other string gets index -1, which joins nothing,
+// so its label counts as unknown.
+func requestKey(id string) (key uint64, index int) {
 	seqText, indexText, batch := strings.Cut(id, "-")
 	seq, ok := canonicalUint(seqText)
-	if !ok || seq >= 1<<(64-keyShift) {
-		return unmintedKey
+	if !ok || seq >= 1<<63 {
+		return 0, -1
 	}
 	if !batch {
-		return scoreKey(seq)
+		return qualityKey(seq, false), 0
 	}
 	i, ok := canonicalUint(indexText)
 	if !ok || i >= maxBatchRecords {
-		return unmintedKey
+		return 0, -1
 	}
-	return batchKey(seq) + i
+	return qualityKey(seq, true), int(i)
 }
 
 // canonicalUint parses s as strconv.FormatUint writes a uint64.

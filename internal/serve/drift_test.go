@@ -347,25 +347,25 @@ func TestFeedbackCanonicalRequestIDs(t *testing.T) {
 }
 
 // TestRequestKey pins the request_id to quality key mapping at its
-// edges: the largest sequence that fits, the last batch index, and
-// distinct keys for "<seq>" and "<seq>-0".
+// edges: the largest sequence that fits, the last batch index, distinct
+// keys for "<seq>" and "<seq>-0", and index -1 past the key space.
 func TestRequestKey(t *testing.T) {
-	for _, seq := range []uint64{1, 7, 12345, 1<<(64-keyShift) - 1} {
-		if got := requestKey(requestID(seq)); got != scoreKey(seq) {
-			t.Errorf("requestKey(%q) = %#x, want %#x", requestID(seq), got, scoreKey(seq))
+	for _, seq := range []uint64{1, 7, 12345, 1<<63 - 1} {
+		if key, i := requestKey(requestID(seq)); key != qualityKey(seq, false) || i != 0 {
+			t.Errorf("requestKey(%q) = %#x, %d, want %#x, 0", requestID(seq), key, i, qualityKey(seq, false))
 		}
 		for _, i := range []int{0, 1, maxBatchRecords - 1} {
 			id := batchRequestID(seq, i)
-			if got, want := requestKey(id), batchKey(seq)+uint64(i); got != want {
-				t.Errorf("requestKey(%q) = %#x, want %#x", id, got, want)
+			if key, index := requestKey(id); key != qualityKey(seq, true) || index != i {
+				t.Errorf("requestKey(%q) = %#x, %d, want %#x, %d", id, key, index, qualityKey(seq, true), i)
 			}
 		}
-		if scoreKey(seq) == batchKey(seq) || scoreKey(seq) == unmintedKey || batchKey(seq) == unmintedKey {
+		if qualityKey(seq, false) == qualityKey(seq, true) {
 			t.Errorf("seq %d: keys collide", seq)
 		}
 	}
-	if got := requestKey(requestID(1 << (64 - keyShift))); got != unmintedKey {
-		t.Errorf("a sequence past the key space maps to %#x, want unmintedKey", got)
+	if _, i := requestKey(requestID(1 << 63)); i != -1 {
+		t.Errorf("a sequence past the key space has index %d, want -1", i)
 	}
 }
 

@@ -3,7 +3,8 @@
 // Deployment.Score/ScoreBatch hot path into a network endpoint.
 //
 //   - POST /v1/score        scores one record on the handler goroutine.
-//   - POST /v1/score/batch  scores many records in one call.
+//   - POST /v1/score/batch  scores many records in one call, on the
+//     handler goroutine too.
 //   - GET  /healthz         liveness + model identity.
 //   - GET  /metrics         Prometheus text exposition: request and shed
 //     counters, latency and per-stage histograms.

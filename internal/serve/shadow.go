@@ -143,7 +143,9 @@ func (sh *shadowScorer) loop(queue <-chan shadowBatch) {
 			continue // deadline shed: nobody is waiting for this comparison
 		}
 		m := sh.slot.Load()
-		dst = m.dep.ScoreBatchInto(b.rows, dst)
+		// On this goroutine, like the scoring routes: a burst of
+		// comparisons never takes every CPU away from the handlers.
+		dst = m.dep.ScoreBatchIntoObserved(b.rows, dst, nil)
 		now := time.Now()
 		m.drift.scores.Observe(dst...)
 		for i, sc := range dst {
