@@ -6,7 +6,8 @@
 # carry-save bundling of 8 and 16 codewords (the two closed-form
 # majority thresholds) and the Hamming and one-pass prototype
 # distances (each an AVX2 block kernel with a Go tail on amd64, the Go
-# loop alone elsewhere), the checkpointed level codeword, the parse of a
+# loop alone elsewhere), the checkpointed level codeword, the fit's
+# tiled leave-one-out over Pima M and Sylhet, the parse of a
 # 64-record batch body, concurrent single-record /v1/score throughput,
 # and closed-loop 64-record /v1/score/batch throughput and latency with
 # 1 and 2 clients, each batch scored on its handler goroutine;
@@ -53,6 +54,7 @@ bench:
 	$(GO) test ./internal/core -run '^$$' -bench 'TransformRecord|ScoreBatch' -benchmem
 	$(GO) test ./internal/hv -run '^$$' -bench 'Bundle8Features|Bundle16Features|HammingD10k|HammingPairD10k' -benchmem
 	$(GO) test ./internal/encode -run '^$$' -bench 'LevelEncodeInto' -benchmem
+	$(GO) test ./internal/ml/hamming -run '^$$' -bench 'LeaveOneOut' -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench 'ParseScoringBody64' -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench 'ScoreConcurrent' -benchtime 20000x -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench 'ScoreBatchRoute' -benchtime 4000x -benchmem

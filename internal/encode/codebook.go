@@ -88,7 +88,8 @@ type Codebook struct {
 // other features exist — the paper's "each feature has a different seed
 // hypervector".
 //
-// Fit panics on an empty schema, empty X, or rows narrower than the schema.
+// Fit panics on an empty schema, empty X, a negative Dim, rows narrower
+// than the schema, or an unknown feature kind.
 func Fit(r *rng.Source, specs []Spec, X [][]float64, opt Options) *Codebook {
 	if len(specs) == 0 {
 		panic("encode: Fit with empty schema")
@@ -100,9 +101,17 @@ func Fit(r *rng.Source, specs []Spec, X [][]float64, opt Options) *Codebook {
 	if dim == 0 {
 		dim = DefaultDim
 	}
+	if dim < 0 {
+		panic(fmt.Sprintf("encode: invalid dimensionality %d", dim))
+	}
 	for i, row := range X {
 		if len(row) < len(specs) {
 			panic(fmt.Sprintf("encode: row %d has %d values for %d features", i, len(row), len(specs)))
+		}
+	}
+	for _, spec := range specs {
+		if spec.Kind != Continuous && spec.Kind != Binary {
+			panic(fmt.Sprintf("encode: unknown feature kind %v", spec.Kind))
 		}
 	}
 	cb := &Codebook{
@@ -112,22 +121,24 @@ func Fit(r *rng.Source, specs []Spec, X [][]float64, opt Options) *Codebook {
 		tie:   opt.Tie,
 		mode:  opt.Mode,
 	}
-	for j, spec := range specs {
-		fr := r.Split()
-		lo, hi := columnRange(X, j)
-		switch spec.Kind {
-		case Continuous:
-			if lo == hi {
-				cb.encs[j] = NewConstantEncoder(hv.RandBalanced(fr, dim))
-			} else {
-				cb.encs[j] = NewLevelEncoder(fr, dim, lo, hi)
-			}
-		case Binary:
-			cb.encs[j] = NewBinaryEncoder(fr, dim, (lo+hi)/2)
-		default:
-			panic(fmt.Sprintf("encode: unknown feature kind %v", spec.Kind))
-		}
+	// Each feature's stream splits off in feature order, so building the
+	// encoders concurrently gives the same bits as building them in turn.
+	// Every panic above stays on the caller's goroutine.
+	frs := make([]*rng.Source, len(specs))
+	for j := range frs {
+		frs[j] = r.Split()
 	}
+	parallel.For(len(specs), func(j int) {
+		lo, hi := columnRange(X, j)
+		switch {
+		case specs[j].Kind == Binary:
+			cb.encs[j] = NewBinaryEncoder(frs[j], dim, (lo+hi)/2)
+		case lo == hi:
+			cb.encs[j] = NewConstantEncoder(hv.RandBalanced(frs[j], dim))
+		default:
+			cb.encs[j] = NewLevelEncoder(frs[j], dim, lo, hi)
+		}
+	})
 	if opt.Mode == BindBundle {
 		cb.roles = make([]hv.Vector, len(specs))
 		for j := range cb.roles {

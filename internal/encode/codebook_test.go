@@ -198,6 +198,12 @@ func TestFitPanics(t *testing.T) {
 		func() { Fit(rng.New(1), nil, pimaLikeRows(), Options{}) },
 		func() { Fit(rng.New(1), specs, nil, Options{}) },
 		func() { Fit(rng.New(1), specs, [][]float64{{1, 2}}, Options{}) }, // short row
+		// The next two must panic before the encoders fan out, where
+		// recover can still catch them.
+		func() {
+			Fit(rng.New(1), []Spec{specs[0], {Name: "x", Kind: Kind(9)}}, pimaLikeRows(), Options{Dim: 100})
+		},
+		func() { Fit(rng.New(1), specs, pimaLikeRows(), Options{Dim: -1}) },
 		func() {
 			cb := Fit(rng.New(1), specs, pimaLikeRows(), Options{Dim: 100})
 			cb.EncodeRecord([]float64{1})

@@ -3,6 +3,8 @@ package encode
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -19,6 +21,31 @@ func mixedCodebook(t *testing.T, mode Mode) *Codebook {
 	}
 	X := [][]float64{{80, 0, 5}, {200, 1, 5}, {140, 1, 5}}
 	return Fit(rng.New(1), specs, X, Options{Dim: 1024, Mode: mode})
+}
+
+// TestFitBytesIndependentOfWorkers fits a mixed level/binary/constant
+// schema on 1 and on 4 workers and requires the same serialized bytes in
+// both modes: BindBundle draws its role vectors after the features.
+func TestFitBytesIndependentOfWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	kinds := []Kind{Continuous, Binary, Continuous, Continuous, Binary, Continuous, Binary, Continuous, Continuous}
+	specs := make([]Spec, len(kinds))
+	for j, k := range kinds {
+		specs[j] = Spec{Name: fmt.Sprint("f", j), Kind: k}
+	}
+	X := [][]float64{{80, 0, 5, 1.5, 1, 30, 0, 7, 0.2}, {200, 1, 5, 2.5, 0, 31, 1, 7, 0.9}, {140, 1, 5, 0.5, 1, 29, 0, 7, 0.4}}
+	for _, mode := range []Mode{Majority, BindBundle} {
+		var out [2]bytes.Buffer
+		for i, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			if _, err := Fit(rng.New(3), specs, X, Options{Dim: 1000, Mode: mode}).WriteTo(&out[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+			t.Fatalf("mode %v: codebook bytes differ between GOMAXPROCS 1 and 4", mode)
+		}
+	}
 }
 
 func TestCodebookRoundTrip(t *testing.T) {

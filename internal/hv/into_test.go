@@ -83,31 +83,6 @@ func TestMajorityIntoMatchesMajority(t *testing.T) {
 	}
 }
 
-func TestDistancesSerialMatchesDistances(t *testing.T) {
-	r := rng.New(8)
-	const d = 640
-	pool := make([]Vector, 33)
-	for i := range pool {
-		pool[i] = Rand(r, d)
-	}
-	q := Rand(r, d)
-	dst := make([]int, 4) // too short: must grow
-	got := DistancesSerial(q, pool, dst)
-	if len(got) != len(pool) {
-		t.Fatalf("len %d != %d", len(got), len(pool))
-	}
-	for i, p := range pool {
-		if want := Hamming(q, p); got[i] != want {
-			t.Fatalf("dist[%d] = %d, want %d", i, got[i], want)
-		}
-	}
-	// Reuse: a second call into the same (now large enough) slice.
-	got2 := DistancesSerial(q, pool, got)
-	if &got2[0] != &got[0] {
-		t.Fatal("DistancesSerial reallocated a sufficient dst")
-	}
-}
-
 func TestScratchShapesAndPool(t *testing.T) {
 	s := NewScratch(200)
 	if s.Dim() != 200 || s.Vec().Dim() != 200 || s.Rec().Dim() != 200 {

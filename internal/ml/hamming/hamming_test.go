@@ -1,9 +1,11 @@
 package hamming
 
 import (
+	"runtime"
 	"testing"
 
 	"hdfe/internal/hv"
+	"hdfe/internal/metrics"
 	"hdfe/internal/rng"
 )
 
@@ -47,6 +49,22 @@ func TestLeaveOneOutOnSeparatedClusters(t *testing.T) {
 	}
 }
 
+// naiveNearest is the leave-one-out rule written out: for each record,
+// the first other record at the smallest Hamming distance.
+func naiveNearest(vs []hv.Vector) []int {
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		best := -1
+		for j, u := range vs {
+			if j != i && (best == -1 || hv.Hamming(v, u) < hv.Hamming(v, vs[best])) {
+				best = j
+			}
+		}
+		out[i] = best
+	}
+	return out
+}
+
 func TestLeaveOneOutMatchesNaive(t *testing.T) {
 	r := rng.New(5)
 	var vs []hv.Vector
@@ -55,27 +73,72 @@ func TestLeaveOneOutMatchesNaive(t *testing.T) {
 		vs = append(vs, hv.Rand(r, 300))
 		y = append(y, i%2)
 	}
-	fast := LeaveOneOut(vs, y)
-	// Naive re-implementation: the first nearest other record wins.
-	pred := make([]int, len(vs))
-	for i, v := range vs {
-		best := -1
-		for j, u := range vs {
-			if j != i && (best == -1 || hv.Hamming(v, u) < hv.Hamming(v, vs[best])) {
-				best = j
+	want := make([]int, len(vs))
+	for i, j := range naiveNearest(vs) {
+		want[i] = y[j]
+	}
+	for i, j := range nearestOthers(vs) {
+		if y[j] != want[i] {
+			t.Errorf("record %d: predicted %d (neighbour %d), naive rule predicts %d", i, y[j], j, want[i])
+		}
+	}
+	if got, naive := LeaveOneOut(vs, y), metrics.NewConfusion(y, want); got != naive {
+		t.Fatalf("LOO confusion %+v, naive %+v", got, naive)
+	}
+}
+
+// TestNearestOthersTies pins the tiled pass to the naive rule record by
+// record where ties are common: short vectors and repeated ones, record
+// counts around the tile size, and 1, 2 and 4 workers.
+func TestNearestOthersTies(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	r := rng.New(9)
+	for _, dim := range []int{8, 64, 65, 300} {
+		for _, n := range []int{2, 3, tile - 1, tile, tile + 1, 3*tile + 5} {
+			// Draw from a pool of n/3+1 vectors, so about two thirds of
+			// the records repeat an earlier one.
+			pool := make([]hv.Vector, n/3+1)
+			for k := range pool {
+				pool[k] = hv.Rand(r, dim)
+			}
+			vs := make([]hv.Vector, n)
+			for i := range vs {
+				vs[i] = pool[r.Intn(len(pool))].Clone()
+			}
+			want := naiveNearest(vs)
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				got := nearestOthers(vs)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("D=%d n=%d GOMAXPROCS=%d: record %d nearest %d, naive %d", dim, n, procs, i, got[i], want[i])
+					}
+				}
 			}
 		}
-		pred[i] = y[best]
 	}
-	var naiveCorrect, fastCorrect int
-	for i := range pred {
-		if pred[i] == y[i] {
-			naiveCorrect++
+}
+
+// TestMergeAnyTileOrder deals the tiles to three workers in an order no
+// scheduler is bound to produce (last tile first, round robin) and
+// requires the merge to give the naive answer all the same.
+func TestMergeAnyTileOrder(t *testing.T) {
+	r := rng.New(13)
+	pool := []hv.Vector{hv.Rand(r, 64), hv.Rand(r, 64), hv.Rand(r, 64)}
+	vs := make([]hv.Vector, 3*tile+5)
+	for i := range vs {
+		vs[i] = pool[r.Intn(len(pool))]
+	}
+	tiles := triangleTiles(len(vs))
+	near := [][]neighbour{unseen(len(vs)), unseen(len(vs)), unseen(len(vs))}
+	for k := range tiles {
+		scanTile(vs, tiles[len(tiles)-1-k], near[k%len(near)])
+	}
+	want := naiveNearest(vs)
+	for i, got := range merge(near) {
+		if got != want[i] {
+			t.Errorf("record %d nearest %d, naive %d", i, got, want[i])
 		}
-	}
-	fastCorrect = fast.TP + fast.TN
-	if naiveCorrect != fastCorrect {
-		t.Fatalf("fast LOO %d correct, naive %d", fastCorrect, naiveCorrect)
 	}
 }
 
@@ -84,6 +147,7 @@ func TestLeaveOneOutPanics(t *testing.T) {
 	cases := []func(){
 		func() { LeaveOneOut([]hv.Vector{v, v}, []int{0}) },
 		func() { LeaveOneOut([]hv.Vector{v}, []int{0}) },
+		func() { LeaveOneOut([]hv.Vector{v, hv.New(11)}, []int{0, 1}) },
 	}
 	for i, f := range cases {
 		func() {

@@ -1,11 +1,14 @@
 // Package parallel provides small, allocation-light helpers for data-parallel
 // loops. Offline bulk work fans out across GOMAXPROCS workers in fixed
 // contiguous chunks, which keeps per-item overhead negligible and memory
-// access patterns sequential: the codebook's batch encoders, the fit's
-// leave-one-out, the models, the cross-validation harness and
-// core.Deployment.ScoreBatch. Serving paths do not: a server's
-// parallelism comes from its concurrent requests, so each request is
-// scored on its own goroutine.
+// access patterns sequential: the codebook's feature and batch encoders,
+// the models, the cross-validation harness, the ablations' prototype
+// leave-one-out and core.Deployment.ScoreBatch. The fit's 1-NN
+// leave-one-out runs one For index per worker and deals the workers tiles
+// of the distance triangle one at a time, so a worker that loses its CPU
+// holds back one tile, not a fixed share. Serving paths do not fan
+// out: a server's parallelism comes from its concurrent requests, so each
+// request is scored on its own goroutine.
 package parallel
 
 import (

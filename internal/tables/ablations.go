@@ -10,6 +10,7 @@ import (
 	"hdfe/internal/hv"
 	"hdfe/internal/metrics"
 	"hdfe/internal/ml/hamming"
+	"hdfe/internal/parallel"
 )
 
 // AblationResult collects the design-choice ablations DESIGN.md calls out:
@@ -101,23 +102,27 @@ func Ablations(cfg Config) (*AblationResult, error) {
 // prototypeLOO evaluates the served model leave-one-out: per fold,
 // core.Prototypes bundles the other records into class prototypes and
 // the held-out record is positive when core.ClassAffinity >= 0.5 — the
-// same two functions behind BuildDeployment and Deployment.Score.
+// same two functions behind BuildDeployment and Deployment.Score. The
+// folds fan out across workers, each reusing one training set.
 func prototypeLOO(vs []hv.Vector, y []int) metrics.Confusion {
 	pred := make([]int, len(vs))
-	for i := range vs {
+	parallel.ForChunked(len(vs), func(lo, hi int) {
 		train := make([]hv.Vector, 0, len(vs)-1)
 		labels := make([]int, 0, len(vs)-1)
-		for j := range vs {
-			if j != i {
-				train = append(train, vs[j])
-				labels = append(labels, y[j])
+		for i := lo; i < hi; i++ {
+			train, labels = train[:0], labels[:0]
+			for j := range vs {
+				if j != i {
+					train = append(train, vs[j])
+					labels = append(labels, y[j])
+				}
+			}
+			neg, pos := core.Prototypes(train, labels, hv.TieToOne)
+			if core.ClassAffinity(vs[i], neg, pos) >= 0.5 {
+				pred[i] = 1
 			}
 		}
-		neg, pos := core.Prototypes(train, labels, hv.TieToOne)
-		if core.ClassAffinity(vs[i], neg, pos) >= 0.5 {
-			pred[i] = 1
-		}
-	}
+	})
 	return metrics.NewConfusion(y, pred)
 }
 
