@@ -4,13 +4,15 @@
 # budget, including the scoring-body parser checked against encoding/json;
 # `make bench` tracks the zero-allocation encode/score path, the
 # carry-save bundling of 8 and 16 codewords (the two closed-form
-# majority thresholds) and the Hamming and one-pass prototype
-# distances (each an AVX2 block kernel with a Go tail on amd64, the Go
-# loop alone elsewhere), the checkpointed level codeword, the fit's
-# tiled leave-one-out over Pima M and Sylhet, the parse of a
-# 64-record batch body, concurrent single-record /v1/score throughput,
-# and closed-loop 64-record /v1/score/batch throughput and latency with
-# 1 and 2 clients, each batch scored on its handler goroutine;
+# majority thresholds; AVX2 block kernels with a Go tail on amd64) and
+# the Hamming and one-pass prototype distances (512-bit VPOPCNTQ block
+# kernels on CPUs with AVX512_VPOPCNTDQ, AVX2 ones on other amd64 CPUs,
+# each with a Go tail; the Go loop alone elsewhere), the checkpointed
+# level codeword, the fit's tiled leave-one-out over Pima M and Sylhet,
+# the parse of a 64-record batch body, concurrent single-record
+# /v1/score throughput, and closed-loop 64-record /v1/score/batch
+# throughput and latency with 1 and 2 clients, each batch scored on its
+# handler goroutine;
 # `make obs-smoke` boots
 # hdserve and asserts the /metrics surface; `make trace-smoke` adds a
 # mock OTLP collector and asserts the W3C traceparent round trip, span

@@ -118,6 +118,7 @@ import (
 
 	"hdfe/internal/chaos"
 	"hdfe/internal/core"
+	"hdfe/internal/hv"
 	"hdfe/internal/obs"
 	"hdfe/internal/obs/audit"
 	"hdfe/internal/obs/prof"
@@ -137,7 +138,8 @@ func main() {
 // run is the testable main: it parses args, builds or loads the
 // deployment, and serves until ctx is cancelled. The "serving" log line
 // carries the bound listening address, so callers (and tests) can bind
-// to port 0 and discover the real port from stdout.
+// to port 0 and discover the real port from stdout, and then the tier of
+// hv block kernels this CPU runs (avx512, avx2 or go).
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("hdserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -316,6 +318,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		"dim", dep.Extractor.Dim(),
 		"features", dep.Extractor.Codebook().NumFeatures(),
 		"addr", ln.Addr().String(),
+		"kernels", hv.Kernels(),
 		"pprof", *pprofFlag)
 	err = srv.Serve(ctx, ln)
 	logger.Info("drained and stopped", "summary", srv.Metrics().String())

@@ -15,6 +15,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"hdfe/internal/hv"
 )
 
 // syncBuffer lets the test read run()'s stdout while the server goroutine
@@ -68,6 +70,12 @@ func TestRunWriteDemoAndServe(t *testing.T) {
 		} else {
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+	// The kernel tier follows the address as a field of its own, so a
+	// reader that takes the address as the non-space run after addr= (as
+	// hdperf does) is unaffected.
+	if want := "addr=" + addr + " kernels=" + hv.Kernels() + " "; !strings.Contains(stdout.String(), want) {
+		t.Errorf("serving line lacks %q: %q", want, stdout.String())
 	}
 
 	resp, err := http.Get("http://" + addr + "/healthz")
@@ -202,6 +210,9 @@ const okRecord = `{"features":[2,120,70,25,100,30.5,0.4,40]}`
 // and -pprof mounts the profiling handlers.
 func TestRunJSONLogsAndPprof(t *testing.T) {
 	addr, stdout, stop := serveRun(t, "-demo", "-dim", "128", "-log-format", "json", "-pprof")
+	if want := `"addr":"` + addr + `","kernels":"` + hv.Kernels() + `"`; !strings.Contains(stdout.String(), want) {
+		t.Errorf("serving line lacks %s: %q", want, stdout.String())
+	}
 	if code, body := postScore(t, addr, okRecord); code != http.StatusOK {
 		t.Fatalf("score status %d: %s", code, body)
 	}

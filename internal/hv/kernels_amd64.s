@@ -216,6 +216,66 @@ loop:
 	MOVQ DX, ac+40(FP)
 	RET
 
+// The AVX512 distance kernels take one 512-bit block (eight words) per
+// loop trip, n a positive multiple of 8, and count it with VPOPCNTQ
+// (AVX512_VPOPCNTDQ) into eight 64-bit lanes.
+
+// SUM8 adds the eight words of z (y is its low half, x its low quarter)
+// into r, using ty and its low half tx.
+#define SUM8(z, y, x, ty, tx, r) \
+	VEXTRACTI64X4 $1, z, ty; \
+	VPADDQ        ty, y, y;  \
+	SUM4(y, x, tx, r)
+
+// func hammingAVX512(a, b *uint64, n int) int
+TEXT ·hammingAVX512(SB), NOSPLIT, $0-32
+	MOVQ   a+0(FP), SI
+	MOVQ   b+8(FP), DI
+	MOVQ   n+16(FP), CX
+	VPXORQ Z0, Z0, Z0
+	XORQ   BX, BX
+
+loop:
+	VMOVDQU64 (SI)(BX*8), Z1
+	VPXORQ    (DI)(BX*8), Z1, Z1
+	VPOPCNTQ  Z1, Z1
+	VPADDQ    Z1, Z0, Z0
+	ADDQ      $8, BX
+	CMPQ      BX, CX
+	JB        loop
+	SUM8(Z0, Y0, X0, Y1, X1, AX)
+	VZEROUPPER
+	MOVQ AX, ret+24(FP)
+	RET
+
+// func hammingPairAVX512(a, b, c *uint64, n int) (ab, ac int)
+TEXT ·hammingPairAVX512(SB), NOSPLIT, $0-48
+	MOVQ   a+0(FP), SI
+	MOVQ   b+8(FP), DI
+	MOVQ   c+16(FP), DX
+	MOVQ   n+24(FP), CX
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	XORQ   BX, BX
+
+loop:
+	VMOVDQU64 (SI)(BX*8), Z2
+	VPXORQ    (DI)(BX*8), Z2, Z3
+	VPXORQ    (DX)(BX*8), Z2, Z2
+	VPOPCNTQ  Z3, Z3
+	VPOPCNTQ  Z2, Z2
+	VPADDQ    Z3, Z0, Z0
+	VPADDQ    Z2, Z1, Z1
+	ADDQ      $8, BX
+	CMPQ      BX, CX
+	JB        loop
+	SUM8(Z0, Y0, X0, Y2, X2, AX)
+	SUM8(Z1, Y1, X1, Y2, X2, DX)
+	VZEROUPPER
+	MOVQ AX, ab+32(FP)
+	MOVQ DX, ac+40(FP)
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

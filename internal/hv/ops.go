@@ -10,11 +10,13 @@ import (
 // Hamming returns the Hamming distance between a and b: the number of bit
 // positions at which they differ. This is the paper's classification metric.
 //
-// On an amd64 CPU with AVX2 the whole 256-bit blocks are counted in
-// assembly, by the nibble-table VPSHUFB popcount summed with VPSADBW
-// (Muła, Kurz and Lemire 2018), and the Go loop counts the last words;
-// elsewhere the Go loop counts them all. HammingPair does the same for
-// its two distances.
+// On an amd64 CPU with AVX512F and AVX512_VPOPCNTDQ, whose OS saves the
+// ZMM state, the whole 512-bit blocks (eight words) are counted in
+// assembly, one VPOPCNTQ per block. On one with AVX2 alone the whole
+// 256-bit blocks are, by the nibble-table VPSHUFB popcount summed with
+// VPSADBW (Muła, Kurz and Lemire 2018). Either way the Go loop counts the
+// last words; elsewhere it counts them all. Kernels names the tier in use.
+// HammingPair does the same for its two distances.
 func Hamming(a, b Vector) int {
 	checkSameDim(a, b)
 	k, d := hammingBlocks(a.words, b.words)

@@ -32,11 +32,11 @@ func TestHammingPanicsOnDimMismatch(t *testing.T) {
 }
 
 // HammingPair must give exactly the two per-bit distances, across word
-// boundaries, at whole 256-bit blocks and at blocks plus a tail, and
-// panic on a dimension mismatch on either side.
+// boundaries, at whole 256-bit and 512-bit blocks and at blocks plus a
+// tail, and panic on a dimension mismatch on either side.
 func TestHammingPairMatchesHamming(t *testing.T) {
 	r := rng.New(2)
-	for _, d := range []int{1, 63, 64, 65, 130, 256, 257, 10000} {
+	for _, d := range []int{1, 63, 64, 65, 130, 256, 257, 448, 512, 513, 1024, 10000} {
 		a, b, c := Rand(r, d), Rand(r, d), Rand(r, d)
 		ab, ac := HammingPair(a, b, c)
 		if wab, wac := naiveHamming(a, b), naiveHamming(a, c); ab != wab || ac != wac {

@@ -50,12 +50,12 @@ func naiveHamming(a, b Vector) int {
 }
 
 // TestHammingMatchesBitDefinition cross-checks the popcount against a
-// naive per-bit count on random pairs, at widths below one 256-bit block,
-// at whole blocks, and at blocks plus a tail (257 bits is 5 words, 10,000
-// bits 157).
+// naive per-bit count on random pairs, at widths below one 256-bit or
+// 512-bit block, at whole blocks, and at blocks plus a tail (257 bits is
+// 5 words, 448 is 7, 513 is 9, 10,000 bits 157).
 func TestHammingMatchesBitDefinition(t *testing.T) {
 	r := rng.New(7)
-	for _, dim := range []int{5, 64, 130, 256, 257, 999, 10000} {
+	for _, dim := range []int{5, 64, 130, 256, 257, 448, 512, 513, 999, 1024, 10000} {
 		for trial := 0; trial < 50; trial++ {
 			a, b := Rand(r, dim), Rand(r, dim)
 			if got, naive := Hamming(a, b), naiveHamming(a, b); got != naive {

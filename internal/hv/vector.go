@@ -197,9 +197,15 @@ func (v Vector) Ones() []int {
 // Zeros returns the indices of all clear bits in ascending order.
 func (v Vector) Zeros() []int {
 	out := make([]int, 0, v.dim-v.OnesCount())
-	for i := 0; i < v.dim; i++ {
-		if !v.Bit(i) {
-			out = append(out, i)
+	for wi, w := range v.words {
+		w = ^w
+		if rem := v.dim % wordBits; rem != 0 && wi == len(v.words)-1 {
+			w &= 1<<uint(rem) - 1
+		}
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			out = append(out, wi*wordBits+b)
+			w &= w - 1
 		}
 	}
 	return out

@@ -56,6 +56,15 @@ func TestSetGetFlipBit(t *testing.T) {
 			t.Fatalf("bit %d still set after SetBit(false)", i)
 		}
 	}
+	// FlipBits flips a whole list at once; a position listed twice flips
+	// back.
+	v.FlipBits([]int32{0, 1, 63, 64, 65, 127, 128, 129, 64})
+	want := []uint64{1<<63 | 3, 1<<63 | 2, 3}
+	for i, w := range v.Words() {
+		if w != want[i] {
+			t.Fatalf("word %d after FlipBits = %#x, want %#x", i, w, want[i])
+		}
+	}
 }
 
 func TestBitIndexPanics(t *testing.T) {
@@ -141,21 +150,32 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestOnesZerosPartition requires Ones and Zeros to list every position
+// once, each on its side and in ascending order, at widths that fill the
+// last word and widths that leave tail bits unused.
 func TestOnesZerosPartition(t *testing.T) {
 	r := rng.New(7)
-	v := Rand(r, 257)
-	ones, zeros := v.Ones(), v.Zeros()
-	if len(ones)+len(zeros) != v.Dim() {
-		t.Fatalf("ones %d + zeros %d != dim %d", len(ones), len(zeros), v.Dim())
-	}
-	for _, i := range ones {
-		if !v.Bit(i) {
-			t.Fatalf("Ones() listed clear bit %d", i)
+	for _, dim := range []int{1, 63, 64, 65, 257, 10000} {
+		v := Rand(r, dim)
+		ones, zeros := v.Ones(), v.Zeros()
+		if len(ones)+len(zeros) != v.Dim() {
+			t.Fatalf("dim %d: ones %d + zeros %d != dim", dim, len(ones), len(zeros))
 		}
-	}
-	for _, i := range zeros {
-		if v.Bit(i) {
-			t.Fatalf("Zeros() listed set bit %d", i)
+		for k, i := range ones {
+			if !v.Bit(i) {
+				t.Fatalf("dim %d: Ones() listed clear bit %d", dim, i)
+			}
+			if k > 0 && i <= ones[k-1] {
+				t.Fatalf("dim %d: Ones() lists %d after %d", dim, i, ones[k-1])
+			}
+		}
+		for k, i := range zeros {
+			if v.Bit(i) {
+				t.Fatalf("dim %d: Zeros() listed set bit %d", dim, i)
+			}
+			if k > 0 && i <= zeros[k-1] {
+				t.Fatalf("dim %d: Zeros() lists %d after %d", dim, i, zeros[k-1])
+			}
 		}
 	}
 }

@@ -50,14 +50,18 @@ func TestLeaveOneOutOnSeparatedClusters(t *testing.T) {
 }
 
 // naiveNearest is the leave-one-out rule written out: for each record,
-// the first other record at the smallest Hamming distance.
+// the first other record at the smallest Hamming distance, counted bit by
+// bit so that a fault in hv's kernels cannot cancel out.
 func naiveNearest(vs []hv.Vector) []int {
 	out := make([]int, len(vs))
 	for i, v := range vs {
-		best := -1
+		best, bestD := -1, 0
 		for j, u := range vs {
-			if j != i && (best == -1 || hv.Hamming(v, u) < hv.Hamming(v, vs[best])) {
-				best = j
+			if j == i {
+				continue
+			}
+			if d := bitHamming(v, u); best == -1 || d < bestD {
+				best, bestD = j, d
 			}
 		}
 		out[i] = best
@@ -65,35 +69,48 @@ func naiveNearest(vs []hv.Vector) []int {
 	return out
 }
 
-func TestLeaveOneOutMatchesNaive(t *testing.T) {
-	r := rng.New(5)
-	var vs []hv.Vector
-	var y []int
-	for i := 0; i < 25; i++ {
-		vs = append(vs, hv.Rand(r, 300))
-		y = append(y, i%2)
-	}
-	want := make([]int, len(vs))
-	for i, j := range naiveNearest(vs) {
-		want[i] = y[j]
-	}
-	for i, j := range nearestOthers(vs) {
-		if y[j] != want[i] {
-			t.Errorf("record %d: predicted %d (neighbour %d), naive rule predicts %d", i, y[j], j, want[i])
+func bitHamming(a, b hv.Vector) int {
+	d := 0
+	for i := 0; i < a.Dim(); i++ {
+		if a.Bit(i) != b.Bit(i) {
+			d++
 		}
 	}
-	if got, naive := LeaveOneOut(vs, y), metrics.NewConfusion(y, want); got != naive {
-		t.Fatalf("LOO confusion %+v, naive %+v", got, naive)
+	return d
+}
+
+func TestLeaveOneOutMatchesNaive(t *testing.T) {
+	r := rng.New(5)
+	for _, dim := range []int{300, 512, 1100} {
+		var vs []hv.Vector
+		var y []int
+		for i := 0; i < 25; i++ {
+			vs = append(vs, hv.Rand(r, dim))
+			y = append(y, i%2)
+		}
+		want := make([]int, len(vs))
+		for i, j := range naiveNearest(vs) {
+			want[i] = y[j]
+		}
+		for i, j := range nearestOthers(vs) {
+			if y[j] != want[i] {
+				t.Errorf("D=%d record %d: predicted %d (neighbour %d), naive rule predicts %d", dim, i, y[j], j, want[i])
+			}
+		}
+		if got, naive := LeaveOneOut(vs, y), metrics.NewConfusion(y, want); got != naive {
+			t.Fatalf("D=%d: LOO confusion %+v, naive %+v", dim, got, naive)
+		}
 	}
 }
 
 // TestNearestOthersTies pins the tiled pass to the naive rule record by
-// record where ties are common: short vectors and repeated ones, record
-// counts around the tile size, and 1, 2 and 4 workers.
+// record where ties are common: short vectors and repeated ones, widths
+// below one 512-bit block and with whole blocks and a tail (512 and 1,100
+// bits), record counts around the tile size, and 1, 2 and 4 workers.
 func TestNearestOthersTies(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := rng.New(9)
-	for _, dim := range []int{8, 64, 65, 300} {
+	for _, dim := range []int{8, 64, 65, 300, 512, 1100} {
 		for _, n := range []int{2, 3, tile - 1, tile, tile + 1, 3*tile + 5} {
 			// Draw from a pool of n/3+1 vectors, so about two thirds of
 			// the records repeat an earlier one.
